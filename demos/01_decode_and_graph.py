@@ -7,12 +7,11 @@ drop the ones that are not fungible-token transfers, and look at the
 resulting per-token multigraph.
 """
 
-from tokengraphs import (RawLog, build_graphs, decode_logs, degree_stats,
-                         partition_windows, transfer_topic_hash,
+from tokengraphs import (TRANSFER_TOPIC, RawLog, build_graphs,
+                         decode_logs, degree_stats, partition_windows,
                          weak_components)
 
-TOPIC = transfer_topic_hash()
-print(f"Transfer topic0: {TOPIC}")
+print(f"Transfer topic0: {TRANSFER_TOPIC}")
 
 # three raw logs: two fungible transfers and one NFT transfer (the NFT
 # standard indexes the token id as a fourth topic and carries no data)
@@ -21,17 +20,18 @@ def topic(addr_suffix):
 
 raw = [
     {"address": "0x" + "a1".rjust(40, "0"),
-     "topics": [TOPIC, topic("b1"), topic("c1")],
+     "topics": [TRANSFER_TOPIC, topic("b1"), topic("c1")],
      "data": "0x" + format(1_500_000, "064x"),
      "blockNumber": hex(18_000_010), "transactionHash": "0x" + "01" * 32,
      "logIndex": "0x0"},
     {"address": "0x" + "a1".rjust(40, "0"),
-     "topics": [TOPIC, topic("c1"), topic("d1")],
+     "topics": [TRANSFER_TOPIC, topic("c1"), topic("d1")],
      "data": "0x" + format(9_000, "064x"),
      "blockNumber": hex(18_000_025), "transactionHash": "0x" + "02" * 32,
      "logIndex": "0x3"},
     {"address": "0x" + "ee".rjust(40, "0"),  # NFT: filtered out
-     "topics": [TOPIC, topic("b1"), topic("c1"), "0x" + format(7, "064x")],
+     "topics": [TRANSFER_TOPIC, topic("b1"), topic("c1"),
+                "0x" + format(7, "064x")],
      "data": "0x",
      "blockNumber": hex(18_000_030), "transactionHash": "0x" + "03" * 32,
      "logIndex": "0x1"},

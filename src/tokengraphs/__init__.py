@@ -3,6 +3,7 @@ ERC-20 event logs, extract structural/temporal features, and train a
 logistic model that flags suspicious tokens."""
 
 from .ingest import (
+    TRANSFER_TOPIC,
     BlockWindow,
     RawLog,
     TransferEvent,
@@ -12,17 +13,14 @@ from .ingest import (
     is_erc20_transfer,
     partition_windows,
     read_fixture,
-    transfer_topic_hash,
     write_fixture,
 )
 from .graphs import TokenGraph, build_graphs, degree_stats, weak_components
 from .features import (
     FeatureVector,
-    ReducedFeatureVector,
     extract_features,
     feature_matrix,
     read_feature_table,
-    reduce_features,
     write_feature_table,
 )
 from .dataset import LabeledDataset, join, load_labels, summarize, write_labels

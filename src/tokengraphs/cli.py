@@ -21,7 +21,7 @@ from . import __version__
 from .dataset import (DEFAULT_MIN_NODES, LabelConflictError, LabelParseError,
                       join, load_labels)
 from .evaluation import (UndefinedAUCError, VariantMismatchError,
-                         evaluate_model, kfold_cv, unlabeled_scan,
+                         cross_window_eval, kfold_cv, unlabeled_scan,
                          write_report, write_roc, write_scan_report,
                          write_window_reports)
 from .features import (VARIANTS, extract_features, histogram_bins,
@@ -30,8 +30,7 @@ from .features import (VARIANTS, extract_features, histogram_bins,
 from .graphs import build_graphs, export_graphs
 from .ingest import (DEFAULT_WINDOW_WIDTH, ENDPOINT_ENV_VAR, BlockWindow,
                      FetchError, FixtureParseError, decode_logs, fetch_logs,
-                     format_fixture_line, iter_window_groups,
-                     partition_windows, read_fixture)
+                     format_fixture_line, iter_window_groups, read_fixture)
 from .model import (FeatureMismatchError, ModelFormatError, TrainConfig,
                     TrainingError, load_model, save_model, train)
 from .synth import CorpusProfile, ScanProfile, gen_corpus, gen_scan_corpus
@@ -46,8 +45,9 @@ _INPUT_ERRORS = (
 _RUNTIME_ERRORS = (FetchError, requests.RequestException)
 
 
-def _write_manifest(path: str, command: str, config: dict) -> None:
-    payload = {"format": MANIFEST_FORMAT, "command": command, "config": config}
+def _write_manifest(path: str, command: str, config: dict, **extra) -> None:
+    payload = {"format": MANIFEST_FORMAT, "command": command, "config": config,
+               **extra}
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -100,15 +100,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     mode = "a" if args.resume and completed_through > window.start else "w"
     count = 0
     state = {"completed_through": completed_through, "finished": False}
-
-    def write_state() -> None:
-        payload = {"format": MANIFEST_FORMAT, "command": "fetch",
-                   "config": config, "state": state}
-        with open(manifest_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-
-    write_state()
+    _write_manifest(manifest_path, "fetch", config, state=state)
     buffered: list[str] = []
 
     with open(args.out, mode, encoding="utf-8") as out:
@@ -120,7 +112,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
                 count += len(buffered)
                 buffered.clear()
             state["completed_through"] = chunk_end
-            write_state()
+            _write_manifest(manifest_path, "fetch", config, state=state)
 
         remaining = BlockWindow(completed_through, window.end)
         if remaining.width > 0:
@@ -132,7 +124,7 @@ def cmd_fetch(args: argparse.Namespace) -> int:
                 buffered.append(format_fixture_line(event))
 
     state["finished"] = True
-    write_state()
+    _write_manifest(manifest_path, "fetch", config, state=state)
     print(f"wrote {count} transfers to {args.out}")
     return 0
 
@@ -141,22 +133,11 @@ def _feature_rows(fixture: str, width: int, export_dir: str | None = None):
     """One feature row per (token, window); graphs are released as windows close."""
     rows = []
     exported = 0
-
-    def consume(window, events) -> None:
-        nonlocal exported
+    for window, events in iter_window_groups(read_fixture(fixture), width):
         graphs = build_graphs(events, window)
         rows.extend(extract_features(g) for g in graphs.values())
         if export_dir:
             exported += export_graphs(graphs.values(), export_dir)
-
-    try:
-        for window, events in iter_window_groups(read_fixture(fixture), width):
-            consume(window, events)
-    except ValueError:
-        # interleaved windows: fall back to the two-pass grouping
-        rows, exported = [], 0
-        for window, events in partition_windows(read_fixture(fixture), width).items():
-            consume(window, events)
     rows.sort(key=lambda fv: (fv.window.start, fv.token))
     return rows, exported
 
@@ -185,6 +166,9 @@ def cmd_train(args: argparse.Namespace) -> int:
                     _config_from_args(args))
     print(f"trained {args.variant} model on {len(dataset)} rows "
           f"({model.iterations} iterations, final loss {model.final_loss:.6f})")
+    if model.iterations == args.max_iters:
+        print(f"warning: gradient descent stopped at --max-iters "
+              f"{args.max_iters} without converging", file=sys.stderr)
     if dataset.unlabeled:
         print(f"warning: {len(dataset.unlabeled)} over-threshold tokens had no "
               f"label and were excluded", file=sys.stderr)
@@ -213,19 +197,20 @@ def cmd_crosseval(args: argparse.Namespace) -> int:
     train_labels = load_labels(args.train_labels)
     train_set = join(train_vectors, train_labels, args.min_nodes)
 
-    model = train(train_set, _train_config(args), args.variant)
-    reports = []
+    names, eval_sets = [], []
     for features_path, labels_path in args.eval:
         name = os.path.basename(features_path)
         eval_set = join(read_feature_table(features_path),
                         load_labels(labels_path), args.min_nodes)
         if not eval_set.rows:
             print(f"warning: {name} has no labeled rows, skipped", file=sys.stderr)
-            continue
-        try:
-            reports.append(evaluate_model(model, eval_set, label=name))
-        except UndefinedAUCError:
+        elif len(set(eval_set.labels)) < 2:
             print(f"warning: {name} has a single class, skipped", file=sys.stderr)
+        else:
+            names.append(name)
+            eval_sets.append(eval_set)
+    _, reports = cross_window_eval(train_set, eval_sets, _train_config(args),
+                                   args.variant, labels=names)
     write_window_reports(reports, args.out)
     if args.roc_out:
         for report in reports:
@@ -269,11 +254,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     else:
         corpus = gen_scan_corpus(args.n_tokens, windows[0], fixture,
                                  profile=ScanProfile(), seed=args.seed)
-    payload = {"format": MANIFEST_FORMAT, "command": "synth",
-               "config": _config_from_args(args), "corpus": corpus}
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    _write_manifest(manifest_path, "synth", _config_from_args(args),
+                    corpus=corpus)
     print(f"generated {corpus['total_events']} events for {args.n_tokens} tokens "
           f"x {len(windows)} window(s) in {args.out_dir}")
     return 0

@@ -285,18 +285,11 @@ def _fmt(x: float) -> str:
 
 def write_report(report: EvalReport, path: str | os.PathLike) -> None:
     """Per-fold/per-window rows plus the averaged row, comma separated."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("label,tp,fp,fn,tn,accuracy,precision,recall,f1,auc\n")
-        for row in (*report.breakdown, report):
-            c = row.counts
-            handle.write(",".join((
-                row.label, str(c.tp), str(c.fp), str(c.fn), str(c.tn),
-                _fmt(row.accuracy), _fmt(row.precision), _fmt(row.recall),
-                _fmt(row.f1), _fmt(row.auc),
-            )) + "\n")
+    write_window_reports((*report.breakdown, report), path)
 
 
 def write_window_reports(reports: Sequence[EvalReport], path: str | os.PathLike) -> None:
+    """One comma-separated row per report, in the order given."""
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("label,tp,fp,fn,tn,accuracy,precision,recall,f1,auc\n")
         for row in reports:

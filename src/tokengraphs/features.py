@@ -61,20 +61,6 @@ class FeatureVector:
         return float(getattr(self, name))
 
 
-@dataclass
-class ReducedFeatureVector:
-    """Size-free projection used when scoring graphs outside the training range."""
-
-    token: str
-    window: BlockWindow
-    density: float
-    avg_comp_size: float
-    lifetime: int | None
-    transfer_std_dev: float
-    amount: int
-    edges_per_component: float
-
-
 def extract_features(
     graph: TokenGraph, components: ComponentSummary | None = None,
 ) -> FeatureVector:
@@ -107,31 +93,15 @@ def extract_features(
     )
 
 
-def reduce_features(fv: FeatureVector, include_lifetime: bool = True) -> ReducedFeatureVector:
-    return ReducedFeatureVector(
-        token=fv.token,
-        window=fv.window,
-        density=fv.density,
-        avg_comp_size=fv.avg_comp_size,
-        lifetime=fv.lifetime if include_lifetime else None,
-        transfer_std_dev=fv.transfer_std_dev,
-        amount=fv.amount,
-        edges_per_component=fv.num_edges / fv.num_components,
-    )
-
-
 def feature_matrix(
-    vectors: Sequence[FeatureVector], variant: str = "full",
+    vectors: Sequence[FeatureVector], names: tuple[str, ...],
     log_amount: bool = False,
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Assemble the float64 model matrix for a feature variant.
+) -> np.ndarray:
+    """Assemble the float64 model matrix, one column per feature name.
 
     ``log_amount`` swaps the raw amount column for log10(1 + amount); raw
     values are the default.
     """
-    names = VARIANTS.get(variant)
-    if names is None:
-        raise ValueError(f"unknown feature variant: {variant!r}")
     matrix = np.empty((len(vectors), len(names)), dtype=np.float64)
     for i, fv in enumerate(vectors):
         for j, name in enumerate(names):
@@ -139,7 +109,7 @@ def feature_matrix(
     if log_amount and "amount" in names:
         column = names.index("amount")
         matrix[:, column] = np.log10(1.0 + matrix[:, column])
-    return matrix, names
+    return matrix
 
 
 def _format_real(x: float) -> str:

@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .ingest import BlockWindow, TransferEvent
-
-_EVENT_ORDER = attrgetter("block", "log_index")
+from .ingest import EVENT_ORDER, BlockWindow, TransferEvent
 
 
 @dataclass
@@ -45,7 +42,6 @@ class TokenGraph:
 class ComponentSummary:
     count: int
     sizes: list[int]
-    membership: dict[str, int] = field(repr=False)
 
 
 @dataclass
@@ -77,7 +73,7 @@ def build_graphs(
 
     graphs: dict[str, TokenGraph] = {}
     for token, token_events in per_token.items():
-        token_events.sort(key=_EVENT_ORDER)
+        token_events.sort(key=EVENT_ORDER)
         index: dict[str, int] = {}
         nodes: list[str] = []
         n = len(token_events)
@@ -140,16 +136,14 @@ def weak_components(graph: TokenGraph) -> ComponentSummary:
 
     root_to_comp: dict[int, int] = {}
     sizes: list[int] = []
-    membership: dict[str, int] = {}
-    for node_id, addr in enumerate(graph.nodes):
+    for node_id in range(n):
         root = uf.find(node_id)
         comp = root_to_comp.get(root)
         if comp is None:
             comp = root_to_comp[root] = len(sizes)
             sizes.append(0)
         sizes[comp] += 1
-        membership[addr] = comp
-    return ComponentSummary(count=len(sizes), sizes=sizes, membership=membership)
+    return ComponentSummary(count=len(sizes), sizes=sizes)
 
 
 def degree_stats(graph: TokenGraph) -> DegreeStats:

@@ -18,11 +18,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import requests
 
-from .keccak import keccak_256
-
 log = logging.getLogger(__name__)
 
-TRANSFER_SIGNATURE = "Transfer(address,address,uint256)"
+# topic0 of ERC-20 Transfer events: keccak-256 of "Transfer(address,address,uint256)"
+TRANSFER_TOPIC = "0xddf252ad1be2c89b69c2b068fc378daa952ba7f163c4a11628f55a4df523b3ef"
 
 ENDPOINT_ENV_VAR = "ETH_RPC_URL"
 
@@ -70,14 +69,6 @@ class RangeTooDenseError(FetchError):
     """A single block still exceeds the provider's result limit."""
 
 
-def transfer_topic_hash() -> str:
-    """Hex topic identifying ERC-20 Transfer events (keccak of the signature)."""
-    return "0x" + keccak_256(TRANSFER_SIGNATURE.encode("ascii")).hex()
-
-
-_TRANSFER_TOPIC = transfer_topic_hash()
-
-
 @dataclass(frozen=True)
 class RawLog:
     """One undecoded log entry as returned by eth_getLogs."""
@@ -116,10 +107,6 @@ class TransferEvent(NamedTuple):
     log_index: int
     tx_hash: str
 
-    @property
-    def order_key(self) -> tuple[int, int]:
-        return (self.block, self.log_index)
-
 
 class BlockWindow(NamedTuple):
     """Half-open block range [start, end)."""
@@ -137,7 +124,7 @@ class BlockWindow(NamedTuple):
 
 DEFAULT_WINDOW_WIDTH = 100_000
 
-_EVENT_ORDER = attrgetter("block", "log_index")
+EVENT_ORDER = attrgetter("block", "log_index")
 
 
 def _hex_quantity(value: str | int) -> int:
@@ -152,7 +139,7 @@ def is_erc20_transfer(entry: RawLog) -> bool:
     The 3-topic check is what separates ERC-20 from ERC-721, whose Transfer
     event indexes the token id as a fourth topic and carries no data.
     """
-    if len(entry.topics) != 3 or entry.topics[0] != _TRANSFER_TOPIC:
+    if len(entry.topics) != 3 or entry.topics[0] != TRANSFER_TOPIC:
         return False
     data = entry.data
     return data.startswith("0x") and len(data) == 2 + 64
@@ -225,7 +212,7 @@ class _RpcClient:
             "params": [{
                 "fromBlock": hex(from_block),
                 "toBlock": hex(to_block),
-                "topics": [_TRANSFER_TOPIC],
+                "topics": [TRANSFER_TOPIC],
             }],
         }
         self._next_id += 1
@@ -240,12 +227,16 @@ class _RpcClient:
                 log.warning("eth_getLogs transport error (attempt %d): %s",
                             attempt + 1, exc)
                 continue
-            error = reply.get("error")
-            if error is None:
+            if (isinstance(reply, dict) and reply.get("error") is None
+                    and isinstance(reply.get("result"), list)):
                 return reply["result"]
-            message = str(error.get("message", ""))
-            if error.get("code") == -32005 or _OVER_LIMIT_RE.search(message):
-                raise _OverLimit(message)
+            error = reply.get("error") if isinstance(reply, dict) else None
+            if isinstance(error, dict):
+                message = str(error.get("message", ""))
+                if error.get("code") == -32005 or _OVER_LIMIT_RE.search(message):
+                    raise _OverLimit(message)
+            else:  # neither a result list nor an error object: retried the same way
+                message = f"malformed reply: {str(reply)[:200]}"
             last_error = FetchError(f"provider error: {message}")
             log.warning("eth_getLogs provider error (attempt %d): %s",
                         attempt + 1, message)
@@ -365,11 +356,6 @@ def write_fixture(events: Iterable[TransferEvent], path: str | os.PathLike) -> i
     return count
 
 
-def window_for_block(block: int, width: int) -> BlockWindow:
-    start = (block // width) * width
-    return BlockWindow(start, start + width)
-
-
 def partition_windows(
     events: Iterable[TransferEvent], width: int = DEFAULT_WINDOW_WIDTH,
 ) -> dict[BlockWindow, list[TransferEvent]]:
@@ -384,7 +370,7 @@ def partition_windows(
             bucket = grouped[BlockWindow(start, start + width)] = []
         bucket.append(event)
     for bucket in grouped.values():
-        bucket.sort(key=_EVENT_ORDER)
+        bucket.sort(key=EVENT_ORDER)
     return grouped
 
 
@@ -407,15 +393,15 @@ def iter_window_groups(
         start = (event.block // width) * width
         if start != current_start:
             if current_start is not None:
-                bucket.sort(key=_EVENT_ORDER)
+                bucket.sort(key=EVENT_ORDER)
                 yield BlockWindow(current_start, current_start + width), bucket
                 done.add(current_start)
             if start in done:
                 raise ValueError(
-                    "fixture windows are interleaved; use partition_windows")
+                    "fixture windows are interleaved; sort the fixture by block")
             current_start = start
             bucket = []
         bucket.append(event)
     if current_start is not None:
-        bucket.sort(key=_EVENT_ORDER)
+        bucket.sort(key=EVENT_ORDER)
         yield BlockWindow(current_start, current_start + width), bucket

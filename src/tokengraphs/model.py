@@ -78,12 +78,6 @@ class TrainConfig:
 
 
 @dataclass
-class Prediction:
-    probability: float
-    label: int
-
-
-@dataclass
 class Model:
     feature_names: tuple[str, ...]
     intercept: float
@@ -192,29 +186,22 @@ def train_matrix(
 def train(dataset, config: TrainConfig | None = None, variant: str = "full") -> Model:
     """Train on a labeled dataset using one of the named feature variants."""
     config = config or TrainConfig()
-    matrix, names = feature_matrix(dataset.vectors, variant,
-                                   log_amount=config.log_amount)
+    names = VARIANTS.get(variant)
+    if names is None:
+        raise ValueError(f"unknown feature variant: {variant!r}")
+    matrix = feature_matrix(dataset.vectors, names, log_amount=config.log_amount)
     return train_matrix(matrix, dataset.labels, names, config,
                         row_ids=dataset.row_ids())
 
 
-def _matrix_for_model(model: Model, vectors: Sequence[FeatureVector]) -> np.ndarray:
+def predict_proba(model: Model, vectors: Sequence[FeatureVector]) -> np.ndarray:
+    """Scam probabilities for feature vectors, using the model's own scaling."""
     unknown = [n for n in model.feature_names if n not in _KNOWN_FEATURE_NAMES]
     if unknown:
         raise FeatureMismatchError(f"model uses unknown features: {unknown}")
-    matrix = np.empty((len(vectors), len(model.feature_names)), dtype=np.float64)
-    for i, fv in enumerate(vectors):
-        for j, name in enumerate(model.feature_names):
-            matrix[i, j] = fv.value(name)
-    if model.config.log_amount and "amount" in model.feature_names:
-        column = model.feature_names.index("amount")
-        matrix[:, column] = np.log10(1.0 + matrix[:, column])
-    return matrix
-
-
-def predict_proba(model: Model, vectors: Sequence[FeatureVector]) -> np.ndarray:
-    """Scam probabilities for feature vectors, using the model's own scaling."""
-    return model.predict_matrix(_matrix_for_model(model, vectors))
+    matrix = feature_matrix(vectors, model.feature_names,
+                            log_amount=model.config.log_amount)
+    return model.predict_matrix(matrix)
 
 
 def classify(probability: float, threshold: float = 0.5) -> int:
@@ -222,12 +209,6 @@ def classify(probability: float, threshold: float = 0.5) -> int:
     if not 0.0 <= probability <= 1.0:
         raise ValueError(f"probability out of range: {probability}")
     return 1 if probability >= threshold else 0
-
-
-def predict(model: Model, vectors: Sequence[FeatureVector],
-            threshold: float = 0.5) -> list[Prediction]:
-    probs = predict_proba(model, vectors)
-    return [Prediction(float(p), classify(float(p), threshold)) for p in probs]
 
 
 # ---------------------------------------------------------------------------

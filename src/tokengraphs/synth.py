@@ -16,17 +16,15 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
 from .dataset import write_labels
-from .ingest import BlockWindow, TransferEvent, format_fixture_line, write_fixture
+from .ingest import (EVENT_ORDER, BlockWindow, TransferEvent,
+                     format_fixture_line, write_fixture)
 
 NULL_ADDRESS = "0x" + "0" * 40
-
-_EVENT_ORDER = attrgetter("block", "log_index")
 
 LEGITIMATE = "legitimate"
 HONEYPOT_STAR = "honeypot_star"
@@ -511,7 +509,7 @@ def gen_scan_corpus(
         token_events, _ = generate(cfg)
         events.extend(token_events)
 
-    events.sort(key=_EVENT_ORDER)
+    events.sort(key=EVENT_ORDER)
     write_fixture(events, fixture_path)
     return {
         "format": 1,

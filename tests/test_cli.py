@@ -5,11 +5,13 @@ import os
 
 import pytest
 
+import tokengraphs.cli as cli_mod
 from tokengraphs.cli import main
 from tokengraphs.features import read_feature_table
-from tokengraphs.ingest import ENDPOINT_ENV_VAR
+from tokengraphs.ingest import ENDPOINT_ENV_VAR, format_fixture_line
 from tokengraphs.model import load_model
 
+from conftest import make_event
 from test_ingest import FakeProvider, rpc_entry
 
 
@@ -76,6 +78,46 @@ def test_features_parse_error_exit_code(tmp_path):
                  "--out", str(tmp_path / "f.csv")]) == 2
 
 
+def _count_fixture_reads(monkeypatch) -> list[str]:
+    calls = []
+    original = cli_mod.read_fixture
+
+    def counting(path):
+        calls.append(path)
+        return original(path)
+
+    monkeypatch.setattr(cli_mod, "read_fixture", counting)
+    return calls
+
+
+def test_features_bad_line_reads_the_fixture_once(tmp_path, monkeypatch, capsys):
+    lines = [format_fixture_line(make_event(block=18_000_000 + i, log_index=0))
+             for i in range(1000)]
+    fixture = tmp_path / "bad1001.tsv"
+    fixture.write_text("\n".join(lines) + "\nnot a fixture line\n")
+    calls = _count_fixture_reads(monkeypatch)
+    out = tmp_path / "f.csv"
+    assert main(["features", "--fixture", str(fixture), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 1001:")
+    assert len(calls) == 1
+    assert not out.exists()
+
+
+def test_features_interleaved_windows_are_an_input_error(tmp_path, monkeypatch,
+                                                         capsys):
+    events = [make_event(block=18_000_001), make_event(block=18_100_001),
+              make_event(block=18_000_002, log_index=1)]
+    fixture = tmp_path / "interleaved.tsv"
+    fixture.write_text("".join(format_fixture_line(e) + "\n" for e in events))
+    calls = _count_fixture_reads(monkeypatch)
+    out = tmp_path / "f.csv"
+    assert main(["features", "--fixture", str(fixture), "--out", str(out)]) == 2
+    assert ("fixture windows are interleaved; sort the fixture by block"
+            in capsys.readouterr().err)
+    assert len(calls) == 1
+    assert not out.exists()
+
+
 def test_features_histograms_and_graph_export(corpus):
     hist = corpus["tmp"] / "hist.csv"
     graphs_dir = corpus["tmp"] / "graphs"
@@ -123,6 +165,17 @@ def test_train_writes_model_and_manifest(corpus):
     assert os.path.exists(str(model_path) + ".manifest.json")
 
 
+def test_train_warns_when_max_iters_is_reached(corpus, capsys):
+    model_path = corpus["tmp"] / "capped.txt"
+    assert main(["train", "--features", str(corpus["features"]),
+                 "--labels", str(corpus["labels"]),
+                 "--model-out", str(model_path), "--max-iters", "5"]) == 0
+    err = capsys.readouterr().err
+    assert err.count("without converging") == 1
+    assert model_path.read_text().splitlines()[0] == "format_version: 1"
+    assert load_model(model_path).iterations == 5
+
+
 def test_train_reduced_variant_has_edges_per_component(corpus):
     model_path = corpus["tmp"] / "reduced.txt"
     assert main(["train", "--features", str(corpus["features"]),
@@ -164,18 +217,29 @@ def test_cv_roc_files(corpus):
         assert os.path.exists(f"{prefix}_fold-{fold}.csv")
 
 
-def test_crosseval_self_and_skip(corpus, tmp_path):
+def test_crosseval_self_and_skip(corpus, tmp_path, capsys):
     report = tmp_path / "cross.csv"
     empty_labels = tmp_path / "none.csv"
     empty_labels.write_text("token,suspicious\n")
+    original = corpus["labels"].read_text().splitlines()
+    clean_labels = tmp_path / "allclean.csv"
+    clean_labels.write_text("\n".join([original[0]]
+                                      + [line.rsplit(",", 1)[0] + ",0"
+                                         for line in original[1:]]) + "\n")
+    single = tmp_path / "single.csv"
+    single.write_bytes(corpus["features"].read_bytes())
     assert main(["crosseval",
                  "--train-features", str(corpus["features"]),
                  "--train-labels", str(corpus["labels"]),
                  "--eval", str(corpus["features"]), str(corpus["labels"]),
                  "--eval", str(corpus["features"]), str(empty_labels),
+                 "--eval", str(single), str(clean_labels),
                  "--out", str(report)]) == 0
     lines = report.read_text().splitlines()
-    assert len(lines) == 2  # header + the one evaluable set; empty one skipped
+    assert len(lines) == 2  # header + the one evaluable set; the others skipped
+    err = capsys.readouterr().err
+    assert "warning: features.csv has no labeled rows, skipped" in err
+    assert "warning: single.csv has a single class, skipped" in err
 
 
 # --- scan ------------------------------------------------------------------------------
@@ -281,6 +345,38 @@ def test_fetch_resume_skips_completed_chunks(tmp_path, monkeypatch):
                  "--out", str(reference), "--endpoint", "http://fake",
                  "--rpc-backoff", "0"]) == 0
     assert out.read_bytes() == reference.read_bytes()
+
+
+class ReplyProvider(FakeProvider):
+    """Answers every call with one canned reply, whatever its shape."""
+
+    def __init__(self, reply):
+        super().__init__([])
+        self.reply = reply
+
+    def __call__(self, endpoint, payload, timeout):
+        super().__call__(endpoint, payload, timeout)
+        return self.reply
+
+
+@pytest.mark.parametrize("reply", [
+    {"jsonrpc": "2.0", "id": 1},                     # neither result nor error
+    ["not", "an", "object"],                         # not a dict
+    {"jsonrpc": "2.0", "id": 1, "error": "busy"},    # error is not a dict
+    {"jsonrpc": "2.0", "id": 1, "result": None},     # result is not a list
+])
+def test_fetch_malformed_reply_is_retried_then_exits_3(tmp_path, monkeypatch,
+                                                       capsys, reply):
+    import tokengraphs.ingest as ingest_mod
+
+    provider = ReplyProvider(reply)
+    monkeypatch.setattr(ingest_mod, "_requests_transport", provider)
+    assert main(["fetch", "--start", "100", "--end", "101",
+                 "--out", str(tmp_path / "f.tsv"), "--endpoint", "http://fake",
+                 "--rpc-retries", "2", "--rpc-backoff", "0"]) == 3
+    assert len(provider.calls) == 3
+    err = capsys.readouterr().err
+    assert err == "error: eth_getLogs failed after 3 attempts\n"
 
 
 # --- replay -----------------------------------------------------------------------------

@@ -9,11 +9,11 @@ from tokengraphs.features import (
     FULL_FEATURES,
     REDUCED_FEATURES,
     REDUCED_NO_LIFETIME_FEATURES,
+    VARIANTS,
     extract_features,
     feature_matrix,
     histogram_bins,
     read_feature_table,
-    reduce_features,
     write_feature_table,
 )
 from tokengraphs.graphs import build_graphs, weak_components
@@ -157,20 +157,22 @@ def test_component_consistency_and_sanity_bounds(raw):
 def test_reduced_vector_fields():
     fv = features_of([("0xa", "0xb", 1, 18_000_000 + i) for i in range(12)]
                      + [("0xc", "0xd", 1, 18_000_500)])
-    reduced = reduce_features(fv)
-    assert reduced.edges_per_component == pytest.approx(fv.num_edges / fv.num_components)
-    assert reduced.lifetime == fv.lifetime
+    row = dict(zip(REDUCED_FEATURES, feature_matrix([fv], REDUCED_FEATURES)[0]))
+    assert row["edges_per_component"] == pytest.approx(fv.num_edges / fv.num_components)
+    assert row["lifetime"] == fv.lifetime
 
 
 def test_reduced_without_lifetime():
-    fv = features_of([("0xa", "0xb", 1, 18_000_000)])
-    reduced = reduce_features(fv, include_lifetime=False)
-    assert reduced.lifetime is None
+    fv = features_of([("0xa", "0xb", 1, 18_000_000), ("0xb", "0xc", 2, 18_000_900)])
+    reduced = feature_matrix([fv], REDUCED_FEATURES)
+    without = feature_matrix([fv], REDUCED_NO_LIFETIME_FEATURES)
+    keep = [i for i, name in enumerate(REDUCED_FEATURES) if name != "lifetime"]
+    assert np.array_equal(without, reduced[:, keep])
 
 
 def test_single_component_edges_per_component_is_edge_count():
     fv = features_of([("0xa", "0xb", 1, 18_000_000), ("0xb", "0xa", 1, 18_000_001)])
-    assert reduce_features(fv).edges_per_component == fv.num_edges
+    assert fv.value("edges_per_component") == fv.num_edges
 
 
 def test_variant_matrices_have_expected_columns():
@@ -178,11 +180,8 @@ def test_variant_matrices_have_expected_columns():
     for variant, names in (("full", FULL_FEATURES),
                            ("reduced", REDUCED_FEATURES),
                            ("reduced-no-lifetime", REDUCED_NO_LIFETIME_FEATURES)):
-        matrix, got = feature_matrix([fv], variant)
-        assert got == names
-        assert matrix.shape == (1, len(names))
-    with pytest.raises(ValueError):
-        feature_matrix([fv], "bogus")
+        assert VARIANTS[variant] == names
+        assert feature_matrix([fv], names).shape == (1, len(names))
 
 
 # --- table io -----------------------------------------------------------------

@@ -79,16 +79,6 @@ def test_direction_is_ignored():
     assert comps.count == 1
 
 
-def test_membership_is_consistent_with_sizes():
-    comps = weak_components(graph_of([("0xa", "0xb"), ("0xc", "0xd"), ("0xd", "0xe")]))
-    assert sum(comps.sizes) == 5
-    by_comp = {}
-    for node, comp in comps.membership.items():
-        by_comp.setdefault(comp, 0)
-        by_comp[comp] += 1
-    assert sorted(by_comp.values()) == sorted(comps.sizes)
-
-
 def test_empty_graph_components_error():
     graph = graph_of([("0xa", "0xb")])
     graph.nodes = []

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tokengraphs.ingest import (
+    TRANSFER_TOPIC,
     BlockWindow,
     DecodeError,
     FetchError,
@@ -25,8 +26,6 @@ from tokengraphs.ingest import (
     iter_window_groups,
     partition_windows,
     read_fixture,
-    transfer_topic_hash,
-    window_for_block,
     write_fixture,
 )
 
@@ -45,20 +44,10 @@ def padded_topic(suffix: str) -> str:
     return "0x" + "0" * 24 + suffix.rjust(40, "0")
 
 
-# --- topic hash -------------------------------------------------------------
+# --- topic -------------------------------------------------------------------
 
 def test_transfer_topic_is_the_canonical_keccak():
-    assert transfer_topic_hash() == TOPIC
-
-
-def test_topic_hash_is_stable_across_calls():
-    assert transfer_topic_hash() == transfer_topic_hash()
-
-
-def test_trailing_space_would_change_the_hash():
-    from tokengraphs.keccak import keccak_256
-    spaced = "0x" + keccak_256(b"Transfer(address,address,uint256) ").hex()
-    assert spaced != transfer_topic_hash()
+    assert TRANSFER_TOPIC == TOPIC
 
 
 # --- shape filter -----------------------------------------------------------
@@ -208,10 +197,6 @@ def test_width_one_gives_one_window_per_block():
     assert all(w.width == 1 for w in grouped)
 
 
-def test_window_for_block_matches_partition():
-    assert window_for_block(18_050_000, 100_000) == BlockWindow(18_000_000, 18_100_000)
-
-
 @given(st.lists(st.tuples(st.integers(0, 10_000_000), st.integers(0, 500)),
                 min_size=1, max_size=200),
        st.integers(1, 100_000))
@@ -237,7 +222,7 @@ def test_iter_window_groups_matches_partition_on_contiguous_input():
 def test_iter_window_groups_rejects_interleaved_windows():
     events = [make_event(block=18_000_001), make_event(block=18_100_001),
               make_event(block=18_000_002)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="interleaved; sort the fixture by block"):
         list(iter_window_groups(iter(events), 100_000))
 
 

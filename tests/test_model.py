@@ -178,6 +178,11 @@ def test_single_class_training_is_degenerate():
         train(only_legit)
 
 
+def test_unknown_variant_rejected():
+    with pytest.raises(ValueError, match="unknown feature variant"):
+        train(toy_dataset(10), variant="bogus")
+
+
 def test_loss_history_is_monotone_nonincreasing():
     model = train(toy_dataset(30))
     history = np.array(model.loss_history)

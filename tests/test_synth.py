@@ -161,11 +161,8 @@ def test_poisoning_components_are_small_scraps():
 def test_poisoning_each_component_has_its_own_scammer():
     events, _ = gen_counterfeit_poisoning(pois_cfg(budget=60))
     graph, comps, _ = analyzed(events)
-    senders_by_comp: dict[int, set] = {}
-    for i in range(graph.num_edges):
-        sender = graph.nodes[graph.edge_from[i]]
-        senders_by_comp.setdefault(comps.membership[sender], set()).add(sender)
-    assert all(len(senders) == 1 for senders in senders_by_comp.values())
+    # every component has a sender, so one sender each means as many as components
+    assert len(set(graph.edge_from.tolist())) == comps.count
 
 
 def test_poisoning_values_are_dust():
