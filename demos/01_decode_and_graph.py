@@ -47,9 +47,11 @@ for event in events:
 for window, bucket in partition_windows(events).items():
     for token, graph in build_graphs(bucket, window).items():
         comps = weak_components(graph)
-        degrees = degree_stats(graph)
+        in_deg, out_deg = degree_stats(graph)
+        degree = in_deg + out_deg  # indexed by node id
         print(f"\ntoken {token[-6:]} in window {window}:")
         print(f"  {graph.num_nodes} nodes, {graph.num_edges} edges, "
               f"{comps.count} weak component(s)")
-        busiest = max(graph.nodes, key=degrees.degree)
-        print(f"  busiest address {busiest[-6:]} has degree {degrees.degree(busiest)}")
+        busiest = int(degree.argmax())
+        print(f"  busiest address {graph.nodes[busiest][-6:]} "
+              f"has degree {degree[busiest]}")

@@ -35,16 +35,17 @@ for name, generator, cfg in configs:
     events, label = generator(cfg)
     graph, = build_graphs(events, window).values()
     comps = weak_components(graph)
-    fv = extract_features(graph, comps)
+    fv = extract_features(graph)
     vectors.append(fv)
-    hubs = degree_stats(graph).nodes_with_degree_over(3)
+    in_deg, out_deg = degree_stats(graph)
+    hubs = (in_deg + out_deg > 3).sum()
     print(f"{name} (label={label}):")
     print(f"  nodes={fv.num_nodes} edges={fv.num_edges} "
           f"components={fv.num_components} avg_comp_size={fv.avg_comp_size:.1f}")
     print(f"  lifetime={fv.lifetime} blocks, std_dev={fv.transfer_std_dev:.0f}, "
           f"density={fv.density:.5f}")
     print(f"  giant component share={max(comps.sizes) / fv.num_nodes:.0%}, "
-          f"addresses with degree>3: {len(hubs)}")
+          f"addresses with degree>3: {hubs}")
     print()
 
 # the same numbers as histogram bins, ready for external plotting

@@ -70,6 +70,12 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
                        seed=args.seed, log_amount=args.log_amount)
 
 
+def _warn_unless_converged(converged: bool, max_iters: int) -> None:
+    if not converged:
+        print(f"warning: gradient descent stopped at --max-iters "
+              f"{max_iters} without converging", file=sys.stderr)
+
+
 def _resolve_endpoint(args: argparse.Namespace) -> str:
     endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV_VAR)
     if not endpoint:
@@ -166,9 +172,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                     _config_from_args(args))
     print(f"trained {args.variant} model on {len(dataset)} rows "
           f"({model.iterations} iterations, final loss {model.final_loss:.6f})")
-    if model.iterations == args.max_iters:
-        print(f"warning: gradient descent stopped at --max-iters "
-              f"{args.max_iters} without converging", file=sys.stderr)
+    _warn_unless_converged(model.converged, args.max_iters)
     if dataset.unlabeled:
         print(f"warning: {len(dataset.unlabeled)} over-threshold tokens had no "
               f"label and were excluded", file=sys.stderr)
@@ -189,6 +193,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
     print(f"{args.k}-fold cv on {len(dataset)} rows: "
           f"accuracy={report.accuracy:.4f} precision={report.precision:.4f} "
           f"recall={report.recall:.4f} f1={report.f1:.4f} auc={report.auc:.4f}")
+    _warn_unless_converged(report.converged, args.max_iters)
     return 0
 
 
@@ -209,8 +214,8 @@ def cmd_crosseval(args: argparse.Namespace) -> int:
         else:
             names.append(name)
             eval_sets.append(eval_set)
-    _, reports = cross_window_eval(train_set, eval_sets, _train_config(args),
-                                   args.variant, labels=names)
+    model, reports = cross_window_eval(train_set, eval_sets, _train_config(args),
+                                       args.variant, labels=names)
     write_window_reports(reports, args.out)
     if args.roc_out:
         for report in reports:
@@ -221,6 +226,7 @@ def cmd_crosseval(args: argparse.Namespace) -> int:
         print(f"{report.label}: accuracy={report.accuracy:.4f} "
               f"precision={report.precision:.4f} recall={report.recall:.4f} "
               f"f1={report.f1:.4f} auc={report.auc:.4f}")
+    _warn_unless_converged(model.converged, args.max_iters)
     return 0
 
 

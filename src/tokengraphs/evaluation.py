@@ -124,6 +124,7 @@ class EvalReport:
     auc: float
     roc: list[tuple[float, float]] = field(repr=False, default_factory=list)
     breakdown: list["EvalReport"] = field(default_factory=list)
+    converged: bool = True  # every model behind the report converged
 
 
 def _evaluate(label: str, scores: np.ndarray, truth: Sequence[int]) -> EvalReport:
@@ -142,8 +143,9 @@ def evaluate_model(model: Model, dataset: LabeledDataset, label: str = "eval",
         overlap = model.train_row_ids.intersection(dataset.row_ids())
         if overlap:
             raise LeakageError(f"{len(overlap)} evaluation rows were used in training")
-    scores = predict_proba(model, dataset.vectors)
-    return _evaluate(label, scores, dataset.labels)
+    report = _evaluate(label, predict_proba(model, dataset.vectors), dataset.labels)
+    report.converged = model.converged
+    return report
 
 
 def stratified_folds(labels: Sequence[int], k: int, seed: int) -> list[int]:
@@ -209,6 +211,7 @@ def kfold_cv(
         f1=mean("f1"),
         auc=mean("auc"),
         breakdown=folds,
+        converged=all(fold.converged for fold in folds),
     )
 
 

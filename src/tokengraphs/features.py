@@ -9,7 +9,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .graphs import ComponentSummary, TokenGraph, weak_components
+from .graphs import TokenGraph, weak_components
 from .ingest import BlockWindow
 
 FULL_FEATURES = (
@@ -61,18 +61,14 @@ class FeatureVector:
         return float(getattr(self, name))
 
 
-def extract_features(
-    graph: TokenGraph, components: ComponentSummary | None = None,
-) -> FeatureVector:
+def extract_features(graph: TokenGraph) -> FeatureVector:
     """Compute the feature vector of one graph.
 
-    ``components`` may be passed in when already computed; it must describe
-    the same graph.  Lifetime is the block span between the first and last
-    transfer; the spread statistic is the population standard deviation of
-    the edge block numbers.
+    Lifetime is the block span between the first and last transfer; the
+    spread statistic is the population standard deviation of the edge block
+    numbers.
     """
-    if components is None:
-        components = weak_components(graph)
+    components = weak_components(graph)
     n = graph.num_nodes
     e = graph.num_edges
     density = e / (n * (n - 1)) if n >= 2 else 0.0

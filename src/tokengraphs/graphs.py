@@ -44,28 +44,14 @@ class ComponentSummary:
     sizes: list[int]
 
 
-@dataclass
-class DegreeStats:
-    """Multiplicity-counting degrees; a self-loop adds 1 to each side."""
-
-    in_degree: dict[str, int]
-    out_degree: dict[str, int]
-
-    def degree(self, node: str) -> int:
-        return self.in_degree.get(node, 0) + self.out_degree.get(node, 0)
-
-    def nodes_with_degree_over(self, threshold: int) -> list[str]:
-        return [n for n in self.in_degree
-                if self.in_degree[n] + self.out_degree[n] > threshold]
-
-
 def build_graphs(
     events: Sequence[TransferEvent], window: BlockWindow,
 ) -> dict[str, TokenGraph]:
     """Build one graph per token from one window's worth of events.
 
     Every event becomes exactly one edge of its token's graph; the node set
-    is exactly the set of edge endpoints.
+    is exactly the set of edge endpoints.  Events may come in any order: this
+    is the one place that puts edges in (block, logIndex) order.
     """
     per_token: dict[str, list[TransferEvent]] = {}
     for event in events:
@@ -74,85 +60,47 @@ def build_graphs(
     graphs: dict[str, TokenGraph] = {}
     for token, token_events in per_token.items():
         token_events.sort(key=EVENT_ORDER)
-        index: dict[str, int] = {}
-        nodes: list[str] = []
-        n = len(token_events)
-        edge_from = np.empty(n, dtype=np.int32)
-        edge_to = np.empty(n, dtype=np.int32)
-        blocks = np.empty(n, dtype=np.int64)
-        values: list[int] = []
-        for i, event in enumerate(token_events):
-            src = index.get(event.from_addr)
-            if src is None:
-                src = index[event.from_addr] = len(nodes)
-                nodes.append(event.from_addr)
-            dst = index.get(event.to_addr)
-            if dst is None:
-                dst = index[event.to_addr] = len(nodes)
-                nodes.append(event.to_addr)
-            edge_from[i] = src
-            edge_to[i] = dst
-            blocks[i] = event.block
-            values.append(event.value)
-        graphs[token] = TokenGraph(token, window, nodes, edge_from, edge_to,
-                                   values, blocks)
+        index: dict[str, int] = {}  # address -> node id, in first-appearance order
+        ids = np.array([index.setdefault(a, len(index)) for e in token_events
+                        for a in (e.from_addr, e.to_addr)], dtype=np.int32)
+        graphs[token] = TokenGraph(
+            token, window, list(index), ids[0::2], ids[1::2],
+            [e.value for e in token_events],
+            np.array([e.block for e in token_events], dtype=np.int64))
     return graphs
 
 
-class _UnionFind:
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:  # path compression
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 def weak_components(graph: TokenGraph) -> ComponentSummary:
-    """Weakly connected components via union-find over undirected shadows."""
+    """Weak components by min-label hooking and pointer jumping (Shiloach-Vishkin).
+
+    Each pass hooks both endpoint roots of every edge onto the smaller one and
+    jumps pointers to a fixed point, until every edge's ends share a root.
+    Pointers only decrease, so ``sizes`` come ordered by smallest node id.
+    """
     n = graph.num_nodes
     if n == 0:
         raise ValueError("components of an empty graph are undefined")
-    uf = _UnionFind(n)
-    for src, dst in zip(graph.edge_from.tolist(), graph.edge_to.tolist()):
-        uf.union(src, dst)
+    src, dst = graph.edge_from, graph.edge_to
+    parent = np.arange(n)
+    root_src, root_dst = parent[src], parent[dst]
+    while not np.array_equal(root_src, root_dst):
+        low = np.minimum(root_src, root_dst)
+        np.minimum.at(parent, root_src, low)
+        np.minimum.at(parent, root_dst, low)
+        jumped = parent[parent]
+        while not np.array_equal(jumped, parent):
+            parent, jumped = jumped, jumped[jumped]
+        root_src, root_dst = parent[src], parent[dst]
+    sizes = np.bincount(np.unique(parent, return_inverse=True)[1])
+    return ComponentSummary(count=len(sizes), sizes=sizes.tolist())
 
-    root_to_comp: dict[int, int] = {}
-    sizes: list[int] = []
-    for node_id in range(n):
-        root = uf.find(node_id)
-        comp = root_to_comp.get(root)
-        if comp is None:
-            comp = root_to_comp[root] = len(sizes)
-            sizes.append(0)
-        sizes[comp] += 1
-    return ComponentSummary(count=len(sizes), sizes=sizes)
 
-
-def degree_stats(graph: TokenGraph) -> DegreeStats:
+def degree_stats(graph: TokenGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(in, out) degree of each node id, counting multiplicity; a self-loop
+    adds 1 to each side."""
     n = graph.num_nodes
-    out_counts = np.bincount(graph.edge_from, minlength=n)
-    in_counts = np.bincount(graph.edge_to, minlength=n)
-    out_degree = {addr: int(out_counts[i]) for i, addr in enumerate(graph.nodes)}
-    in_degree = {addr: int(in_counts[i]) for i, addr in enumerate(graph.nodes)}
-    return DegreeStats(in_degree=in_degree, out_degree=out_degree)
+    return (np.bincount(graph.edge_to, minlength=n),
+            np.bincount(graph.edge_from, minlength=n))
 
 
 def write_edge_list(graph: TokenGraph, out: TextIO) -> None:

@@ -224,8 +224,8 @@ class _RpcClient:
                 reply = self.transport(self.endpoint, payload, self.timeout)
             except Exception as exc:  # transport-level: connection, timeout, 5xx
                 last_error = exc
-                log.warning("eth_getLogs transport error (attempt %d): %s",
-                            attempt + 1, exc)
+                log.info("eth_getLogs transport error (attempt %d): %s",
+                         attempt + 1, exc)
                 continue
             if (isinstance(reply, dict) and reply.get("error") is None
                     and isinstance(reply.get("result"), list)):
@@ -238,10 +238,10 @@ class _RpcClient:
             else:  # neither a result list nor an error object: retried the same way
                 message = f"malformed reply: {str(reply)[:200]}"
             last_error = FetchError(f"provider error: {message}")
-            log.warning("eth_getLogs provider error (attempt %d): %s",
-                        attempt + 1, message)
+            log.info("eth_getLogs provider error (attempt %d): %s",
+                     attempt + 1, message)
         raise FetchError(
-            f"eth_getLogs failed after {self.retries + 1} attempts"
+            f"eth_getLogs failed after {self.retries + 1} attempts: {last_error}"
         ) from last_error
 
 
@@ -265,13 +265,13 @@ def fetch_logs(
     rejects a slice as too large, the slice is halved and re-requested; a
     slice that cannot go below one block raises :class:`RangeTooDenseError`.
     Duplicate logs (same block, txHash, logIndex) from provider retries are
-    dropped.  ``on_chunk_done(start, end)`` fires after each top-level chunk,
+    dropped; chunks share no block, so duplicates are looked for within each
+    chunk only.  ``on_chunk_done(start, end)`` fires after each top-level chunk,
     which is what makes resumable fetches possible.
     """
     if chunk < 1:
         raise ValueError("chunk must be >= 1 block")
     client = _RpcClient(endpoint, transport, timeout, retries, backoff_base)
-    seen: set[tuple[int, str, int]] = set()
 
     def fetch_span(span_start: int, span_end: int) -> list[RawLog]:
         # spans are half-open; eth_getLogs takes inclusive bounds
@@ -284,12 +284,16 @@ def fetch_logs(
                 ) from exc
             mid = (span_start + span_end) // 2
             return fetch_span(span_start, mid) + fetch_span(mid, span_end)
-        return [RawLog.from_rpc(entry) for entry in raw]
+        try:
+            return [RawLog.from_rpc(entry) for entry in raw]
+        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+            raise FetchError(f"malformed log entry from provider: {exc!r}") from exc
 
     for start in range(window.start, window.end, chunk):
         end = min(start + chunk, window.end)
         batch = fetch_span(start, end)
         batch.sort(key=lambda e: (e.block_number, e.log_index))
+        seen: set[tuple[int, str, int]] = set()
         for entry in batch:
             key = (entry.block_number, entry.tx_hash, entry.log_index)
             if key in seen:
@@ -359,30 +363,21 @@ def write_fixture(events: Iterable[TransferEvent], path: str | os.PathLike) -> i
 def partition_windows(
     events: Iterable[TransferEvent], width: int = DEFAULT_WINDOW_WIDTH,
 ) -> dict[BlockWindow, list[TransferEvent]]:
-    """Group events into fixed-width windows, ordered by (block, logIndex)."""
+    """Group events of any order into fixed-width windows, keeping input order in each."""
     if width < 1:
         raise ValueError("window width must be >= 1 block")
-    grouped: dict[BlockWindow, list[TransferEvent]] = {}
-    for event in events:
-        start = (event.block // width) * width
-        bucket = grouped.get((start, start + width))
-        if bucket is None:
-            bucket = grouped[BlockWindow(start, start + width)] = []
-        bucket.append(event)
-    for bucket in grouped.values():
-        bucket.sort(key=EVENT_ORDER)
-    return grouped
+    return dict(iter_window_groups(sorted(events, key=lambda e: e.block // width),
+                                   width))
 
 
 def iter_window_groups(
     events: Iterable[TransferEvent], width: int = DEFAULT_WINDOW_WIDTH,
 ) -> Iterator[tuple[BlockWindow, list[TransferEvent]]]:
-    """Stream (window, events) groups without holding the whole input.
+    """Stream (window, events) groups, holding one window's events at a time.
 
-    Equivalent to :func:`partition_windows` for inputs whose windows are
-    contiguous (every fetch- or generator-produced fixture is); one window's
-    worth of events is held at a time.  Interleaved windows raise ValueError
-    rather than yielding a window twice.
+    Windowing only groups: events keep their input order, and ``build_graphs``
+    orders edges.  Windows must be contiguous, as every fetched or generated
+    fixture's are; interleaved windows raise ValueError.
     """
     if width < 1:
         raise ValueError("window width must be >= 1 block")
@@ -393,7 +388,6 @@ def iter_window_groups(
         start = (event.block // width) * width
         if start != current_start:
             if current_start is not None:
-                bucket.sort(key=EVENT_ORDER)
                 yield BlockWindow(current_start, current_start + width), bucket
                 done.add(current_start)
             if start in done:
@@ -403,5 +397,4 @@ def iter_window_groups(
             bucket = []
         bucket.append(event)
     if current_start is not None:
-        bucket.sort(key=EVENT_ORDER)
         yield BlockWindow(current_start, current_start + width), bucket

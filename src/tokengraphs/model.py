@@ -90,6 +90,11 @@ class Model:
     train_row_ids: frozenset | None = field(default=None, repr=False)
 
     @property
+    def converged(self) -> bool:
+        """False when gradient descent stopped at ``config.max_iters``."""
+        return self.iterations < self.config.max_iters
+
+    @property
     def variant(self) -> str | None:
         for name, names in VARIANTS.items():
             if names == self.feature_names:

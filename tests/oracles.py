@@ -15,6 +15,13 @@ def bfs_components(n_nodes: int, edges: list[tuple[int, int]]) -> tuple[int, lis
 
     Returns (count, sorted component sizes).
     """
+    sizes = bfs_component_sizes(n_nodes, edges)
+    return len(sizes), sorted(sizes)
+
+
+def bfs_component_sizes(n_nodes: int, edges: list[tuple[int, int]]) -> list[int]:
+    """Weak component sizes by breadth-first search, ordered by each
+    component's smallest node id."""
     neighbors: list[list[int]] = [[] for _ in range(n_nodes)]
     for src, dst in edges:
         neighbors[src].append(dst)
@@ -35,7 +42,7 @@ def bfs_components(n_nodes: int, edges: list[tuple[int, int]]) -> tuple[int, lis
                     seen[other] = True
                     queue.append(other)
         sizes.append(size)
-    return len(sizes), sorted(sizes)
+    return sizes
 
 
 def straight_line_features(

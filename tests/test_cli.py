@@ -1,15 +1,21 @@
 from __future__ import annotations
 
 import json
+import logging
 import os
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tokengraphs.cli as cli_mod
 from tokengraphs.cli import main
 from tokengraphs.features import read_feature_table
-from tokengraphs.ingest import ENDPOINT_ENV_VAR, format_fixture_line
+from tokengraphs.ingest import ENDPOINT_ENV_VAR, BlockWindow, format_fixture_line
 from tokengraphs.model import load_model
+from tokengraphs.synth import CorpusProfile, gen_corpus
 
 from conftest import make_event
 from test_ingest import FakeProvider, rpc_entry
@@ -132,6 +138,45 @@ def test_features_histograms_and_graph_export(corpus):
     assert first[0].startswith("# token=0x")
 
 
+def _features_outputs(fixture, workdir) -> dict[str, bytes]:
+    """The feature table and every exported edge list, by file name."""
+    table, graphs_dir = workdir / "features.csv", workdir / "graphs"
+    assert main(["features", "--fixture", str(fixture), "--out", str(table),
+                 "--export-graphs", str(graphs_dir)]) == 0
+    outputs = {p.name: p.read_bytes() for p in graphs_dir.iterdir()}
+    outputs["features.csv"] = table.read_bytes()
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def two_window_corpus(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("two_windows")
+    windows = [BlockWindow(18_000_000, 18_100_000), BlockWindow(18_100_000, 18_200_000)]
+    gen_corpus(8, 0.5, windows, tmp / "fixture.tsv", tmp / "labels.csv", seed=3,
+               profile=CorpusProfile(legit_budget=(20, 60), scam_budget=(20, 60)))
+    lines = (tmp / "fixture.tsv").read_text().splitlines()
+    reference = _features_outputs(tmp / "fixture.tsv", tmp / "reference")
+    assert sum(name.endswith(".edges") for name in reference) > 8  # both windows
+    return lines, reference
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_line_order_inside_a_window_does_not_change_outputs(two_window_corpus, rnd):
+    lines, reference = two_window_corpus
+    by_window: dict[int, list[str]] = {}
+    for line in lines:
+        by_window.setdefault(int(line.split("\t")[4]) // 100_000, []).append(line)
+    for window_lines in by_window.values():
+        rnd.shuffle(window_lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = pathlib.Path(tmp)
+        fixture = workdir / "shuffled.tsv"
+        fixture.write_text("".join(line + "\n" for group in by_window.values()
+                                   for line in group))
+        assert _features_outputs(fixture, workdir) == reference
+
+
 def test_three_transfer_fixture_matches_hand_example(tmp_path):
     token = "0x" + "a" * 40
     addr = lambda s: "0x" + s.rjust(40, "0")
@@ -174,6 +219,20 @@ def test_train_warns_when_max_iters_is_reached(corpus, capsys):
     assert err.count("without converging") == 1
     assert model_path.read_text().splitlines()[0] == "format_version: 1"
     assert load_model(model_path).iterations == 5
+
+
+@pytest.mark.parametrize("command", ["cv", "crosseval"])
+def test_cv_and_crosseval_warn_when_max_iters_is_reached(corpus, capsys, command):
+    features, labels = str(corpus["features"]), str(corpus["labels"])
+    args = (["cv", "--features", features, "--labels", labels] if command == "cv"
+            else ["crosseval", "--train-features", features, "--train-labels", labels,
+                  "--eval", features, labels])
+    args += ["--out", str(corpus["tmp"] / "report.csv")]
+    assert main(args) == 0
+    assert "without converging" not in capsys.readouterr().err
+    assert main(args + ["--max-iters", "5"]) == 0
+    assert capsys.readouterr().err.count(
+        "warning: gradient descent stopped at --max-iters 5 without converging") == 1
 
 
 def test_train_reduced_variant_has_edges_per_component(corpus):
@@ -376,7 +435,50 @@ def test_fetch_malformed_reply_is_retried_then_exits_3(tmp_path, monkeypatch,
                  "--rpc-retries", "2", "--rpc-backoff", "0"]) == 3
     assert len(provider.calls) == 3
     err = capsys.readouterr().err
-    assert err == "error: eth_getLogs failed after 3 attempts\n"
+    assert err.startswith("error: eth_getLogs failed after 3 attempts: "
+                          "provider error: malformed reply: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("provider", [
+    ReplyProvider({"jsonrpc": "2.0", "id": 1, "error": {"code": -32000,
+                                                        "message": "node is syncing"}}),
+    FakeProvider([], fail_first=99),
+], ids=["provider-error", "transport-error"])
+def test_failed_fetch_prints_one_line_naming_the_cause(tmp_path, monkeypatch, capsys,
+                                                       caplog, provider):
+    import tokengraphs.ingest as ingest_mod
+
+    monkeypatch.setattr(ingest_mod, "_requests_transport", provider)
+    with caplog.at_level(logging.INFO, logger="tokengraphs.ingest"):
+        assert main(["fetch", "--start", "100", "--end", "101",
+                     "--out", str(tmp_path / "f.tsv"), "--endpoint", "http://fake",
+                     "--rpc-retries", "2", "--rpc-backoff", "0"]) == 3
+    assert not [r for r in caplog.records
+                if r.name == "tokengraphs.ingest" and r.levelno >= logging.WARNING]
+    assert len([r for r in caplog.records if r.name == "tokengraphs.ingest"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: eth_getLogs failed after 3 attempts: ")
+    assert ("node is syncing" if isinstance(provider, ReplyProvider)
+            else "synthetic transport failure") in err[0]
+
+
+@pytest.mark.parametrize("entry, cause", [
+    ({"address": "0x1"}, "KeyError('topics')"),
+    ("not an object", "TypeError"),
+    ({**rpc_entry(100, 0), "blockNumber": "0xzz"}, "ValueError"),
+])
+def test_fetch_malformed_log_entry_exits_3(tmp_path, monkeypatch, capsys, entry, cause):
+    import tokengraphs.ingest as ingest_mod
+
+    monkeypatch.setattr(ingest_mod, "_requests_transport",
+                        ReplyProvider({"jsonrpc": "2.0", "id": 1, "result": [entry]}))
+    assert main(["fetch", "--start", "100", "--end", "101",
+                 "--out", str(tmp_path / "f.tsv"), "--endpoint", "http://fake",
+                 "--rpc-backoff", "0"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: malformed log entry from provider: {cause}")
 
 
 # --- replay -----------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from tokengraphs.features import (
     read_feature_table,
     write_feature_table,
 )
-from tokengraphs.graphs import build_graphs, weak_components
+from tokengraphs.graphs import build_graphs
 
 from conftest import WINDOW, make_event
 from oracles import straight_line_features
@@ -27,7 +27,7 @@ def features_of(tuples, window=WINDOW, token="0x01"):
     events = [make_event(s, d, value=v, block=b, log_index=i, token=token, tx=i + 1)
               for i, (s, d, v, b) in enumerate(tuples)]
     graph = build_graphs(events, window)[events[0].token]
-    return extract_features(graph, weak_components(graph))
+    return extract_features(graph)
 
 
 # --- the worked three-edge example -------------------------------------------

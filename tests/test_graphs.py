@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tokengraphs.graphs import build_graphs, degree_stats, weak_components, write_edge_list
+from tokengraphs.graphs import (TokenGraph, build_graphs, degree_stats, weak_components,
+                                write_edge_list)
 
 from conftest import WINDOW, make_event
-from oracles import bfs_components
+from oracles import bfs_component_sizes, bfs_components
 
 
 def graph_of(pairs, token="0x01", window=WINDOW, blocks=None):
@@ -104,6 +105,43 @@ def test_union_find_matches_bfs_on_seeded_random_multigraphs():
         assert sorted(comps.sizes) == sizes
 
 
+@st.composite
+def shaped_graphs(draw):
+    """(n, edges) over permuted node ids: paths, stars whose hub is the highest
+    id of its part, random pieces, isolated nodes and self-loops."""
+    n = draw(st.integers(1, 60))
+    ids = draw(st.permutations(range(n)))
+    edges = []
+    cut = 0
+    while cut < n:
+        part = ids[cut:cut + draw(st.integers(1, n - cut))]
+        cut += len(part)
+        shape = draw(st.sampled_from(("path", "star", "random")))
+        if shape == "path":
+            edges += zip(part, part[1:])
+        elif shape == "star":
+            edges += [(max(part), v) for v in part if v != max(part)]
+        else:
+            edges += draw(st.lists(st.tuples(st.sampled_from(part),
+                                             st.sampled_from(part)), max_size=2 * len(part)))
+    edges += [(v, v) for v in draw(st.lists(st.integers(0, n - 1), max_size=4))]
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges = [(b, a) if flip else (a, b) for (a, b), flip in zip(edges, flips)]
+    return n, draw(st.permutations(edges))
+
+
+@given(shaped_graphs())
+def test_weak_components_match_bfs_in_smallest_node_id_order(shaped):
+    n, edges = shaped
+    graph = TokenGraph("0x01", WINDOW, [f"0x{i:x}" for i in range(n)],
+                       np.array([a for a, _ in edges], dtype=np.int32),
+                       np.array([b for _, b in edges], dtype=np.int32),
+                       [1] * len(edges), np.full(len(edges), WINDOW.start))
+    comps = weak_components(graph)
+    assert comps.sizes == bfs_component_sizes(n, edges)
+    assert comps.count == len(comps.sizes)
+
+
 @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)),
                 min_size=1, max_size=60))
 def test_adding_edges_never_splits_components(pairs):
@@ -123,32 +161,32 @@ def test_adding_edges_never_splits_components(pairs):
 def test_star_degrees():
     spokes = [("0xhub", f"0x{i:x}") for i in range(1, 6)]
     graph = graph_of(spokes)
-    degs = degree_stats(graph)
-    hub = "0x" + "hub".rjust(40, "0")
-    assert degs.out_degree[hub] == 5 and degs.in_degree[hub] == 0
-    assert all(degs.in_degree[n] == 1 for n in graph.nodes if n != hub)
+    in_deg, out_deg = degree_stats(graph)
+    hub = graph.nodes.index("0x" + "hub".rjust(40, "0"))
+    assert out_deg[hub] == 5 and in_deg[hub] == 0
+    assert all(in_deg[i] == 1 for i in range(graph.num_nodes) if i != hub)
 
 
 def test_parallel_edges_count_with_multiplicity():
-    degs = degree_stats(graph_of([("0xa", "0xb"), ("0xa", "0xb")]))
-    a = "0x" + "a".rjust(40, "0")
-    assert degs.out_degree[a] == 2
+    graph = graph_of([("0xa", "0xb"), ("0xa", "0xb")])
+    _, out_deg = degree_stats(graph)
+    assert out_deg[graph.nodes.index("0x" + "a".rjust(40, "0"))] == 2
 
 
 def test_self_loop_adds_one_to_each_side():
-    degs = degree_stats(graph_of([("0xa", "0xa")]))
-    a = "0x" + "a".rjust(40, "0")
-    assert degs.in_degree[a] == 1 and degs.out_degree[a] == 1
-    assert degs.degree(a) == 2
+    in_deg, out_deg = degree_stats(graph_of([("0xa", "0xa")]))
+    assert in_deg.tolist() == [1] and out_deg.tolist() == [1]
+    assert (in_deg + out_deg).tolist() == [2]
 
 
 @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
                 min_size=1, max_size=100))
 def test_handshake_sums_equal_edge_count(pairs):
     graph = graph_of([(f"0x{a:x}", f"0x{b:x}") for a, b in pairs])
-    degs = degree_stats(graph)
-    assert sum(degs.in_degree.values()) == graph.num_edges
-    assert sum(degs.out_degree.values()) == graph.num_edges
+    in_deg, out_deg = degree_stats(graph)
+    assert len(in_deg) == len(out_deg) == graph.num_nodes
+    assert in_deg.sum() == graph.num_edges
+    assert out_deg.sum() == graph.num_edges
 
 
 def test_identical_input_builds_identical_graphs():

@@ -208,7 +208,6 @@ def test_partition_is_a_partition(points, width):
     assert sorted(regrouped) == sorted(events)
     for window, bucket in grouped.items():
         assert all(window.start <= e.block < window.end for e in bucket)
-        assert bucket == sorted(bucket, key=lambda e: (e.block, e.log_index))
 
 
 def test_iter_window_groups_matches_partition_on_contiguous_input():
@@ -316,6 +315,23 @@ def test_duplicate_logs_are_dropped():
     provider = FakeProvider([dup, dict(dup)])
     out = list(fetch_logs("http://fake", BlockWindow(100, 101), chunk=1,
                           transport=provider, backoff_base=0.0))
+    assert len(out) == 1
+
+
+def test_duplicate_across_halves_of_a_split_chunk_is_dropped():
+    dup = rpc_entry(100, 0, tx=7)
+    provider = FakeProvider([dup], over_limit_spans={(100, 199)})
+
+    def lagging_replica(endpoint, payload, timeout):
+        # answers both halves of the split chunk with the same log
+        reply = provider(endpoint, payload, timeout)
+        if "result" in reply:
+            reply["result"] = [dict(dup)]
+        return reply
+
+    out = list(fetch_logs("http://fake", BlockWindow(100, 200), chunk=100,
+                          transport=lagging_replica, backoff_base=0.0))
+    assert provider.calls == [(100, 199), (100, 149), (150, 199)]
     assert len(out) == 1
 
 

@@ -1,0 +1,30 @@
+"""Runtime dependencies stay numpy + requests: scipy, networkx and pytest may
+be used by tests and the benchmark, never imported by the package itself."""
+
+from __future__ import annotations
+
+import ast
+import glob
+import os
+
+FORBIDDEN = {"scipy", "networkx", "pytest"}
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tokengraphs")
+
+
+def test_package_imports_no_test_only_dependency():
+    paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
+    assert paths
+    found = []
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{os.path.basename(path)}:{node.lineno} imports {name}"
+                      for name in names if name.split(".")[0] in FORBIDDEN]
+    assert not found
