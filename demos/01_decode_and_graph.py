@@ -43,9 +43,10 @@ for event in events:
     print(f"  {event.from_addr[-6:]} -> {event.to_addr[-6:]} "
           f"value={event.value} block={event.block}")
 
-# group into 100K-block windows and build one graph per token
-for window, bucket in partition_windows(events).items():
-    for token, graph in build_graphs(bucket, window).items():
+# group into 100K-block windows, each one batch of interned columns, and
+# build one graph per token
+for window, batch in partition_windows(events).items():
+    for token, graph in build_graphs(batch, window).items():
         comps = weak_components(graph)
         in_deg, out_deg = degree_stats(graph)
         degree = in_deg + out_deg  # indexed by node id

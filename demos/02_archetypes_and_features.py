@@ -32,8 +32,8 @@ configs = [
 
 vectors = []
 for name, generator, cfg in configs:
-    events, label = generator(cfg)
-    graph, = build_graphs(events, window).values()
+    batch, label = generator(cfg)
+    graph, = build_graphs(batch, window).values()
     comps = weak_components(graph)
     fv = extract_features(graph)
     vectors.append(fv)

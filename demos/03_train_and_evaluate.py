@@ -27,8 +27,8 @@ print(f"corpus: {manifest['total_events']:,} transfers, "
 
 labels = load_labels(workdir / "labels.csv")
 datasets = []
-for window, events in iter_window_groups(read_fixture(workdir / "fixture.tsv")):
-    vectors = [extract_features(g) for g in build_graphs(events, window).values()]
+for window, batch in iter_window_groups(read_fixture(workdir / "fixture.tsv")):
+    vectors = [extract_features(g) for g in build_graphs(batch, window).values()]
     datasets.append(join(vectors, labels, min_nodes=500))
 
 summary = summarize(datasets)

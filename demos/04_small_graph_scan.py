@@ -24,16 +24,16 @@ window = BlockWindow(18_000_000, 18_100_000)
 gen_corpus(300, 0.353, [window], workdir / "train.tsv", workdir / "labels.csv",
            seed=21)
 labels = load_labels(workdir / "labels.csv")
-(win, events), = iter_window_groups(read_fixture(workdir / "train.tsv"))
-vectors = [extract_features(g) for g in build_graphs(events, win).values()]
+(win, batch), = iter_window_groups(read_fixture(workdir / "train.tsv"))
+vectors = [extract_features(g) for g in build_graphs(batch, win).values()]
 dataset = join(vectors, labels, min_nodes=500)
 print(f"training rows: {len(dataset)} ({sum(dataset.labels)} suspicious)")
 
 # unlabeled small graphs: young tokens, small veterans, small scams
 gen_scan_corpus(300, window, workdir / "scan.tsv", seed=22)
 small = []
-for win, events in iter_window_groups(read_fixture(workdir / "scan.tsv")):
-    small.extend(extract_features(g) for g in build_graphs(events, win).values())
+for win, batch in iter_window_groups(read_fixture(workdir / "scan.tsv")):
+    small.extend(extract_features(g) for g in build_graphs(batch, win).values())
 print(f"scan corpus: {len(small)} graphs, all at or under 500 nodes\n")
 
 for variant in ("reduced", "reduced-no-lifetime"):

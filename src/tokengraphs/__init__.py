@@ -7,6 +7,7 @@ from .ingest import (
     BlockWindow,
     RawLog,
     TransferEvent,
+    WindowBatch,
     decode_logs,
     decode_transfer,
     fetch_logs,

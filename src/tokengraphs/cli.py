@@ -15,8 +15,6 @@ import json
 import os
 import sys
 
-import requests
-
 from . import __version__
 from .dataset import (DEFAULT_MIN_NODES, LabelConflictError, LabelParseError,
                       join, load_labels)
@@ -42,15 +40,17 @@ _INPUT_ERRORS = (
     FeatureMismatchError, VariantMismatchError, TrainingError,
     UndefinedAUCError, ValueError, FileNotFoundError, IsADirectoryError,
 )
-_RUNTIME_ERRORS = (FetchError, requests.RequestException)
+_RUNTIME_ERRORS = (FetchError,)
 
 
 def _write_manifest(path: str, command: str, config: dict, **extra) -> None:
+    """Write the manifest whole or not at all: a crash leaves the old one."""
     payload = {"format": MANIFEST_FORMAT, "command": command, "config": config,
                **extra}
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(path + ".tmp", "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
+    os.replace(path + ".tmp", path)
 
 
 def _manifest_path(args: argparse.Namespace, primary_output: str) -> str:
@@ -94,30 +94,45 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     window = BlockWindow(args.start, args.end)
     manifest_path = _manifest_path(args, args.out)
 
-    completed_through = window.start
+    # the state records the fixture's length after each completed chunk: a
+    # resumed fetch cuts off whatever a crash left after it (a chunk whose
+    # state was never written, or a torn line) before fetching that chunk again
+    completed_through, committed = window.start, 0
     if args.resume and os.path.exists(manifest_path):
         with open(manifest_path, "r", encoding="utf-8") as handle:
             previous = json.load(handle)
         state = previous.get("state", {})
         completed_through = int(state.get("completed_through", window.start))
+        if completed_through > window.start:
+            on_disk = os.path.getsize(args.out)
+            committed = int(state.get("committed_bytes", on_disk))
+            if on_disk < committed:
+                raise ValueError(
+                    f"{args.out} has {on_disk} bytes but its manifest committed "
+                    f"{committed}; fetch again without --resume")
         print(f"resuming at block {completed_through}", file=sys.stderr)
 
     config = _config_from_args(args)
-    mode = "a" if args.resume and completed_through > window.start else "w"
     count = 0
-    state = {"completed_through": completed_through, "finished": False}
+    state = {"completed_through": completed_through, "committed_bytes": committed,
+             "finished": False}
     _write_manifest(manifest_path, "fetch", config, state=state)
     buffered: list[str] = []
 
-    with open(args.out, mode, encoding="utf-8") as out:
+    with open(args.out, "r+b" if committed else "wb") as out:
+        out.seek(committed)
+        out.truncate()
+
         def flush_chunk(chunk_start: int, chunk_end: int) -> None:
             nonlocal count
             if buffered:
-                out.write("\n".join(buffered) + "\n")
+                out.write(("\n".join(buffered) + "\n").encode("utf-8"))
                 out.flush()
+                os.fsync(out.fileno())  # the lines are on disk before the state says so
                 count += len(buffered)
                 buffered.clear()
             state["completed_through"] = chunk_end
+            state["committed_bytes"] = out.tell()
             _write_manifest(manifest_path, "fetch", config, state=state)
 
         remaining = BlockWindow(completed_through, window.end)
@@ -139,8 +154,8 @@ def _feature_rows(fixture: str, width: int, export_dir: str | None = None):
     """One feature row per (token, window); graphs are released as windows close."""
     rows = []
     exported = 0
-    for window, events in iter_window_groups(read_fixture(fixture), width):
-        graphs = build_graphs(events, window)
+    for window, batch in iter_window_groups(read_fixture(fixture), width):
+        graphs = build_graphs(batch, window)
         rows.extend(extract_features(g) for g in graphs.values())
         if export_dir:
             exported += export_graphs(graphs.values(), export_dir)

@@ -85,7 +85,7 @@ def extract_features(graph: TokenGraph) -> FeatureVector:
         avg_comp_size=n / components.count,
         lifetime=last - first,
         transfer_std_dev=float(np.std(blocks)),  # population form
-        amount=sum(graph.values),
+        amount=graph.amount,
     )
 
 

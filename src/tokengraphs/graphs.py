@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, TextIO
 
 import numpy as np
 
-from .ingest import EVENT_ORDER, BlockWindow, TransferEvent
+from .ingest import BlockWindow, WindowBatch
 
 
 @dataclass
@@ -17,8 +17,9 @@ class TokenGraph:
 
     Nodes are lowercase hex addresses; ``nodes[i]`` is the address of node id
     ``i``.  Edges are stored as parallel arrays ordered by (block, logIndex)
-    of the originating events, so parallel edges and self-loops occur as-is.
-    Values stay exact python ints (uint256 sums overflow any fixed dtype).
+    of the originating transfers, so parallel edges and self-loops occur
+    as-is.  Values stay exact python ints (uint256 sums overflow any fixed
+    dtype); ``amount`` is their sum.
     """
 
     token: str
@@ -26,8 +27,9 @@ class TokenGraph:
     nodes: list[str]
     edge_from: np.ndarray  # int32 node ids
     edge_to: np.ndarray    # int32 node ids
-    values: list[int]
+    values: np.ndarray     # object array of exact python ints, one per edge
     blocks: np.ndarray     # int64 block numbers, one per edge
+    amount: int
 
     @property
     def num_nodes(self) -> int:
@@ -44,29 +46,26 @@ class ComponentSummary:
     sizes: list[int]
 
 
-def build_graphs(
-    events: Sequence[TransferEvent], window: BlockWindow,
-) -> dict[str, TokenGraph]:
-    """Build one graph per token from one window's worth of events.
+def build_graphs(batch: WindowBatch, window: BlockWindow) -> dict[str, TokenGraph]:
+    """Build one graph per token from one window's batch.
 
-    Every event becomes exactly one edge of its token's graph; the node set
-    is exactly the set of edge endpoints.  Events may come in any order: this
-    is the one place that puts edges in (block, logIndex) order.
+    Every transfer becomes exactly one edge of its token's graph; the node set
+    is exactly the set of edge endpoints.  Transfers may come in any order:
+    this is the one place that puts edges in (block, logIndex) order.  The
+    graphs' arrays are slices of one (token, block, logIndex)-sorted copy of
+    the batch.
     """
-    per_token: dict[str, list[TransferEvent]] = {}
-    for event in events:
-        per_token.setdefault(event.token, []).append(event)
+    order = np.lexsort((batch.log_index, batch.block, batch.token))
+    edge_start = np.searchsorted(batch.token[order],
+                                 np.arange(len(batch.tokens) + 1)).tolist()
+    src, dst = batch.src[order], batch.dst[order]
+    values, blocks = batch.values[order], batch.block[order]
 
     graphs: dict[str, TokenGraph] = {}
-    for token, token_events in per_token.items():
-        token_events.sort(key=EVENT_ORDER)
-        index: dict[str, int] = {}  # address -> node id, in first-appearance order
-        ids = np.array([index.setdefault(a, len(index)) for e in token_events
-                        for a in (e.from_addr, e.to_addr)], dtype=np.int32)
-        graphs[token] = TokenGraph(
-            token, window, list(index), ids[0::2], ids[1::2],
-            [e.value for e in token_events],
-            np.array([e.block for e in token_events], dtype=np.int64))
+    for t, name in enumerate(batch.tokens):
+        lo, hi = edge_start[t], edge_start[t + 1]
+        graphs[name] = TokenGraph(name, window, batch.nodes[t], src[lo:hi], dst[lo:hi],
+                                  values[lo:hi], blocks[lo:hi], batch.amounts[t])
     return graphs
 
 
@@ -107,9 +106,9 @@ def write_edge_list(graph: TokenGraph, out: TextIO) -> None:
     """Dump one graph in the plotting-friendly edge-list format."""
     out.write(f"# token={graph.token} window={graph.window}\n")
     nodes = graph.nodes
-    for i in range(graph.num_edges):
-        out.write(f"{nodes[graph.edge_from[i]]}\t{nodes[graph.edge_to[i]]}"
-                  f"\t{graph.values[i]}\t{graph.blocks[i]}\n")
+    for src, dst, value, block in zip(graph.edge_from.tolist(), graph.edge_to.tolist(),
+                                      graph.values.tolist(), graph.blocks.tolist()):
+        out.write(f"{nodes[src]}\t{nodes[dst]}\t{value}\t{block}\n")
 
 
 def export_graphs(graphs: Iterable[TokenGraph], directory: str | os.PathLike) -> int:

@@ -2,8 +2,8 @@
 
 The pipeline entry point: raw logs come either from an Ethereum JSON-RPC
 endpoint (``fetch_logs``) or from a local tab-separated fixture file
-(``read_fixture``), and leave as streams of decoded :class:`TransferEvent`
-grouped into fixed-width block windows.
+(``read_fixture``) as streams of decoded :class:`TransferEvent`, and leave
+as one :class:`WindowBatch` of interned columns per fixed-width block window.
 """
 
 from __future__ import annotations
@@ -12,11 +12,13 @@ import logging
 import os
 import re
 import time
+from collections import defaultdict
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import islice
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-import requests
+import numpy as np
 
 log = logging.getLogger(__name__)
 
@@ -124,9 +126,6 @@ class BlockWindow(NamedTuple):
 
 DEFAULT_WINDOW_WIDTH = 100_000
 
-EVENT_ORDER = attrgetter("block", "log_index")
-
-
 def _hex_quantity(value: str | int) -> int:
     if isinstance(value, int):
         return value
@@ -185,6 +184,8 @@ def decode_logs(entries: Iterable[RawLog]) -> Iterator[TransferEvent]:
 
 
 def _requests_transport(endpoint: str, payload: dict, timeout: float) -> dict:
+    import requests  # only fetch needs it; every other subcommand starts without it
+
     response = requests.post(endpoint, json=payload, timeout=timeout)
     response.raise_for_status()
     return response.json()
@@ -305,12 +306,15 @@ def fetch_logs(
 
 
 # ---------------------------------------------------------------------------
-# fixture file format: one transfer per line, tab separated
+# fixture file format: one transfer per line, tab separated, fields in
+# TransferEvent order
 #   token  from  to  value  block  logIndex  txHash
 
+FIXTURE_LINE = "%s\t%s\t%s\t%d\t%d\t%d\t%s"
+
+
 def format_fixture_line(event: TransferEvent) -> str:
-    return (f"{event.token}\t{event.from_addr}\t{event.to_addr}\t{event.value}"
-            f"\t{event.block}\t{event.log_index}\t{event.tx_hash}")
+    return FIXTURE_LINE % event
 
 
 def _diagnose_fixture_line(line_no: int, line: str) -> FixtureParseError:
@@ -332,6 +336,7 @@ def _diagnose_fixture_line(line_no: int, line: str) -> FixtureParseError:
 def read_fixture(path: str | os.PathLike) -> Iterator[TransferEvent]:
     """Yield transfers from a fixture file in file order, validating each line."""
     match = _FIXTURE_LINE_RE.match
+    new_event = tuple.__new__  # skips the NamedTuple constructor's argument handling
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             m = match(line)
@@ -339,14 +344,15 @@ def read_fixture(path: str | os.PathLike) -> Iterator[TransferEvent]:
                 stripped = line.rstrip("\n")
                 if not stripped:
                     continue
-                if _FIXTURE_LINE_RE.match(stripped) is None:
+                m = match(stripped)
+                if m is None:
                     raise _diagnose_fixture_line(line_no, stripped)
-                m = _FIXTURE_LINE_RE.match(stripped)
-            value = int(m.group(4))
+            token, from_addr, to_addr, value, block, log_index, tx_hash = m.groups()
+            value = int(value)
             if value > UINT256_MAX:
                 raise FixtureValueError(line_no, "value out of uint256 range")
-            yield TransferEvent(m.group(1), m.group(2), m.group(3), value,
-                                int(m.group(5)), int(m.group(6)), m.group(7))
+            yield new_event(TransferEvent, (token, from_addr, to_addr, value,
+                                            int(block), int(log_index), tx_hash))
 
 
 def write_fixture(events: Iterable[TransferEvent], path: str | os.PathLike) -> int:
@@ -360,9 +366,87 @@ def write_fixture(events: Iterable[TransferEvent], path: str | os.PathLike) -> i
     return count
 
 
+# ---------------------------------------------------------------------------
+# block windows as interned columns
+
+@dataclass
+class WindowBatch:
+    """One window's transfers as columns, in input order.
+
+    Tokens are interned per window and addresses per token, each numbered in
+    order of first appearance: ``tokens[t]`` is the address of token id
+    ``t`` and ``nodes[t][i]`` the address of node ``i`` of that token's graph.
+    An address that moved two tokens is a node of each, never one shared node.
+    """
+
+    tokens: list[str]
+    nodes: list[list[str]]
+    token: np.ndarray      # int32 token id of each transfer
+    src: np.ndarray        # int32 node id of the sender, within its token
+    dst: np.ndarray        # int32 node id of the recipient, within its token
+    block: np.ndarray      # int64
+    log_index: np.ndarray  # int64
+    values: np.ndarray     # object array of exact python ints
+    amounts: list[int]     # exact sum of values, by token id
+
+    def __len__(self) -> int:
+        return len(self.token)
+
+
+# events interned at a time: small enough that a chunk's event objects are
+# still in cache when their fields are read, and few are alive at once
+_CHUNK = 1 << 8
+
+_TOKEN, _FROM, _TO, _VALUE, _BLOCK, _LOG_INDEX = map(itemgetter, range(6))
+
+
+def _interner() -> defaultdict[str, int]:
+    """A dict that gives each new key the next id, in order of first lookup."""
+    index: defaultdict[str, int] = defaultdict()
+    index.default_factory = index.__len__
+    return index
+
+
+class _BatchBuilder:
+    """Interns one window's events, chunk by chunk, into WindowBatch columns.
+
+    Each token has its own small address table, which stays in cache however
+    many addresses the window holds.
+    """
+
+    def __init__(self):
+        self.token_ids = _interner()
+        self.node_ids: list[defaultdict[str, int]] = []  # by token id
+        self.chunks: list[tuple[np.ndarray, ...]] = []
+        self.values: list[int] = []
+
+    def add(self, events: list[TransferEvent], blocks: np.ndarray) -> None:
+        n = len(events)
+        token = np.fromiter(map(self.token_ids.__getitem__, map(_TOKEN, events)),
+                            np.int32, n)
+        self.node_ids += (_interner() for _ in range(len(self.token_ids)
+                                                     - len(self.node_ids)))
+        tables = list(map(self.node_ids.__getitem__, token.tolist()))
+        self.chunks.append((
+            token,
+            np.fromiter(map(dict.__getitem__, tables, map(_FROM, events)), np.int32, n),
+            np.fromiter(map(dict.__getitem__, tables, map(_TO, events)), np.int32, n),
+            blocks, np.fromiter(map(_LOG_INDEX, events), np.int64, n)))
+        self.values.extend(map(_VALUE, events))
+
+    def finish(self) -> WindowBatch:
+        token, src, dst, block, log_index = map(np.concatenate, zip(*self.chunks))
+        values = np.array(self.values, dtype=object)
+        by_token = np.argsort(token, kind="stable")
+        starts = np.searchsorted(token[by_token], np.arange(len(self.token_ids)))
+        return WindowBatch(list(self.token_ids), list(map(list, self.node_ids)), token,
+                           src, dst, block, log_index, values,
+                           np.add.reduceat(values[by_token], starts).tolist())
+
+
 def partition_windows(
     events: Iterable[TransferEvent], width: int = DEFAULT_WINDOW_WIDTH,
-) -> dict[BlockWindow, list[TransferEvent]]:
+) -> dict[BlockWindow, WindowBatch]:
     """Group events of any order into fixed-width windows, keeping input order in each."""
     if width < 1:
         raise ValueError("window width must be >= 1 block")
@@ -372,29 +456,34 @@ def partition_windows(
 
 def iter_window_groups(
     events: Iterable[TransferEvent], width: int = DEFAULT_WINDOW_WIDTH,
-) -> Iterator[tuple[BlockWindow, list[TransferEvent]]]:
-    """Stream (window, events) groups, holding one window's events at a time.
+) -> Iterator[tuple[BlockWindow, WindowBatch]]:
+    """Stream (window, batch) pairs, interning one window's events at a time.
 
-    Windowing only groups: events keep their input order, and ``build_graphs``
-    orders edges.  Windows must be contiguous, as every fetched or generated
-    fixture's are; interleaved windows raise ValueError.
+    Windowing only groups: a batch keeps its events' input order, and
+    ``build_graphs`` orders edges.  Windows must be contiguous, as every
+    fetched or generated fixture's are; interleaved windows raise ValueError.
     """
     if width < 1:
         raise ValueError("window width must be >= 1 block")
-    current_start: int | None = None
-    bucket: list[TransferEvent] = []
+    builder: _BatchBuilder | None = None
+    current_start = None
     done: set[int] = set()
-    for event in events:
-        start = (event.block // width) * width
-        if start != current_start:
-            if current_start is not None:
-                yield BlockWindow(current_start, current_start + width), bucket
-                done.add(current_start)
-            if start in done:
-                raise ValueError(
-                    "fixture windows are interleaved; sort the fixture by block")
-            current_start = start
-            bucket = []
-        bucket.append(event)
-    if current_start is not None:
-        yield BlockWindow(current_start, current_start + width), bucket
+    events = iter(events)
+    while chunk := list(islice(events, _CHUNK)):
+        blocks = np.fromiter(map(_BLOCK, chunk), np.int64, len(chunk))
+        # blocks fit in int64, so a wider window starts every block at 0
+        starts = blocks // width * width if width < 1 << 63 else np.zeros_like(blocks)
+        cuts = (np.flatnonzero(starts[1:] != starts[:-1]) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, len(blocks)]):
+            start = int(starts[lo])
+            if start != current_start:
+                if builder is not None:
+                    yield BlockWindow(current_start, current_start + width), builder.finish()
+                    done.add(current_start)
+                if start in done:
+                    raise ValueError(
+                        "fixture windows are interleaved; sort the fixture by block")
+                builder, current_start = _BatchBuilder(), start
+            builder.add(chunk[lo:hi], blocks[lo:hi])
+    if builder is not None:
+        yield BlockWindow(current_start, current_start + width), builder.finish()

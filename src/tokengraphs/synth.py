@@ -16,13 +16,13 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
 
 from .dataset import write_labels
-from .ingest import (EVENT_ORDER, BlockWindow, TransferEvent,
-                     format_fixture_line, write_fixture)
+from .ingest import FIXTURE_LINE, BlockWindow, WindowBatch
 
 NULL_ADDRESS = "0x" + "0" * 40
 
@@ -65,13 +65,15 @@ def _addr(namespace: int, index: int) -> str:
     return f"0x{namespace % (1 << 80):020x}{index % (1 << 80):020x}"
 
 
+def _addrs(namespace: int, first: int, count: int) -> list[str]:
+    """``_addr(namespace, i)`` for ``count`` indexes from ``first`` (below 2**80)."""
+    return list(map(f"0x{namespace % (1 << 80):020x}%020x".__mod__,
+                    range(first, first + count)))
+
+
 def token_address(seed: int, window_tag: int, token_idx: int) -> str:
     return _addr((seed % (1 << 40)) << 39 | (window_tag << 26) | token_idx | 1 << 79,
                  (1 << 64) - 1)
-
-
-def _tx_hash(namespace: int, event_idx: int) -> str:
-    return f"0x{namespace % (1 << 128):032x}{event_idx % (1 << 128):032x}"
 
 
 def _uniform_blocks(rng: np.random.Generator, n: int, window: BlockWindow,
@@ -100,38 +102,45 @@ def _lognormal_values(rng: np.random.Generator, n: int, scale: float,
                       token_sigma: float = 0.6) -> list[int]:
     token_level = rng.lognormal(0.0, token_sigma)
     draws = rng.lognormal(0.0, 1.0, size=n)
-    return [int(scale * token_level * d) for d in draws]
+    return list(map(int, (scale * token_level * draws).tolist()))
 
 
-def _events_from_edges(
+def _batch_from_edges(
     token: str,
-    addresses: Sequence[str],
+    addresses: list[str],
     edges: list[tuple[int, int]],
     blocks: np.ndarray,
     values: list[int],
-) -> list[TransferEvent]:
-    tx_namespace = int(token[2:], 16)  # token addresses are unique per corpus
+) -> WindowBatch:
+    """One token's transfers in log order: by block, ties in edge order, with
+    log indexes 0, 1, 2, ...  Every address is an endpoint of some edge, so
+    ``addresses`` are the token's nodes."""
+    n = len(edges)
     order = np.argsort(blocks, kind="stable")
-    events = []
-    for log_index, edge_idx in enumerate(order.tolist()):
-        src, dst = edges[edge_idx]
-        events.append(TransferEvent(
-            token=token,
-            from_addr=addresses[src],
-            to_addr=addresses[dst],
-            value=values[edge_idx],
-            block=int(blocks[edge_idx]),
-            log_index=log_index,
-            tx_hash=_tx_hash(tx_namespace, log_index),
-        ))
-    return events
+    ends = np.fromiter(chain.from_iterable(edges), np.int32, 2 * n).reshape(n, 2)[order]
+    return WindowBatch([token], [addresses], np.zeros(n, np.int32), ends[:, 0],
+                       ends[:, 1], blocks[order], np.arange(n, dtype=np.int64),
+                       np.array(values, dtype=object)[order], [sum(values)])
+
+
+def _fixture_lines(batch: WindowBatch) -> list[str]:
+    """The fixture lines of a one-token batch.  Transaction hashes are the
+    token address (unique per corpus) followed by the log index."""
+    token, = batch.tokens
+    addresses, = batch.nodes
+    log_index = batch.log_index.tolist()
+    tx_hashes = map(f"0x{int(token[2:], 16) % (1 << 128):032x}%032x".__mod__, log_index)
+    rows = zip(repeat(token), map(addresses.__getitem__, batch.src.tolist()),
+               map(addresses.__getitem__, batch.dst.tolist()), batch.values.tolist(),
+               batch.block.tolist(), log_index, tx_hashes)
+    return list(map(FIXTURE_LINE.__mod__, rows))
 
 
 def _namespace(cfg: ArchetypeConfig) -> int:
     return (cfg.seed % (1 << 48)) << 30 | (cfg.node_budget % (1 << 20)) | 1 << 78
 
 
-def gen_legitimate(cfg: ArchetypeConfig) -> tuple[list[TransferEvent], int]:
+def gen_legitimate(cfg: ArchetypeConfig) -> tuple[WindowBatch, int]:
     """Giant preferential-attachment component plus 2-5 node satellites.
 
     Activity is spread uniformly over a lifetime covering at least 80% of
@@ -190,13 +199,13 @@ def gen_legitimate(cfg: ArchetypeConfig) -> tuple[list[TransferEvent], int]:
 
     namespace = _namespace(cfg)
     token = cfg.token or _addr(namespace, (1 << 64) - 1)
-    addresses = [_addr(namespace, i + 1) for i in range(budget)]
+    addresses = _addrs(namespace, 1, budget)
     blocks = _uniform_blocks(rng, len(edges), cfg.window, cfg.lifetime)
     values = _lognormal_values(rng, len(edges), cfg.value_scale, cfg.value_sigma)
-    return _events_from_edges(token, addresses, edges, blocks, values), 0
+    return _batch_from_edges(token, addresses, edges, blocks, values), 0
 
 
-def gen_honeypot_star(cfg: ArchetypeConfig) -> tuple[list[TransferEvent], int]:
+def gen_honeypot_star(cfg: ArchetypeConfig) -> tuple[WindowBatch, int]:
     """Single star component: null address and a pool hub, everyone else <= degree 3.
 
     All activity happens in one clustered burst shorter than 10K blocks.
@@ -211,8 +220,7 @@ def gen_honeypot_star(cfg: ArchetypeConfig) -> tuple[list[TransferEvent], int]:
 
     namespace = _namespace(cfg)
     token = cfg.token or _addr(namespace, (1 << 64) - 1)
-    addresses = [NULL_ADDRESS, _addr(namespace, 1)]
-    addresses += [_addr(namespace, i + 2) for i in range(n_users)]
+    addresses = [NULL_ADDRESS, *_addrs(namespace, 1, n_users + 1)]
     null_id, pool_id = 0, 1
 
     mints = 4 + int(rng.integers(0, 4))
@@ -250,10 +258,10 @@ def gen_honeypot_star(cfg: ArchetypeConfig) -> tuple[list[TransferEvent], int]:
     blocks = _clustered_blocks(rng, len(edges), cfg.window, cfg.lifetime,
                                cfg.temporal_concentration)
     values = _lognormal_values(rng, len(edges), cfg.value_scale, cfg.value_sigma)
-    return _events_from_edges(token, addresses, edges, blocks, values), 1
+    return _batch_from_edges(token, addresses, edges, blocks, values), 1
 
 
-def gen_counterfeit_poisoning(cfg: ArchetypeConfig) -> tuple[list[TransferEvent], int]:
+def gen_counterfeit_poisoning(cfg: ArchetypeConfig) -> tuple[WindowBatch, int]:
     """Many scraps of 2-4 nodes: a fresh spoof address dusting one or two victims."""
     if cfg.node_budget < 6:
         raise ValueError("poisoning archetype needs a node budget of at least 6")
@@ -294,11 +302,11 @@ def gen_counterfeit_poisoning(cfg: ArchetypeConfig) -> tuple[list[TransferEvent]
 
     namespace = _namespace(cfg)
     token = cfg.token or _addr(namespace, (1 << 64) - 1)
-    addresses = [_addr(namespace, i + 1) for i in range(budget)]
+    addresses = _addrs(namespace, 1, budget)
     blocks = _clustered_blocks(rng, len(edges), cfg.window, cfg.lifetime,
                                cfg.temporal_concentration)
-    values = [int(v) for v in rng.integers(1, 1000, size=len(edges))]
-    return _events_from_edges(token, addresses, edges, blocks, values), 1
+    values = rng.integers(1, 1000, size=len(edges)).tolist()
+    return _batch_from_edges(token, addresses, edges, blocks, values), 1
 
 
 _GENERATORS = {
@@ -308,7 +316,7 @@ _GENERATORS = {
 }
 
 
-def generate(cfg: ArchetypeConfig) -> tuple[list[TransferEvent], int]:
+def generate(cfg: ArchetypeConfig) -> tuple[WindowBatch, int]:
     return _GENERATORS[cfg.kind](cfg)
 
 
@@ -391,8 +399,9 @@ def gen_corpus(
     labels: dict[str, int] = {}
     total_events = 0
     with open(fixture_path, "w", encoding="utf-8") as handle:
-        # tokens are written sequentially inside each window block; windowing
-        # re-sorts by (block, logIndex), so no global merge is needed here
+        # tokens are written sequentially inside each window block;
+        # build_graphs orders edges by (block, logIndex), so no global merge
+        # is needed here
         for window_idx, window in enumerate(windows):
             for token_idx in range(n_tokens):
                 if token_idx < n_legit:
@@ -408,11 +417,11 @@ def gen_corpus(
                 child_seed = int(entropy.generate_state(1)[0])
                 rng = np.random.default_rng(child_seed)
                 cfg = _token_config(kind, window, token, profile, rng, child_seed)
-                events, label = generate(cfg)
+                batch, label = generate(cfg)
                 labels[token] = label
-                handle.write("\n".join(map(format_fixture_line, events)))
+                handle.write("\n".join(_fixture_lines(batch)))
                 handle.write("\n")
-                total_events += len(events)
+                total_events += len(batch)
 
     write_labels(labels, labels_path)
 
@@ -470,7 +479,8 @@ def gen_scan_corpus(
     n_young = round(n_tokens * profile.young_fraction)
     n_long = round(n_tokens * profile.long_legit_fraction)
 
-    events: list[TransferEvent] = []
+    lines: list[str] = []
+    blocks, log_indexes = [], []
     for token_idx in range(n_tokens):
         entropy = np.random.SeedSequence([seed, 7_777, token_idx])
         child_seed = int(entropy.generate_state(1)[0])
@@ -506,11 +516,16 @@ def gen_scan_corpus(
                 value_scale=1e15 if kind == HONEYPOT_STAR else 1.0,
                 token=token, seed=child_seed,
             )
-        token_events, _ = generate(cfg)
-        events.extend(token_events)
+        batch, _ = generate(cfg)
+        lines += _fixture_lines(batch)
+        blocks.append(batch.block)
+        log_indexes.append(batch.log_index)
 
-    events.sort(key=EVENT_ORDER)
-    write_fixture(events, fixture_path)
+    # one stable sort of every token's lines by (block, logIndex)
+    order = np.lexsort((np.concatenate(log_indexes),
+                        np.concatenate(blocks))).tolist() if lines else []
+    with open(fixture_path, "w", encoding="utf-8") as handle:
+        handle.writelines(map("%s\n".__mod__, map(lines.__getitem__, order)))
     return {
         "format": 1,
         "kind": "scan-corpus",
@@ -518,5 +533,5 @@ def gen_scan_corpus(
         "n_tokens": n_tokens,
         "window": [window.start, window.end],
         "profile": profile.to_dict(),
-        "total_events": len(events),
+        "total_events": len(lines),
     }

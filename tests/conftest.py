@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from tokengraphs.ingest import BlockWindow, TransferEvent
+from tokengraphs.ingest import BlockWindow, TransferEvent, WindowBatch, iter_window_groups
 
 WINDOW = BlockWindow(18_000_000, 18_100_000)
 
@@ -27,6 +27,23 @@ def make_event(
         log_index=log_index,
         tx_hash="0x" + format(tx if tx else block * 1000 + log_index, "064x"),
     )
+
+
+def batch_of(events: list[TransferEvent]) -> WindowBatch:
+    """All ``events`` as one window batch, in their order (at least one event)."""
+    (_window, batch), = iter_window_groups(events, 1 << 63)
+    return batch
+
+
+def batch_rows(batch: WindowBatch) -> list[tuple[str, str, str, int, int, int]]:
+    """A batch's transfers as (token, from, to, value, block, logIndex) rows,
+    in batch order."""
+    token = batch.token.tolist()
+    return list(zip(map(batch.tokens.__getitem__, token),
+                    map(lambda t, i: batch.nodes[t][i], token, batch.src.tolist()),
+                    map(lambda t, i: batch.nodes[t][i], token, batch.dst.tolist()),
+                    batch.values.tolist(), batch.block.tolist(),
+                    batch.log_index.tolist()))
 
 
 @pytest.fixture

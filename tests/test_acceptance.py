@@ -31,7 +31,7 @@ from tokengraphs.ingest import (BlockWindow, RawLog, decode_logs,
 from tokengraphs.model import loss_and_gradient, train
 from tokengraphs.synth import gen_corpus, gen_scan_corpus
 
-from conftest import make_event
+from conftest import batch_of, make_event
 from oracles import (bfs_components, finite_diff_gradient, pairwise_auc,
                      straight_line_features)
 
@@ -113,7 +113,7 @@ def test_criterion_2_component_oracle():
                            block=WINDOW.start + i, log_index=i, tx=i + 1)
                 for i, (a, b) in enumerate(rng.integers(0, n, size=(m, 2)).tolist())
             ]
-            graph = build_graphs(events, WINDOW)[events[0].token]
+            graph = build_graphs(batch_of(events), WINDOW)[events[0].token]
             summary = weak_components(graph)
             count, sizes = bfs_components(
                 graph.num_nodes,
@@ -129,7 +129,7 @@ def test_criterion_3_feature_oracle():
         events = [make_event("0xa", "0xb", value=10, block=18_000_100, log_index=0, tx=1),
                   make_event("0xb", "0xc", value=5, block=18_000_150, log_index=1, tx=2),
                   make_event("0xa", "0xc", value=7, block=18_000_200, log_index=2, tx=3)]
-        fv = extract_features(build_graphs(events, WINDOW)[events[0].token])
+        fv = extract_features(build_graphs(batch_of(events), WINDOW)[events[0].token])
         assert fv.density == pytest.approx(0.5, abs=1e-10)
         assert fv.lifetime == 100
         assert fv.transfer_std_dev == pytest.approx(40.8248, abs=1e-4)
@@ -147,7 +147,7 @@ def test_criterion_3_feature_oracle():
             events = [make_event(f"0x{a:x}", f"0x{b:x}", value=v,
                                  block=WINDOW.start + blk, log_index=i, tx=i + 1)
                       for i, (a, b, v, blk) in enumerate(raw)]
-            graph = build_graphs(events, WINDOW)[events[0].token]
+            graph = build_graphs(batch_of(events), WINDOW)[events[0].token]
             fv = extract_features(graph)
             oracle = straight_line_features([
                 (e.from_addr, e.to_addr, e.value, e.block) for e in events])

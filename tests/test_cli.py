@@ -406,6 +406,70 @@ def test_fetch_resume_skips_completed_chunks(tmp_path, monkeypatch):
     assert out.read_bytes() == reference.read_bytes()
 
 
+class _Crash(Exception):
+    """Stands in for the process dying at a chosen point."""
+
+
+def test_fetch_resume_after_a_crash_between_chunk_and_state(tmp_path, monkeypatch):
+    import tokengraphs.ingest as ingest_mod
+
+    logs = [rpc_entry(100, 0), rpc_entry(103, 1), rpc_entry(106, 0), rpc_entry(108, 2)]
+    monkeypatch.setattr(ingest_mod, "_requests_transport", FakeProvider(logs))
+    args = ["fetch", "--start", "100", "--end", "110", "--chunk", "5",
+            "--endpoint", "http://fake", "--rpc-backoff", "0"]
+    reference = tmp_path / "reference.tsv"
+    assert main(args + ["--out", str(reference)]) == 0
+
+    out = tmp_path / "crashed.tsv"
+    write_manifest = cli_mod._write_manifest
+    states = []
+
+    def dies_before_the_second_chunk_state(path, command, config, **extra):
+        states.append(extra["state"]["completed_through"])
+        if len(states) == 3:  # the initial state, chunk 1's, then chunk 2's
+            raise _Crash
+        write_manifest(path, command, config, **extra)
+
+    monkeypatch.setattr(cli_mod, "_write_manifest", dies_before_the_second_chunk_state)
+    with pytest.raises(_Crash):
+        main(args + ["--out", str(out)])
+    assert states == [100, 105, 110]
+    with open(out, "ab") as handle:  # and a write torn by the crash
+        handle.write(b"0x" + b"a" * 40 + b"\t0x12")
+    manifest = json.loads(open(str(out) + ".manifest.json").read())
+    assert manifest["state"]["completed_through"] == 105
+    assert manifest["state"]["committed_bytes"] < out.stat().st_size
+
+    monkeypatch.setattr(cli_mod, "_write_manifest", write_manifest)
+    assert main(args + ["--out", str(out), "--resume"]) == 0
+    assert out.read_bytes() == reference.read_bytes()
+    lines = out.read_text().splitlines()
+    assert len(lines) == len(set(lines)) == len(logs)
+    manifest = json.loads(open(str(out) + ".manifest.json").read())
+    assert manifest["state"]["committed_bytes"] == out.stat().st_size
+
+
+def test_fetch_resume_refuses_a_fixture_shorter_than_its_state(tmp_path, monkeypatch,
+                                                               capsys):
+    import tokengraphs.ingest as ingest_mod
+
+    monkeypatch.setattr(ingest_mod, "_requests_transport",
+                        FakeProvider([rpc_entry(100, 0), rpc_entry(106, 0)]))
+    out = tmp_path / "short.tsv"
+    args = ["fetch", "--start", "100", "--end", "110", "--chunk", "5",
+            "--out", str(out), "--endpoint", "http://fake", "--rpc-backoff", "0"]
+    assert main(args) == 0
+    manifest_path = str(out) + ".manifest.json"
+    manifest = json.loads(open(manifest_path).read())
+    manifest["state"].update(completed_through=105, finished=False)
+    with open(manifest_path, "w") as handle:
+        json.dump(manifest, handle)
+    out.write_bytes(out.read_bytes()[:10])
+    capsys.readouterr()
+    assert main(args + ["--resume"]) == 2
+    assert "without --resume" in capsys.readouterr().err
+
+
 class ReplyProvider(FakeProvider):
     """Answers every call with one canned reply, whatever its shape."""
 

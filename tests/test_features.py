@@ -18,7 +18,7 @@ from tokengraphs.features import (
 )
 from tokengraphs.graphs import build_graphs
 
-from conftest import WINDOW, make_event
+from conftest import WINDOW, batch_of, make_event
 from oracles import straight_line_features
 
 
@@ -26,7 +26,7 @@ def features_of(tuples, window=WINDOW, token="0x01"):
     """tuples: (from-stub, to-stub, value, block)"""
     events = [make_event(s, d, value=v, block=b, log_index=i, token=token, tx=i + 1)
               for i, (s, d, v, b) in enumerate(tuples)]
-    graph = build_graphs(events, window)[events[0].token]
+    graph = build_graphs(batch_of(events), window)[events[0].token]
     return extract_features(graph)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from tokengraphs.graphs import (TokenGraph, build_graphs, degree_stats, weak_components,
                                 write_edge_list)
 
-from conftest import WINDOW, make_event
+from conftest import WINDOW, batch_of, make_event
 from oracles import bfs_component_sizes, bfs_components
 
 
@@ -22,7 +22,7 @@ def graph_of(pairs, token="0x01", window=WINDOW, blocks=None):
                    token=token, tx=i + 1)
         for i, (src, dst) in enumerate(pairs)
     ]
-    graphs = build_graphs(events, window)
+    graphs = build_graphs(batch_of(events), window)
     return graphs[events[0].token]
 
 
@@ -31,7 +31,7 @@ def graph_of(pairs, token="0x01", window=WINDOW, blocks=None):
 def test_one_graph_per_token():
     events = [make_event("0xa", "0xb", token="0x01", tx=1),
               make_event("0xc", "0xd", token="0x02", tx=2)]
-    graphs = build_graphs(events, WINDOW)
+    graphs = build_graphs(batch_of(events), WINDOW)
     assert len(graphs) == 2
     for graph in graphs.values():
         assert graph.num_nodes == 2 and graph.num_edges == 1
@@ -58,9 +58,9 @@ def test_edges_follow_block_logindex_order():
     events = [make_event("0xa", "0xb", value=1, block=18_000_005, log_index=1, tx=1),
               make_event("0xb", "0xc", value=2, block=18_000_001, log_index=2, tx=2),
               make_event("0xc", "0xa", value=3, block=18_000_005, log_index=0, tx=3)]
-    graph = build_graphs(events, WINDOW)[events[0].token]
+    graph = build_graphs(batch_of(events), WINDOW)[events[0].token]
     assert graph.blocks.tolist() == [18_000_001, 18_000_005, 18_000_005]
-    assert graph.values == [2, 3, 1]
+    assert graph.values.tolist() == [2, 3, 1]
 
 
 # --- components -------------------------------------------------------------
@@ -136,7 +136,8 @@ def test_weak_components_match_bfs_in_smallest_node_id_order(shaped):
     graph = TokenGraph("0x01", WINDOW, [f"0x{i:x}" for i in range(n)],
                        np.array([a for a, _ in edges], dtype=np.int32),
                        np.array([b for _, b in edges], dtype=np.int32),
-                       [1] * len(edges), np.full(len(edges), WINDOW.start))
+                       np.ones(len(edges), dtype=object), np.full(len(edges), WINDOW.start),
+                       len(edges))
     comps = weak_components(graph)
     assert comps.sizes == bfs_component_sizes(n, edges)
     assert comps.count == len(comps.sizes)
@@ -192,11 +193,11 @@ def test_handshake_sums_equal_edge_count(pairs):
 def test_identical_input_builds_identical_graphs():
     events = [make_event("0xa", "0xb", block=18_000_000 + i, log_index=i, tx=i + 1)
               for i in range(20)]
-    g1 = build_graphs(list(events), WINDOW)[events[0].token]
-    g2 = build_graphs(list(events), WINDOW)[events[0].token]
+    g1 = build_graphs(batch_of(events), WINDOW)[events[0].token]
+    g2 = build_graphs(batch_of(events), WINDOW)[events[0].token]
     assert g1.nodes == g2.nodes
     assert g1.edge_from.tolist() == g2.edge_from.tolist()
-    assert g1.values == g2.values
+    assert g1.values.tolist() == g2.values.tolist()
 
 
 # --- export -----------------------------------------------------------------

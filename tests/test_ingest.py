@@ -29,7 +29,7 @@ from tokengraphs.ingest import (
     write_fixture,
 )
 
-from conftest import make_event
+from conftest import batch_rows, make_event
 
 TOPIC = "0xddf252ad1be2c89b69c2b068fc378daa952ba7f163c4a11628f55a4df523b3ef"
 
@@ -204,18 +204,19 @@ def test_partition_is_a_partition(points, width):
     events = [make_event(block=b, log_index=i, tx=n + 1)
               for n, (b, i) in enumerate(points)]
     grouped = partition_windows(events, width)
-    regrouped = [e for bucket in grouped.values() for e in bucket]
-    assert sorted(regrouped) == sorted(events)
-    for window, bucket in grouped.items():
-        assert all(window.start <= e.block < window.end for e in bucket)
+    regrouped = [row for batch in grouped.values() for row in batch_rows(batch)]
+    assert sorted(regrouped) == sorted(e[:6] for e in events)
+    for window, batch in grouped.items():
+        assert all(window.start <= block < window.end for block in batch.block.tolist())
 
 
 def test_iter_window_groups_matches_partition_on_contiguous_input():
     events = [make_event(block=b, log_index=i, tx=i + 1)
               for i, b in enumerate((18_000_005, 18_000_001, 18_099_000,
                                      18_100_001, 18_150_000))]
-    streamed = dict(iter_window_groups(iter(events), 100_000))
-    assert streamed == partition_windows(events, 100_000)
+    streamed = {w: batch_rows(b) for w, b in iter_window_groups(iter(events), 100_000)}
+    assert streamed == {w: batch_rows(b)
+                        for w, b in partition_windows(events, 100_000).items()}
 
 
 def test_iter_window_groups_rejects_interleaved_windows():

@@ -26,11 +26,13 @@ from tokengraphs.synth import (
     generate,
 )
 
+from conftest import batch_of, batch_rows
+
 WINDOW = BlockWindow(18_000_000, 18_100_000)
 
 
-def analyzed(events):
-    graphs = build_graphs(events, WINDOW)
+def analyzed(batch):
+    graphs = build_graphs(batch, WINDOW)
     (token, graph), = graphs.items()
     return graph, weak_components(graph), extract_features(graph)
 
@@ -89,8 +91,8 @@ def test_scam_lifetime_cap_enforced():
 # --- legitimate archetype -------------------------------------------------------
 
 def test_legit_giant_component_dominates():
-    events, label = gen_legitimate(legit_cfg(budget=2_000))
-    graph, comps, fv = analyzed(events)
+    batch, label = gen_legitimate(legit_cfg(budget=2_000))
+    graph, comps, fv = analyzed(batch)
     assert label == 0
     assert fv.num_nodes == 2_000
     assert max(comps.sizes) >= 1_500
@@ -99,8 +101,8 @@ def test_legit_giant_component_dominates():
 
 
 def test_legit_lifetime_spans_most_of_the_window():
-    events, _ = gen_legitimate(legit_cfg(budget=150, lifetime=85_000))
-    _, _, fv = analyzed(events)
+    batch, _ = gen_legitimate(legit_cfg(budget=150, lifetime=85_000))
+    _, _, fv = analyzed(batch)
     assert fv.lifetime == 85_000
     assert fv.lifetime >= 0.8 * WINDOW.width
 
@@ -111,18 +113,20 @@ def test_legit_requires_long_lifetime():
 
 
 def test_legit_same_seed_is_identical():
-    assert gen_legitimate(legit_cfg(seed=5)) == gen_legitimate(legit_cfg(seed=5))
+    (a, label_a), (b, label_b) = (gen_legitimate(legit_cfg(seed=5)) for _ in range(2))
+    assert batch_rows(a) == batch_rows(b) and label_a == label_b
 
 
 def test_legit_different_seed_differs():
-    assert gen_legitimate(legit_cfg(seed=5)) != gen_legitimate(legit_cfg(seed=6))
+    assert (batch_rows(gen_legitimate(legit_cfg(seed=5))[0])
+            != batch_rows(gen_legitimate(legit_cfg(seed=6))[0]))
 
 
 # --- honeypot star --------------------------------------------------------------
 
 def test_star_is_single_component_with_two_hubs():
-    events, label = gen_honeypot_star(star_cfg(budget=2_173))
-    graph, comps, fv = analyzed(events)
+    batch, label = gen_honeypot_star(star_cfg(budget=2_173))
+    graph, comps, fv = analyzed(batch)
     assert label == 1
     assert comps.count == 1
     assert fv.num_nodes == 2_173
@@ -134,23 +138,23 @@ def test_star_is_single_component_with_two_hubs():
 
 def test_star_lifetime_stays_under_ten_thousand():
     for seed in range(10):
-        events, _ = gen_honeypot_star(star_cfg(seed=seed, lifetime=9_400))
-        _, _, fv = analyzed(events)
+        batch, _ = gen_honeypot_star(star_cfg(seed=seed, lifetime=9_400))
+        _, _, fv = analyzed(batch)
         assert fv.lifetime < 10_000
 
 
 def test_star_blocks_are_clustered():
     cfg = star_cfg(budget=500, lifetime=9_000, conc=0.3)
-    events, _ = gen_honeypot_star(cfg)
-    _, _, fv = analyzed(events)
+    batch, _ = gen_honeypot_star(cfg)
+    _, _, fv = analyzed(batch)
     assert fv.transfer_std_dev <= cfg.temporal_concentration * cfg.lifetime / math.sqrt(12)
 
 
 # --- counterfeit poisoning -------------------------------------------------------
 
 def test_poisoning_components_are_small_scraps():
-    events, label = gen_counterfeit_poisoning(pois_cfg(budget=900))
-    graph, comps, fv = analyzed(events)
+    batch, label = gen_counterfeit_poisoning(pois_cfg(budget=900))
+    graph, comps, fv = analyzed(batch)
     assert label == 1
     assert fv.avg_comp_size <= 4
     assert max(comps.sizes) <= 4
@@ -158,20 +162,21 @@ def test_poisoning_components_are_small_scraps():
 
 
 def test_poisoning_each_component_has_its_own_scammer():
-    events, _ = gen_counterfeit_poisoning(pois_cfg(budget=60))
-    graph, comps, _ = analyzed(events)
+    batch, _ = gen_counterfeit_poisoning(pois_cfg(budget=60))
+    graph, comps, _ = analyzed(batch)
     # every component has a sender, so one sender each means as many as components
     assert len(set(graph.edge_from.tolist())) == comps.count
 
 
 def test_poisoning_values_are_dust():
-    events, _ = gen_counterfeit_poisoning(pois_cfg(budget=100))
-    assert max(e.value for e in events) < 1_000
+    batch, _ = gen_counterfeit_poisoning(pois_cfg(budget=100))
+    assert max(batch.values) < 1_000
 
 
 def test_poisoning_same_seed_reruns_identically():
-    assert (gen_counterfeit_poisoning(pois_cfg(seed=3))
-            == gen_counterfeit_poisoning(pois_cfg(seed=3)))
+    (a, label_a), (b, label_b) = (gen_counterfeit_poisoning(pois_cfg(seed=3))
+                                  for _ in range(2))
+    assert batch_rows(a) == batch_rows(b) and label_a == label_b
 
 
 # --- archetype sweep ---------------------------------------------------------------
@@ -180,28 +185,28 @@ def test_every_archetype_holds_its_contract_over_many_seeds():
     rng = np.random.default_rng(2024)
     for seed in range(100):
         budget = int(rng.integers(40, 300))
-        events, _ = gen_legitimate(legit_cfg(
+        batch, _ = gen_legitimate(legit_cfg(
             budget=max(budget, 20), lifetime=int(rng.uniform(0.82, 0.97) * WINDOW.width),
             seed=seed))
-        _, comps, fv = analyzed(events)
+        _, comps, fv = analyzed(batch)
         assert max(comps.sizes) >= 0.75 * fv.num_nodes
         assert fv.lifetime >= 0.8 * WINDOW.width
 
         life = int(rng.integers(1_500, 9_500))
         conc = float(rng.uniform(0.08, 1.0))
-        events, _ = gen_honeypot_star(star_cfg(budget=max(budget, 10),
+        batch, _ = gen_honeypot_star(star_cfg(budget=max(budget, 10),
                                                lifetime=life, conc=conc, seed=seed))
-        graph, comps, fv = analyzed(events)
+        graph, comps, fv = analyzed(batch)
         assert comps.count == 1
         in_deg, out_deg = degree_stats(graph)
         assert np.count_nonzero(in_deg + out_deg > 3) == 2
         assert fv.lifetime < 10_000
         assert fv.transfer_std_dev <= conc * life / math.sqrt(12)
 
-        events, _ = gen_counterfeit_poisoning(pois_cfg(budget=max(budget, 6),
+        batch, _ = gen_counterfeit_poisoning(pois_cfg(budget=max(budget, 6),
                                                        lifetime=life, conc=conc,
                                                        seed=seed))
-        _, comps, fv = analyzed(events)
+        _, comps, fv = analyzed(batch)
         assert fv.avg_comp_size <= 4
         assert fv.lifetime < 10_000
         assert fv.transfer_std_dev <= conc * life / math.sqrt(12)
@@ -222,7 +227,7 @@ def test_corpus_files_round_trip_and_label_consistency(tmp_path):
     assert sum(labels.values()) == 7  # round(20 * 0.35)
 
     # every generated token appears and its shape matches its label
-    graphs = build_graphs(events, WINDOW)
+    graphs = build_graphs(batch_of(events), WINDOW)
     assert set(graphs) == set(labels)
     for token, graph in graphs.items():
         fv = extract_features(graph)
@@ -263,8 +268,8 @@ def test_legitimate_tokens_recur_scams_do_not(tmp_path):
     gen_corpus(10, 0.4, windows, tmp_path / "f.tsv", tmp_path / "l.csv", seed=4)
     labels = load_labels(tmp_path / "l.csv")
     presence: dict[str, set] = {}
-    for window, events in iter_window_groups(read_fixture(tmp_path / "f.tsv"), 100_000):
-        for token in build_graphs(events, window):
+    for window, batch in iter_window_groups(read_fixture(tmp_path / "f.tsv"), 100_000):
+        for token in build_graphs(batch, window):
             presence.setdefault(token, set()).add(window.start)
     for token, windows_seen in presence.items():
         if labels[token] == 0:
@@ -280,8 +285,8 @@ def test_recurring_legit_tokens_push_unique_fraction_up(tmp_path):
                profile=CorpusProfile(legit_budget=(510, 600), scam_budget=(510, 600)))
     labels = load_labels(tmp_path / "l.csv")
     datasets = []
-    for window, events in iter_window_groups(read_fixture(tmp_path / "f.tsv"), 100_000):
-        vectors = [extract_features(g) for g in build_graphs(events, window).values()]
+    for window, batch in iter_window_groups(read_fixture(tmp_path / "f.tsv"), 100_000):
+        vectors = [extract_features(g) for g in build_graphs(batch, window).values()]
         datasets.append(join(vectors, labels, 500))
     summary = summarize(datasets)
     assert summary.unique_fraction > summary.pooled_fraction
@@ -291,7 +296,7 @@ def test_scan_corpus_is_small_graphs_only(tmp_path):
     manifest = gen_scan_corpus(30, WINDOW, tmp_path / "scan.tsv", seed=3)
     events = list(read_fixture(tmp_path / "scan.tsv"))
     assert len(events) == manifest["total_events"]
-    graphs = build_graphs(events, WINDOW)
+    graphs = build_graphs(batch_of(events), WINDOW)
     assert len(graphs) == 30
     young = 0
     for graph in graphs.values():
