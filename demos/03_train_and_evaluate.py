@@ -19,11 +19,10 @@ workdir = Path(tempfile.mkdtemp(prefix="tokengraphs_demo_"))
 windows = [BlockWindow(18_000_000, 18_100_000),
            BlockWindow(18_100_000, 18_200_000)]
 
-manifest = gen_corpus(150, 0.35, windows, workdir / "fixture.tsv",
-                      workdir / "labels.csv", seed=11,
-                      manifest_path=workdir / "manifest.json")
-print(f"corpus: {manifest['total_events']:,} transfers, "
-      f"{manifest['scam_tokens_per_window']} scam tokens per window")
+corpus = gen_corpus(150, 0.35, windows, workdir / "fixture.tsv",
+                    workdir / "labels.csv", seed=11)
+print(f"corpus: {corpus['total_events']:,} transfers, "
+      f"{corpus['scam_tokens_per_window']} scam tokens per window")
 
 labels = load_labels(workdir / "labels.csv")
 datasets = []

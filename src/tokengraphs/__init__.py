@@ -29,7 +29,6 @@ from .model import (
     Model,
     Standardizer,
     TrainConfig,
-    classify,
     load_model,
     loss_and_gradient,
     predict_proba,

@@ -16,8 +16,8 @@ import os
 import sys
 
 from . import __version__
-from .dataset import (DEFAULT_MIN_NODES, LabelConflictError, LabelParseError,
-                      join, load_labels)
+from .dataset import (DEFAULT_MIN_NODES, LabelConflictError, LabeledDataset,
+                      LabelParseError, join, load_labels)
 from .evaluation import (UndefinedAUCError, VariantMismatchError,
                          cross_window_eval, kfold_cv, unlabeled_scan,
                          write_report, write_roc, write_scan_report,
@@ -68,6 +68,11 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     return TrainConfig(lam=args.lam, learning_rate=args.learning_rate,
                        max_iters=args.max_iters, tolerance=args.tolerance,
                        seed=args.seed, log_amount=args.log_amount)
+
+
+def _labeled(features_path: str, labels_path: str, min_nodes: int) -> LabeledDataset:
+    """A feature table joined with its label file."""
+    return join(read_feature_table(features_path), load_labels(labels_path), min_nodes)
 
 
 def _warn_unless_converged(converged: bool, max_iters: int) -> None:
@@ -178,9 +183,7 @@ def cmd_features(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    vectors = read_feature_table(args.features)
-    labels = load_labels(args.labels)
-    dataset = join(vectors, labels, args.min_nodes)
+    dataset = _labeled(args.features, args.labels, args.min_nodes)
     model = train(dataset, _train_config(args), args.variant)
     save_model(model, args.model_out)
     _write_manifest(_manifest_path(args, args.model_out), "train",
@@ -195,9 +198,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_cv(args: argparse.Namespace) -> int:
-    vectors = read_feature_table(args.features)
-    labels = load_labels(args.labels)
-    dataset = join(vectors, labels, args.min_nodes)
+    dataset = _labeled(args.features, args.labels, args.min_nodes)
     report = kfold_cv(dataset, k=args.k, seed=args.seed,
                       config=_train_config(args), variant=args.variant)
     write_report(report, args.out)
@@ -213,15 +214,12 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 
 def cmd_crosseval(args: argparse.Namespace) -> int:
-    train_vectors = read_feature_table(args.train_features)
-    train_labels = load_labels(args.train_labels)
-    train_set = join(train_vectors, train_labels, args.min_nodes)
+    train_set = _labeled(args.train_features, args.train_labels, args.min_nodes)
 
     names, eval_sets = [], []
     for features_path, labels_path in args.eval:
         name = os.path.basename(features_path)
-        eval_set = join(read_feature_table(features_path),
-                        load_labels(labels_path), args.min_nodes)
+        eval_set = _labeled(features_path, labels_path, args.min_nodes)
         if not eval_set.rows:
             print(f"warning: {name} has no labeled rows, skipped", file=sys.stderr)
         elif len(set(eval_set.labels)) < 2:
@@ -321,12 +319,13 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--manifest", help="manifest path (default: <out>.manifest.json)")
 
+    defaults = TrainConfig()
     hyper = argparse.ArgumentParser(add_help=False)
-    hyper.add_argument("--lambda", dest="lam", type=float, default=1.0,
-                       help="L2 strength (default 1.0)")
-    hyper.add_argument("--learning-rate", type=float, default=0.1)
-    hyper.add_argument("--max-iters", type=int, default=10_000)
-    hyper.add_argument("--tolerance", type=float, default=1e-7)
+    hyper.add_argument("--lambda", dest="lam", type=float, default=defaults.lam,
+                       help=f"L2 strength (default {defaults.lam})")
+    hyper.add_argument("--learning-rate", type=float, default=defaults.learning_rate)
+    hyper.add_argument("--max-iters", type=int, default=defaults.max_iters)
+    hyper.add_argument("--tolerance", type=float, default=defaults.tolerance)
     hyper.add_argument("--min-nodes", type=int, default=DEFAULT_MIN_NODES,
                        help="strict node threshold for labeled rows (default 500)")
     hyper.add_argument("--variant", choices=sorted(VARIANTS), default="full")

@@ -25,12 +25,6 @@ class LabelConflictError(ValueError):
     """Same token labeled both suspicious and clean."""
 
 
-@dataclass(frozen=True)
-class LabelRecord:
-    token: str
-    suspicious: int
-
-
 @dataclass
 class LabeledDataset:
     """Feature rows joined with labels, one row per (token, window).
@@ -41,7 +35,6 @@ class LabeledDataset:
     """
 
     rows: list[tuple[FeatureVector, int]]
-    windows: list[BlockWindow] = field(default_factory=list)
     unlabeled: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
@@ -105,7 +98,6 @@ def join(
     """
     rows: list[tuple[FeatureVector, int]] = []
     unlabeled: list[str] = []
-    windows: list[BlockWindow] = []
     seen_rows: set[tuple[str, int]] = set()
     for fv in features:
         if fv.num_nodes <= min_nodes:
@@ -119,9 +111,7 @@ def join(
             unlabeled.append(fv.token)
             continue
         rows.append((fv, label))
-        if fv.window not in windows:
-            windows.append(fv.window)
-    return LabeledDataset(rows=rows, windows=windows, unlabeled=unlabeled)
+    return LabeledDataset(rows=rows, unlabeled=unlabeled)
 
 
 @dataclass

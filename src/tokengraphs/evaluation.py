@@ -9,8 +9,8 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import LabeledDataset
-from .features import FeatureVector
-from .model import Model, TrainConfig, predict_proba, train
+from .features import FeatureVector, format_real
+from .model import SCAM_THRESHOLD, Model, TrainConfig, predict_proba, train
 
 
 class UndefinedAUCError(ValueError):
@@ -42,19 +42,15 @@ class ConfusionCounts:
 
 
 def confusion(predicted: Sequence[int], truth: Sequence[int]) -> ConfusionCounts:
-    counts = ConfusionCounts()
-    for pred, actual in zip(predicted, truth, strict=True):
-        if actual == 1:
-            if pred == 1:
-                counts.tp += 1
-            else:
-                counts.fn += 1
-        else:
-            if pred == 1:
-                counts.fp += 1
-            else:
-                counts.tn += 1
-    return counts
+    """Counts of predicted (1 or True) against actual (1) scams."""
+    pred = np.asarray(predicted) == 1
+    actual = np.asarray(truth) == 1
+    if pred.shape != actual.shape:
+        raise ValueError("predicted and truth must be equal-length")
+    tp = int(np.count_nonzero(pred & actual))
+    fp = int(np.count_nonzero(pred)) - tp
+    fn = int(np.count_nonzero(actual)) - tp
+    return ConfusionCounts(tp, fp, fn, actual.size - tp - fp - fn)
 
 
 def metrics(counts: ConfusionCounts) -> tuple[float, float, float, float]:
@@ -89,28 +85,15 @@ def roc_auc(
 
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
-    y_sorted = y[order]
-
-    points: list[tuple[float, float]] = [(0.0, 0.0)]
-    auc = 0.0
-    tp = fp = 0
-    i = 0
-    while i < y_sorted.size:
-        j = i
-        while j < y_sorted.size and s_sorted[j] == s_sorted[i]:
-            j += 1
-        pos_in_group = int(y_sorted[i:j].sum())
-        neg_in_group = (j - i) - pos_in_group
-        prev_tpr = tp / n_pos
-        prev_fpr = fp / n_neg
-        tp += pos_in_group
-        fp += neg_in_group
-        tpr = tp / n_pos
-        fpr = fp / n_neg
-        auc += (fpr - prev_fpr) * (tpr + prev_tpr) / 2.0
-        points.append((fpr, tpr))
-        i = j
-    return points, auc
+    # the last row of each group of tied scores (Fawcett 2006, Algorithm 2);
+    # neighbours are compared, not differenced, as inf - inf is nan
+    ends = np.flatnonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))
+    tp = np.cumsum(y[order])[ends]
+    fpr = np.append(0.0, (ends + 1 - tp) / n_neg)
+    tpr = np.append(0.0, tp / n_pos)
+    # summed left to right, as a running total would be
+    auc = np.add.accumulate((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0)
+    return list(zip(fpr.tolist(), tpr.tolist())), float(auc[-1])
 
 
 @dataclass
@@ -128,8 +111,7 @@ class EvalReport:
 
 
 def _evaluate(label: str, scores: np.ndarray, truth: Sequence[int]) -> EvalReport:
-    predicted = [1 if p >= 0.5 else 0 for p in scores]
-    counts = confusion(predicted, truth)
+    counts = confusion(scores >= SCAM_THRESHOLD, truth)
     accuracy, precision, recall, f1 = metrics(counts)
     roc, auc = roc_auc(scores, truth)
     return EvalReport(label=label, counts=counts, accuracy=accuracy,
@@ -165,15 +147,13 @@ def stratified_folds(labels: Sequence[int], k: int, seed: int) -> list[int]:
     for cls in (1, 0):
         idx = np.flatnonzero(y == cls)
         rng.shuffle(idx)
-        for position, row in enumerate(idx):
-            assignment[row] = (position + offset) % k
+        assignment[idx] = np.arange(offset, offset + idx.size) % k
         offset += idx.size
     return assignment.tolist()
 
 
 def _subset(dataset: LabeledDataset, keep: Sequence[bool]) -> LabeledDataset:
-    rows = [row for row, flag in zip(dataset.rows, keep) if flag]
-    return LabeledDataset(rows=rows, windows=list(dataset.windows))
+    return LabeledDataset(rows=[row for row, flag in zip(dataset.rows, keep) if flag])
 
 
 def kfold_cv(
@@ -188,11 +168,11 @@ def kfold_cv(
     For every fold the standardizer and coefficients are fitted on the other
     k-1 folds only; scoring a fold any model has seen raises LeakageError.
     """
-    assignment = stratified_folds(dataset.labels, k, seed)
+    assignment = np.array(stratified_folds(dataset.labels, k, seed))
     folds: list[EvalReport] = []
     for fold_id in range(k):
-        test_mask = [a == fold_id for a in assignment]
-        train_set = _subset(dataset, [not m for m in test_mask])
+        test_mask = assignment == fold_id
+        train_set = _subset(dataset, ~test_mask)
         test_set = _subset(dataset, test_mask)
         model = train(train_set, config, variant)
         folds.append(evaluate_model(model, test_set, label=f"fold-{fold_id + 1}",
@@ -262,7 +242,7 @@ def unlabeled_scan(
     if not small:
         return ScanReport(0, 0, 0.0, 0.0, 0.0)
     scores = predict_proba(model, small)
-    flagged = scores >= 0.5
+    flagged = scores >= SCAM_THRESHOLD
 
     def share(mask: np.ndarray) -> float:
         selected = int(mask.sum())
@@ -282,10 +262,6 @@ def unlabeled_scan(
 # ---------------------------------------------------------------------------
 # report files
 
-def _fmt(x: float) -> str:
-    return format(x, ".10g")
-
-
 def write_report(report: EvalReport, path: str | os.PathLike) -> None:
     """Per-fold/per-window rows plus the averaged row, comma separated."""
     write_window_reports((*report.breakdown, report), path)
@@ -299,8 +275,8 @@ def write_window_reports(reports: Sequence[EvalReport], path: str | os.PathLike)
             c = row.counts
             handle.write(",".join((
                 row.label, str(c.tp), str(c.fp), str(c.fn), str(c.tn),
-                _fmt(row.accuracy), _fmt(row.precision), _fmt(row.recall),
-                _fmt(row.f1), _fmt(row.auc),
+                *map(format_real, (row.accuracy, row.precision, row.recall,
+                                   row.f1, row.auc)),
             )) + "\n")
 
 
@@ -309,7 +285,7 @@ def write_roc(points: Sequence[tuple[float, float]], path: str | os.PathLike) ->
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("fpr,tpr\n")
         for fpr, tpr in points:
-            handle.write(f"{_fmt(fpr)},{_fmt(tpr)}\n")
+            handle.write(f"{format_real(fpr)},{format_real(tpr)}\n")
 
 
 def write_scan_report(report: ScanReport, path: str | os.PathLike) -> None:
@@ -317,6 +293,6 @@ def write_scan_report(report: ScanReport, path: str | os.PathLike) -> None:
         handle.write("metric,value\n")
         handle.write(f"total_scanned,{report.total}\n")
         handle.write(f"predicted_scam,{report.predicted_scam}\n")
-        handle.write(f"predicted_scam_share,{_fmt(report.scam_share)}\n")
-        handle.write(f"share_over_100_nodes,{_fmt(report.share_over_100_nodes)}\n")
-        handle.write(f"share_lifetime_under_1000,{_fmt(report.share_lifetime_under_1000)}\n")
+        handle.write(f"predicted_scam_share,{format_real(report.scam_share)}\n")
+        handle.write(f"share_over_100_nodes,{format_real(report.share_over_100_nodes)}\n")
+        handle.write(f"share_lifetime_under_1000,{format_real(report.share_lifetime_under_1000)}\n")

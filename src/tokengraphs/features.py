@@ -108,7 +108,8 @@ def feature_matrix(
     return matrix
 
 
-def _format_real(x: float) -> str:
+def format_real(x: float) -> str:
+    """A real number as the feature table and the report files write it."""
     return format(x, ".10g")
 
 
@@ -121,11 +122,11 @@ def write_feature_table(vectors: Iterable[FeatureVector], path: str | os.PathLik
                 fv.token,
                 str(fv.window.start), str(fv.window.end),
                 str(fv.num_nodes), str(fv.num_edges),
-                _format_real(fv.density),
+                format_real(fv.density),
                 str(fv.num_components),
-                _format_real(fv.avg_comp_size),
+                format_real(fv.avg_comp_size),
                 str(fv.lifetime),
-                _format_real(fv.transfer_std_dev),
+                format_real(fv.transfer_std_dev),
                 str(fv.amount),
             )))
             handle.write("\n")
@@ -146,18 +147,27 @@ def read_feature_table(path: str | os.PathLike) -> list[FeatureVector]:
             fields = line.split(",")
             if len(fields) != 11:
                 raise ValueError(f"line {line_no}: expected 11 columns")
-            vectors.append(FeatureVector(
-                token=fields[0],
-                window=BlockWindow(int(fields[1]), int(fields[2])),
-                num_nodes=int(fields[3]),
-                num_edges=int(fields[4]),
-                density=float(fields[5]),
-                num_components=int(fields[6]),
-                avg_comp_size=float(fields[7]),
-                lifetime=int(fields[8]),
-                transfer_std_dev=float(fields[9]),
-                amount=int(fields[10]),
-            ))
+            try:
+                fv = FeatureVector(
+                    token=fields[0],
+                    window=BlockWindow(int(fields[1]), int(fields[2])),
+                    num_nodes=int(fields[3]),
+                    num_edges=int(fields[4]),
+                    density=float(fields[5]),
+                    num_components=int(fields[6]),
+                    avg_comp_size=float(fields[7]),
+                    lifetime=int(fields[8]),
+                    transfer_std_dev=float(fields[9]),
+                    amount=int(fields[10]),
+                )
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
+            # a nan or inf would reach the model matrix and every score
+            if not all(map(math.isfinite, (fv.density, fv.avg_comp_size,
+                                           fv.transfer_std_dev))):
+                raise ValueError(f"line {line_no}: density, avg_comp_size and "
+                                 f"transfer_std_dev must be finite")
+            vectors.append(fv)
     return vectors
 
 
@@ -166,8 +176,8 @@ def histogram_bins(
 ) -> dict[str, list[tuple[float, float, int]]]:
     """Per-feature (bin_start, bin_end, count) triples for external plotting."""
     out: dict[str, list[tuple[float, float, int]]] = {}
-    for name in FULL_FEATURES:
-        column = np.array([fv.value(name) for fv in vectors], dtype=np.float64)
+    matrix = feature_matrix(vectors, FULL_FEATURES)
+    for name, column in zip(FULL_FEATURES, matrix.T):
         if column.size == 0:
             out[name] = []
             continue
@@ -188,4 +198,4 @@ def write_histograms(
         handle.write("feature,bin_start,bin_end,count\n")
         for name, rows in histograms.items():
             for lo, hi, count in rows:
-                handle.write(f"{name},{_format_real(lo)},{_format_real(hi)},{count}\n")
+                handle.write(f"{name},{format_real(lo)},{format_real(hi)},{count}\n")

@@ -60,12 +60,13 @@ def build_graphs(batch: WindowBatch, window: BlockWindow) -> dict[str, TokenGrap
                                  np.arange(len(batch.tokens) + 1)).tolist()
     src, dst = batch.src[order], batch.dst[order]
     values, blocks = batch.values[order], batch.block[order]
+    amounts = np.add.reduceat(values, edge_start[:-1]).tolist()
 
     graphs: dict[str, TokenGraph] = {}
     for t, name in enumerate(batch.tokens):
         lo, hi = edge_start[t], edge_start[t + 1]
         graphs[name] = TokenGraph(name, window, batch.nodes[t], src[lo:hi], dst[lo:hi],
-                                  values[lo:hi], blocks[lo:hi], batch.amounts[t])
+                                  values[lo:hi], blocks[lo:hi], amounts[t])
     return graphs
 
 

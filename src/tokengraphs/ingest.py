@@ -28,6 +28,7 @@ TRANSFER_TOPIC = "0xddf252ad1be2c89b69c2b068fc378daa952ba7f163c4a11628f55a4df523
 ENDPOINT_ENV_VAR = "ETH_RPC_URL"
 
 UINT256_MAX = (1 << 256) - 1
+INT64_MAX = (1 << 63) - 1  # blocks and log indexes become int64 columns
 
 _ADDRESS_RE = re.compile(r"^0x[0-9a-f]{40}$")
 _TXHASH_RE = re.compile(r"^0x[0-9a-f]{64}$")
@@ -348,11 +349,13 @@ def read_fixture(path: str | os.PathLike) -> Iterator[TransferEvent]:
                 if m is None:
                     raise _diagnose_fixture_line(line_no, stripped)
             token, from_addr, to_addr, value, block, log_index, tx_hash = m.groups()
-            value = int(value)
+            value, block, log_index = int(value), int(block), int(log_index)
             if value > UINT256_MAX:
                 raise FixtureValueError(line_no, "value out of uint256 range")
+            if block > INT64_MAX or log_index > INT64_MAX:
+                raise FixtureValueError(line_no, "block or logIndex out of int64 range")
             yield new_event(TransferEvent, (token, from_addr, to_addr, value,
-                                            int(block), int(log_index), tx_hash))
+                                            block, log_index, tx_hash))
 
 
 def write_fixture(events: Iterable[TransferEvent], path: str | os.PathLike) -> int:
@@ -387,7 +390,6 @@ class WindowBatch:
     block: np.ndarray      # int64
     log_index: np.ndarray  # int64
     values: np.ndarray     # object array of exact python ints
-    amounts: list[int]     # exact sum of values, by token id
 
     def __len__(self) -> int:
         return len(self.token)
@@ -436,12 +438,8 @@ class _BatchBuilder:
 
     def finish(self) -> WindowBatch:
         token, src, dst, block, log_index = map(np.concatenate, zip(*self.chunks))
-        values = np.array(self.values, dtype=object)
-        by_token = np.argsort(token, kind="stable")
-        starts = np.searchsorted(token[by_token], np.arange(len(self.token_ids)))
         return WindowBatch(list(self.token_ids), list(map(list, self.node_ids)), token,
-                           src, dst, block, log_index, values,
-                           np.add.reduceat(values[by_token], starts).tolist())
+                           src, dst, block, log_index, np.array(self.values, dtype=object))
 
 
 def partition_windows(

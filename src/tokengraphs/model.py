@@ -18,6 +18,9 @@ from .features import VARIANTS, FeatureVector, feature_matrix
 
 MODEL_FORMAT_VERSION = 1
 
+# a scam probability at or above this is a predicted scam
+SCAM_THRESHOLD = 0.5
+
 _KNOWN_FEATURE_NAMES = frozenset(
     name for names in VARIANTS.values() for name in names
 )
@@ -207,13 +210,6 @@ def predict_proba(model: Model, vectors: Sequence[FeatureVector]) -> np.ndarray:
     matrix = feature_matrix(vectors, model.feature_names,
                             log_amount=model.config.log_amount)
     return model.predict_matrix(matrix)
-
-
-def classify(probability: float, threshold: float = 0.5) -> int:
-    """Map a probability to a class label; the threshold itself maps to 1."""
-    if not 0.0 <= probability <= 1.0:
-        raise ValueError(f"probability out of range: {probability}")
-    return 1 if probability >= threshold else 0
 
 
 # ---------------------------------------------------------------------------

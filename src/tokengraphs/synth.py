@@ -12,7 +12,6 @@ can be regenerated byte-identically from their manifest.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import asdict, dataclass
@@ -120,7 +119,7 @@ def _batch_from_edges(
     ends = np.fromiter(chain.from_iterable(edges), np.int32, 2 * n).reshape(n, 2)[order]
     return WindowBatch([token], [addresses], np.zeros(n, np.int32), ends[:, 0],
                        ends[:, 1], blocks[order], np.arange(n, dtype=np.int64),
-                       np.array(values, dtype=object)[order], [sum(values)])
+                       np.array(values, dtype=object)[order])
 
 
 def _fixture_lines(batch: WindowBatch) -> list[str]:
@@ -377,7 +376,6 @@ def gen_corpus(
     labels_path: str | os.PathLike,
     profile: CorpusProfile | None = None,
     seed: int = 0,
-    manifest_path: str | os.PathLike | None = None,
 ) -> dict:
     """Write a multi-window corpus fixture plus its ground-truth label file.
 
@@ -385,7 +383,8 @@ def gen_corpus(
     the scam half split evenly between the star and poisoning shapes.
     Legitimate tokens recur in every window under the same address; scam
     tokens are minted fresh per window, which is what makes the pooled
-    suspicious fraction drop below the unique-token one.
+    suspicious fraction drop below the unique-token one.  Returns the corpus
+    description that ``synth`` records in its manifest.
     """
     if not 0.0 <= scam_fraction <= 1.0:
         raise ValueError("scam fraction must be within [0, 1]")
@@ -425,7 +424,7 @@ def gen_corpus(
 
     write_labels(labels, labels_path)
 
-    manifest = {
+    return {
         "format": 1,
         "kind": "synthetic-corpus",
         "seed": seed,
@@ -437,11 +436,6 @@ def gen_corpus(
         "scam_tokens_per_window": n_scam,
         "total_events": total_events,
     }
-    if manifest_path is not None:
-        with open(manifest_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    return manifest
 
 
 @dataclass

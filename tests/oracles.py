@@ -111,3 +111,73 @@ def finite_diff_gradient(func, params: np.ndarray, h: float = 1e-6) -> np.ndarra
         bumped_down[i] -= h
         grad[i] = (func(bumped_up) - func(bumped_down)) / (2.0 * h)
     return grad
+
+
+def loop_confusion(predicted: list[int], truth: list[int]) -> tuple[int, int, int, int]:
+    """(tp, fp, fn, tn) counted row by row; 1 is a scam, anything else is not."""
+    tp = fp = fn = tn = 0
+    for pred, actual in zip(predicted, truth, strict=True):
+        if actual == 1:
+            if pred == 1:
+                tp += 1
+            else:
+                fn += 1
+        else:
+            if pred == 1:
+                fp += 1
+            else:
+                tn += 1
+    return tp, fp, fn, tn
+
+
+def loop_roc_auc(
+    scores: list[float], truth: list[int],
+) -> tuple[list[tuple[float, float]], float]:
+    """ROC points and trapezoidal AUC, walking the scores from the highest
+    down one group of tied scores at a time (Fawcett 2006, Algorithm 2).
+    Both classes must be present and no score may be nan."""
+    y = np.asarray(truth, dtype=np.int64)
+    s = np.asarray(scores, dtype=np.float64)
+    n_pos = int(y.sum())
+    n_neg = int(y.size - n_pos)
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    y_sorted = y[order]
+
+    points: list[tuple[float, float]] = [(0.0, 0.0)]
+    auc = 0.0
+    tp = fp = 0
+    i = 0
+    while i < y_sorted.size:
+        j = i
+        while j < y_sorted.size and s_sorted[j] == s_sorted[i]:
+            j += 1
+        pos_in_group = int(y_sorted[i:j].sum())
+        neg_in_group = (j - i) - pos_in_group
+        prev_tpr = tp / n_pos
+        prev_fpr = fp / n_neg
+        tp += pos_in_group
+        fp += neg_in_group
+        tpr = tp / n_pos
+        fpr = fp / n_neg
+        auc += (fpr - prev_fpr) * (tpr + prev_tpr) / 2.0
+        points.append((fpr, tpr))
+        i = j
+    return points, auc
+
+
+def loop_stratified_folds(labels: list[int], k: int, seed: int) -> list[int]:
+    """Fold ids dealt row by row: each class (1 first) is shuffled by one
+    seeded generator and dealt round-robin, the second class starting where
+    the first left off."""
+    y = np.asarray(labels, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    assignment = np.empty(y.size, dtype=np.int64)
+    offset = 0
+    for cls in (1, 0):
+        idx = np.flatnonzero(y == cls)
+        rng.shuffle(idx)
+        for position, row in enumerate(idx):
+            assignment[row] = (position + offset) % k
+        offset += idx.size
+    return assignment.tolist()

@@ -109,6 +109,18 @@ def test_features_bad_line_reads_the_fixture_once(tmp_path, monkeypatch, capsys)
     assert not out.exists()
 
 
+def test_features_block_beyond_int64_is_an_input_error(tmp_path, capsys):
+    fields = format_fixture_line(make_event()).split("\t")
+    fields[4] = "99999999999999999999999"
+    fixture = tmp_path / "big.tsv"
+    fixture.write_text("\t".join(fields) + "\n")
+    out = tmp_path / "f.csv"
+    assert main(["features", "--fixture", str(fixture), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: line 1: block or logIndex out of int64 range"]
+    assert not out.exists()
+
+
 def test_features_interleaved_windows_are_an_input_error(tmp_path, monkeypatch,
                                                          capsys):
     events = [make_event(block=18_000_001), make_event(block=18_100_001),
@@ -252,6 +264,22 @@ def test_train_single_class_labels_fails(corpus, tmp_path):
     assert main(["train", "--features", str(corpus["features"]),
                  "--labels", str(labels),
                  "--model-out", str(tmp_path / "m.txt")]) == 2
+
+
+def test_train_on_a_table_with_a_nan_cell_exits_2(corpus, capsys):
+    lines = corpus["features"].read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[5] = "nan"  # density
+    lines[3] = ",".join(fields)
+    table = corpus["tmp"] / "nan.csv"
+    table.write_text("\n".join(lines) + "\n")
+    model_out = corpus["tmp"] / "m.txt"
+    capsys.readouterr()
+    assert main(["train", "--features", str(table), "--labels", str(corpus["labels"]),
+                 "--model-out", str(model_out), "--min-nodes", "0"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: line 4: density, avg_comp_size and transfer_std_dev must be finite"]
+    assert not model_out.exists()
 
 
 def test_cv_report_is_seed_deterministic(corpus):

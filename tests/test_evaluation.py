@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokengraphs.dataset import LabeledDataset
 from tokengraphs.evaluation import (
@@ -22,9 +24,9 @@ from tokengraphs.evaluation import (
     write_scan_report,
 )
 from tokengraphs.ingest import BlockWindow
-from tokengraphs.model import train
+from tokengraphs.model import SCAM_THRESHOLD, train
 
-from oracles import pairwise_auc
+from oracles import loop_confusion, loop_roc_auc, loop_stratified_folds, pairwise_auc
 from test_model import toy_dataset, _vector
 
 WINDOW = BlockWindow(18_000_000, 18_100_000)
@@ -102,6 +104,41 @@ def test_trapezoid_equals_pairwise_oracle_with_ties():
         assert auc == pytest.approx(pairwise_auc(scores, truth), abs=1e-12)
 
 
+@st.composite
+def scored_rows(draw):
+    """Scores with truth labels of both classes.  Scores come from a small
+    pool, so ties are common; a one-score pool puts every row in one group."""
+    n = draw(st.integers(2, 60))
+    pool = draw(st.one_of(
+        st.just([SCAM_THRESHOLD]),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+        st.lists(st.floats(allow_nan=False), min_size=1, max_size=n)))
+    scores = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    n_pos = draw(st.integers(1, n - 1))
+    truth = draw(st.permutations([1] * n_pos + [0] * (n - n_pos)))
+    return scores, truth
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_rows())
+def test_roc_and_confusion_equal_the_loop_references(rows):
+    scores, truth = rows
+    points, auc = roc_auc(scores, truth)
+    loop_points, loop_auc = loop_roc_auc(scores, truth)
+    assert points == loop_points
+    assert auc == loop_auc
+    counts = confusion(np.array(scores) >= SCAM_THRESHOLD, truth)
+    predicted = [1 if score >= SCAM_THRESHOLD else 0 for score in scores]
+    assert (counts.tp, counts.fp, counts.fn, counts.tn) == loop_confusion(predicted,
+                                                                          truth)
+
+
+def test_confusion_of_nothing_is_zeros_and_lengths_must_match():
+    assert confusion([], []) == ConfusionCounts()
+    with pytest.raises(ValueError):
+        confusion([1, 0], [1])
+
+
 # --- folds ------------------------------------------------------------------------
 
 def test_hundred_rows_make_five_equal_folds():
@@ -145,6 +182,23 @@ def test_folds_partition_every_row():
     assert set(assignment) == set(range(5))
 
 
+@st.composite
+def fold_labels(draw):
+    """Labels of two classes, each with at least ``k`` rows, often exactly ``k``."""
+    k = draw(st.integers(2, 6))
+    n_pos = draw(st.one_of(st.just(k), st.integers(k, 5 * k)))
+    n_neg = draw(st.one_of(st.just(k), st.integers(k, 5 * k)))
+    labels = draw(st.permutations([1] * n_pos + [0] * n_neg))
+    return labels, k, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fold_labels())
+def test_folds_equal_the_loop_reference(case):
+    labels, k, seed = case
+    assert stratified_folds(labels, k, seed) == loop_stratified_folds(labels, k, seed)
+
+
 # --- cross validation ----------------------------------------------------------------
 
 def test_cv_report_shape_and_averaging():
@@ -171,6 +225,27 @@ def test_evaluating_training_rows_trips_the_leakage_guard():
     model = train(dataset)
     with pytest.raises(LeakageError):
         evaluate_model(model, dataset, check_leakage=True)
+
+
+def _constant_model(dataset, intercept, variant="full"):
+    """A model trained on ``dataset`` whose every score is sigmoid(intercept)."""
+    model = train(dataset, variant=variant)
+    model.intercept = intercept
+    model.coefficients = np.zeros_like(model.coefficients)
+    return model
+
+
+def test_a_score_exactly_at_the_threshold_is_a_predicted_scam():
+    dataset = toy_dataset(10)
+    at = evaluate_model(_constant_model(dataset, 0.0), dataset)  # sigmoid(0) = 0.5
+    assert (at.counts.tp, at.counts.fp, at.counts.fn, at.counts.tn) == (10, 10, 0, 0)
+    below = evaluate_model(_constant_model(dataset, -1e-9), dataset)
+    assert (below.counts.tp, below.counts.fp) == (0, 0)
+    vectors = [small_vector("0x" + "5" * 40, 120, 700)]
+    assert unlabeled_scan(_constant_model(dataset, 0.0, "reduced"),
+                          vectors).predicted_scam == 1
+    assert unlabeled_scan(_constant_model(dataset, -1e-9, "reduced"),
+                          vectors).predicted_scam == 0
 
 
 # --- cross-window ----------------------------------------------------------------------

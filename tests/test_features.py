@@ -209,6 +209,21 @@ def test_feature_table_rejects_foreign_header(tmp_path):
         read_feature_table(path)
 
 
+@pytest.mark.parametrize("column, cell, message", [
+    (5, "nan", "must be finite"), (7, "inf", "must be finite"),
+    (9, "-inf", "must be finite"), (3, "12x", "invalid literal")])
+def test_feature_table_rejects_a_bad_cell_naming_its_line(tmp_path, column, cell,
+                                                          message):
+    path = tmp_path / "features.csv"
+    write_feature_table([features_of([("0xa", "0xb", 10, 18_000_100)])], path)
+    header, row = path.read_text().splitlines()
+    fields = row.split(",")
+    fields[column] = cell
+    path.write_text(f"{header}\n{','.join(fields)}\n")
+    with pytest.raises(ValueError, match=f"^line 2: .*{message}"):
+        read_feature_table(path)
+
+
 def test_histogram_bins_cover_all_rows():
     vectors = [features_of([("0xa", "0xb", v, 18_000_000 + v)])
                for v in range(1, 30)]

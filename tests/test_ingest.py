@@ -14,6 +14,7 @@ from tokengraphs.ingest import (
     FetchError,
     FixtureParseError,
     FixtureValueError,
+    INT64_MAX,
     RangeTooDenseError,
     RawLog,
     TransferEvent,
@@ -166,6 +167,20 @@ def test_fixture_rejects_value_above_uint256(tmp_path):
     path.write_text("\t".join(fields) + "\n")
     with pytest.raises(FixtureValueError):
         list(read_fixture(path))
+
+
+@pytest.mark.parametrize("field", [4, 5])  # block, logIndex
+def test_fixture_rejects_block_or_log_index_beyond_int64(tmp_path, field):
+    path = tmp_path / "range.tsv"
+    fields = format_fixture_line(make_event()).split("\t")
+    fields[field] = str(INT64_MAX)
+    path.write_text("\t".join(fields) + "\n")
+    assert list(read_fixture(path))[0][field] == INT64_MAX
+    for too_big in (INT64_MAX + 1, 10 ** 23 - 1):
+        fields[field] = str(too_big)
+        path.write_text("\t".join(fields) + "\n")
+        with pytest.raises(FixtureValueError, match="^line 1: .*int64"):
+            list(read_fixture(path))
 
 
 def test_fixture_rejects_wrong_field_count(tmp_path):

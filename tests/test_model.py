@@ -15,7 +15,6 @@ from tokengraphs.model import (
     Standardizer,
     TrainConfig,
     TrainingError,
-    classify,
     load_model,
     loss_and_gradient,
     predict_proba,
@@ -56,7 +55,7 @@ def toy_dataset(n_per_class: int = 30, seed: int = 0) -> LabeledDataset:
     return LabeledDataset(rows=rows)
 
 
-# --- sigmoid / classify -------------------------------------------------------
+# --- sigmoid ----------------------------------------------------------------
 
 def test_sigmoid_midpoint_and_saturation():
     assert sigmoid(0.0) == pytest.approx(0.5)
@@ -65,15 +64,6 @@ def test_sigmoid_midpoint_and_saturation():
     assert sigmoid(50.0) <= 1.0
     assert sigmoid(-50.0) < 1e-20
     assert sigmoid(-1000.0) == pytest.approx(0.0)  # overflow-safe branch
-
-
-def test_classify_boundary_is_inclusive():
-    assert classify(0.5) == 1
-    assert classify(0.4999) == 0
-    assert classify(0.8, threshold=0.9) == 0
-    assert classify(1.0) == 1 and classify(0.0) == 0
-    with pytest.raises(ValueError):
-        classify(1.5)
 
 
 # --- standardizer ---------------------------------------------------------------

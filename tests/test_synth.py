@@ -217,8 +217,7 @@ def test_every_archetype_holds_its_contract_over_many_seeds():
 def test_corpus_files_round_trip_and_label_consistency(tmp_path):
     fixture = tmp_path / "fixture.tsv"
     labels_path = tmp_path / "labels.csv"
-    manifest = gen_corpus(20, 0.35, [WINDOW], fixture, labels_path, seed=1,
-                          manifest_path=tmp_path / "manifest.json")
+    manifest = gen_corpus(20, 0.35, [WINDOW], fixture, labels_path, seed=1)
     events = list(read_fixture(fixture))
     assert len(events) == manifest["total_events"]
 
@@ -254,13 +253,11 @@ def test_zero_scam_fraction_gives_all_clean_labels(tmp_path):
 
 
 def test_corpus_rerun_is_byte_identical(tmp_path):
-    for run in ("a", "b"):
-        gen_corpus(15, 0.4, [WINDOW], tmp_path / f"f{run}.tsv",
-                   tmp_path / f"l{run}.csv", seed=9,
-                   manifest_path=tmp_path / f"m{run}.json")
+    corpora = [gen_corpus(15, 0.4, [WINDOW], tmp_path / f"f{run}.tsv",
+                          tmp_path / f"l{run}.csv", seed=9) for run in ("a", "b")]
     assert (tmp_path / "fa.tsv").read_bytes() == (tmp_path / "fb.tsv").read_bytes()
     assert (tmp_path / "la.csv").read_bytes() == (tmp_path / "lb.csv").read_bytes()
-    assert (tmp_path / "ma.json").read_bytes() == (tmp_path / "mb.json").read_bytes()
+    assert corpora[0] == corpora[1]
 
 
 def test_legitimate_tokens_recur_scams_do_not(tmp_path):
