@@ -7,9 +7,8 @@ drop the ones that are not fungible-token transfers, and look at the
 resulting per-token multigraph.
 """
 
-from tokengraphs import (TRANSFER_TOPIC, RawLog, build_graphs,
-                         decode_logs, degree_stats, partition_windows,
-                         weak_components)
+from tokengraphs.graphs import build_graphs, degree_stats, weak_components
+from tokengraphs.ingest import TRANSFER_TOPIC, RawLog, decode_logs, partition_windows
 
 print(f"Transfer topic0: {TRANSFER_TOPIC}")
 

@@ -9,37 +9,35 @@ address) and the address-poisoning spray (hundreds of 2-4 node scraps
 sending dust).  The per-graph features make the difference measurable.
 """
 
-from tokengraphs import (ArchetypeConfig, BlockWindow, build_graphs,
-                         degree_stats, extract_features,
-                         gen_counterfeit_poisoning, gen_honeypot_star,
-                         gen_legitimate, weak_components)
-from tokengraphs.features import histogram_bins
+from tokengraphs.features import extract_features, histogram_bins
+from tokengraphs.graphs import build_graphs, degree_stats, weak_components
+from tokengraphs.ingest import BlockWindow
+from tokengraphs.synth import ArchetypeConfig, generate
 
 window = BlockWindow(18_000_000, 18_100_000)
 
 configs = [
-    ("legitimate", gen_legitimate,
+    ("legitimate",
      ArchetypeConfig(kind="legitimate", node_budget=2_000, window=window,
                      lifetime=90_000, seed=7)),
-    ("honeypot star", gen_honeypot_star,
+    ("honeypot star",
      ArchetypeConfig(kind="honeypot_star", node_budget=2_173, window=window,
                      lifetime=8_000, temporal_concentration=0.3, seed=7)),
-    ("address poisoning", gen_counterfeit_poisoning,
+    ("address poisoning",
      ArchetypeConfig(kind="counterfeit_poisoning", node_budget=900,
                      window=window, lifetime=6_000,
                      temporal_concentration=0.3, seed=7)),
 ]
 
 vectors = []
-for name, generator, cfg in configs:
-    batch, label = generator(cfg)
-    graph, = build_graphs(batch, window).values()
+for name, cfg in configs:
+    graph, = build_graphs(generate(cfg), window).values()
     comps = weak_components(graph)
     fv = extract_features(graph)
     vectors.append(fv)
     in_deg, out_deg = degree_stats(graph)
     hubs = (in_deg + out_deg > 3).sum()
-    print(f"{name} (label={label}):")
+    print(f"{name} (label={cfg.label}):")
     print(f"  nodes={fv.num_nodes} edges={fv.num_edges} "
           f"components={fv.num_components} avg_comp_size={fv.avg_comp_size:.1f}")
     print(f"  lifetime={fv.lifetime} blocks, std_dev={fv.transfer_std_dev:.0f}, "

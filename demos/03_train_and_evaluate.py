@@ -10,10 +10,12 @@ how the frozen model carries over to the second window.
 import tempfile
 from pathlib import Path
 
-from tokengraphs import (BlockWindow, build_graphs, cross_window_eval,
-                         extract_features, gen_corpus, join, kfold_cv,
-                         load_labels, read_fixture, summarize)
-from tokengraphs.ingest import iter_window_groups
+from tokengraphs.dataset import join, load_labels, summarize
+from tokengraphs.evaluation import cross_window_eval, kfold_cv
+from tokengraphs.features import extract_features
+from tokengraphs.graphs import build_graphs
+from tokengraphs.ingest import BlockWindow, iter_window_groups, read_fixture
+from tokengraphs.synth import gen_corpus
 
 workdir = Path(tempfile.mkdtemp(prefix="tokengraphs_demo_"))
 windows = [BlockWindow(18_000_000, 18_100_000),

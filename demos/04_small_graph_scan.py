@@ -12,10 +12,13 @@ shows how much of the model's verdict rides on it.
 import tempfile
 from pathlib import Path
 
-from tokengraphs import (BlockWindow, build_graphs, extract_features,
-                         gen_corpus, gen_scan_corpus, join, load_labels,
-                         read_fixture, train, unlabeled_scan)
-from tokengraphs.ingest import iter_window_groups
+from tokengraphs.dataset import join, load_labels
+from tokengraphs.evaluation import unlabeled_scan
+from tokengraphs.features import extract_features
+from tokengraphs.graphs import build_graphs
+from tokengraphs.ingest import BlockWindow, iter_window_groups, read_fixture
+from tokengraphs.model import train
+from tokengraphs.synth import gen_corpus, gen_scan_corpus
 
 workdir = Path(tempfile.mkdtemp(prefix="tokengraphs_scan_"))
 window = BlockWindow(18_000_000, 18_100_000)

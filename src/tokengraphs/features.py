@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -167,6 +168,8 @@ def read_feature_table(path: str | os.PathLike) -> list[FeatureVector]:
                                            fv.transfer_std_dev))):
                 raise ValueError(f"line {line_no}: density, avg_comp_size and "
                                  f"transfer_std_dev must be finite")
+            if abs(fv.amount) > sys.float_info.max:  # the model matrix is float64
+                raise ValueError(f"line {line_no}: amount beyond the float64 range")
             vectors.append(fv)
     return vectors
 

@@ -36,7 +36,7 @@ _TXHASH_RE = re.compile(r"^0x[0-9a-f]{64}$")
 # one anchored pattern for the hot path; failures get a slow, precise diagnosis
 _FIXTURE_LINE_RE = re.compile(
     r"(0x[0-9a-f]{40})\t(0x[0-9a-f]{40})\t(0x[0-9a-f]{40})"
-    r"\t(\d+)\t(\d+)\t(\d+)\t(0x[0-9a-f]{64})$"
+    r"\t([0-9]+)\t([0-9]+)\t([0-9]+)\t(0x[0-9a-f]{64})$"
 )
 
 # provider messages that mean "narrow the block range", collected from the
@@ -329,7 +329,7 @@ def _diagnose_fixture_line(line_no: int, line: str) -> FixtureParseError:
     if not _TXHASH_RE.match(tx_hash):
         return FixtureParseError(line_no, f"bad txHash: {tx_hash!r}")
     for name, field in (("value", value_s), ("block", block_s), ("logIndex", index_s)):
-        if not field.isdigit():
+        if not (field.isascii() and field.isdigit()):
             return FixtureParseError(line_no, f"non-decimal {name}: {field!r}")
     return FixtureParseError(line_no, "malformed record")
 

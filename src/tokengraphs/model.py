@@ -271,6 +271,10 @@ def load_model(path: str | os.PathLike) -> Model:
     stds = np.array([float(v) for v in entries["stds"].split(",")])
     if not (len(names) == coefficients.size == means.size == stds.size):
         raise ModelFormatError("inconsistent feature/coefficient counts")
+    intercept = float(entries["intercept"])
+    # a nan or inf here would turn every score into nan, and nan flags nothing
+    if not np.isfinite([intercept, *coefficients, *means, *stds]).all():
+        raise ModelFormatError("intercept, coefficients, means and stds must be finite")
     config = TrainConfig(
         lam=float(entries["lambda"]),
         learning_rate=float(entries["learning_rate"]),
@@ -281,7 +285,7 @@ def load_model(path: str | os.PathLike) -> Model:
     )
     return Model(
         feature_names=names,
-        intercept=float(entries["intercept"]),
+        intercept=intercept,
         coefficients=coefficients,
         standardizer=Standardizer(means=means, stds=stds),
         config=config,

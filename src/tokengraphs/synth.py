@@ -1,6 +1,6 @@
 """Seeded synthetic transfer corpora with the three observed graph shapes.
 
-Three generators cover the structures seen in real token networks: a
+``generate(cfg)`` builds the structures seen in real token networks: a
 legitimate token (giant interconnected component plus satellite flecks,
 activity spread across most of the window), a honeypot/rug-pull star (one
 component, two hubs, short clustered burst of activity), and an
@@ -30,12 +30,17 @@ HONEYPOT_STAR = "honeypot_star"
 COUNTERFEIT_POISONING = "counterfeit_poisoning"
 
 KINDS = (LEGITIMATE, HONEYPOT_STAR, COUNTERFEIT_POISONING)
+_BUDGET_FLOORS = {LEGITIMATE: 20, HONEYPOT_STAR: 10, COUNTERFEIT_POISONING: 6}
 
 SCAM_LIFETIME_CAP = 10_000  # blocks; scam bursts stay under this
 
 # measured clustering must come in under concentration * uniform std dev,
 # so the sampling sigma keeps this much headroom
 _CLUSTER_MARGIN = 2.0
+
+_TOKEN_INDEX = (1 << 64) - 1  # a namespace's token address; its nodes count from 1
+
+Edges = list[tuple[int, int]]  # (from, to) node ids, in wiring order
 
 
 @dataclass(frozen=True)
@@ -58,68 +63,58 @@ class ArchetypeConfig:
             raise ValueError("temporal concentration must be in (0, 1]")
         if not 0 <= self.lifetime <= self.window.width - 1:
             raise ValueError("lifetime must fit inside the window")
+        floor = _BUDGET_FLOORS[self.kind]
+        if self.node_budget < floor:
+            raise ValueError(f"{self.kind} archetype needs a node budget of at least {floor}")
+        if self.kind == LEGITIMATE and self.lifetime < 0.8 * self.window.width:
+            raise ValueError("legitimate archetype lifetime must cover >= 80% of the window")
+        if self.kind != LEGITIMATE and self.lifetime >= SCAM_LIFETIME_CAP:
+            raise ValueError(f"{self.kind} lifetime must stay under {SCAM_LIFETIME_CAP} blocks")
+
+    @property
+    def label(self) -> int:
+        """Ground truth: 0 for a legitimate token, 1 for either scam shape."""
+        return int(self.kind != LEGITIMATE)
 
 
-def _addr(namespace: int, index: int) -> str:
-    return f"0x{namespace % (1 << 80):020x}{index % (1 << 80):020x}"
-
-
-def _addrs(namespace: int, first: int, count: int) -> list[str]:
-    """``_addr(namespace, i)`` for ``count`` indexes from ``first`` (below 2**80)."""
+def _addresses(namespace: int, first: int, count: int = 1) -> list[str]:
+    """The addresses of ``namespace`` at ``count`` indexes from ``first``
+    (below 2**80)."""
     return list(map(f"0x{namespace % (1 << 80):020x}%020x".__mod__,
                     range(first, first + count)))
 
 
 def token_address(seed: int, window_tag: int, token_idx: int) -> str:
-    return _addr((seed % (1 << 40)) << 39 | (window_tag << 26) | token_idx | 1 << 79,
-                 (1 << 64) - 1)
+    namespace = (seed % (1 << 40)) << 39 | (window_tag << 26) | token_idx | 1 << 79
+    return _addresses(namespace, _TOKEN_INDEX)[0]
 
 
-def _uniform_blocks(rng: np.random.Generator, n: int, window: BlockWindow,
-                    lifetime: int) -> np.ndarray:
+def _blocks(rng: np.random.Generator, n: int, cfg: ArchetypeConfig) -> np.ndarray:
+    """Legitimate activity is uniform over the lifetime, with the endpoints
+    pinned so the measured lifetime is exact; scam activity is one normal
+    burst, clipped to the lifetime."""
+    window, lifetime = cfg.window, cfg.lifetime
     slack = window.width - 1 - lifetime
     t0 = window.start + (int(rng.integers(0, slack + 1)) if slack > 0 else 0)
-    blocks = rng.integers(t0, t0 + lifetime + 1, size=n)
-    if n >= 2:  # pin the endpoints so the measured lifetime is exact
-        blocks[0] = t0
-        blocks[1] = t0 + lifetime
-    return blocks.astype(np.int64)
-
-
-def _clustered_blocks(rng: np.random.Generator, n: int, window: BlockWindow,
-                      lifetime: int, concentration: float) -> np.ndarray:
-    slack = window.width - 1 - lifetime
-    t0 = window.start + (int(rng.integers(0, slack + 1)) if slack > 0 else 0)
+    if cfg.kind == LEGITIMATE:
+        blocks = rng.integers(t0, t0 + lifetime + 1, size=n)
+        if n >= 2:
+            blocks[0] = t0
+            blocks[1] = t0 + lifetime
+        return blocks.astype(np.int64)
     uniform_std = lifetime / math.sqrt(12.0)
-    sigma = max(concentration * uniform_std / _CLUSTER_MARGIN, 1e-9)
-    center = t0 + lifetime / 2.0
-    blocks = np.rint(rng.normal(center, sigma, size=n))
+    sigma = max(cfg.temporal_concentration * uniform_std / _CLUSTER_MARGIN, 1e-9)
+    blocks = np.rint(rng.normal(t0 + lifetime / 2.0, sigma, size=n))
     return np.clip(blocks, t0, t0 + lifetime).astype(np.int64)
 
 
-def _lognormal_values(rng: np.random.Generator, n: int, scale: float,
-                      token_sigma: float = 0.6) -> list[int]:
-    token_level = rng.lognormal(0.0, token_sigma)
+def _values(rng: np.random.Generator, n: int, cfg: ArchetypeConfig) -> list[int]:
+    """Dust for poisoning; otherwise lognormal around a per-token level."""
+    if cfg.kind == COUNTERFEIT_POISONING:
+        return rng.integers(1, 1000, size=n).tolist()
+    token_level = rng.lognormal(0.0, cfg.value_sigma)
     draws = rng.lognormal(0.0, 1.0, size=n)
-    return list(map(int, (scale * token_level * draws).tolist()))
-
-
-def _batch_from_edges(
-    token: str,
-    addresses: list[str],
-    edges: list[tuple[int, int]],
-    blocks: np.ndarray,
-    values: list[int],
-) -> WindowBatch:
-    """One token's transfers in log order: by block, ties in edge order, with
-    log indexes 0, 1, 2, ...  Every address is an endpoint of some edge, so
-    ``addresses`` are the token's nodes."""
-    n = len(edges)
-    order = np.argsort(blocks, kind="stable")
-    ends = np.fromiter(chain.from_iterable(edges), np.int32, 2 * n).reshape(n, 2)[order]
-    return WindowBatch([token], [addresses], np.zeros(n, np.int32), ends[:, 0],
-                       ends[:, 1], blocks[order], np.arange(n, dtype=np.int64),
-                       np.array(values, dtype=object)[order])
+    return list(map(int, (cfg.value_scale * token_level * draws).tolist()))
 
 
 def _fixture_lines(batch: WindowBatch) -> list[str]:
@@ -135,23 +130,9 @@ def _fixture_lines(batch: WindowBatch) -> list[str]:
     return list(map(FIXTURE_LINE.__mod__, rows))
 
 
-def _namespace(cfg: ArchetypeConfig) -> int:
-    return (cfg.seed % (1 << 48)) << 30 | (cfg.node_budget % (1 << 20)) | 1 << 78
-
-
-def gen_legitimate(cfg: ArchetypeConfig) -> tuple[WindowBatch, int]:
-    """Giant preferential-attachment component plus 2-5 node satellites.
-
-    Activity is spread uniformly over a lifetime covering at least 80% of
-    the window, with the first and last blocks pinned to the span ends.
-    """
-    if cfg.node_budget < 20:
-        raise ValueError("legitimate archetype needs a node budget of at least 20")
-    if cfg.lifetime < 0.8 * cfg.window.width:
-        raise ValueError("legitimate archetype lifetime must cover >= 80% of the window")
-    rng = np.random.default_rng(cfg.seed)
+def _wire_legitimate(cfg: ArchetypeConfig, rng: np.random.Generator) -> Edges:
+    """Giant preferential-attachment component plus 2-5 node satellites."""
     budget = cfg.node_budget
-
     sat_budget = int(0.18 * budget)
     sat_sizes: list[int] = []
     used = 0
@@ -163,14 +144,11 @@ def gen_legitimate(cfg: ArchetypeConfig) -> tuple[WindowBatch, int]:
         used += size
     giant = budget - used
 
-    edges: list[tuple[int, int]] = []
+    edges: Edges = []
     attach_pool = [0]
     for node in range(1, giant):
         target = attach_pool[int(rng.integers(len(attach_pool)))]
-        if rng.random() < 0.5:
-            edges.append((node, target))
-        else:
-            edges.append((target, node))
+        edges.append((node, target) if rng.random() < 0.5 else (target, node))
         attach_pool.append(node)
         attach_pool.append(target)
 
@@ -184,57 +162,32 @@ def gen_legitimate(cfg: ArchetypeConfig) -> tuple[WindowBatch, int]:
         dst = pool_arr[rng.integers(len(pool_arr), size=extra)]
         edges.extend(zip(src.tolist(), dst.tolist()))
 
-    next_node = giant
+    center = giant
     for size in sat_sizes:
-        center = next_node
         for member in range(center + 1, center + size):
-            if rng.random() < 0.5:
-                edges.append((center, member))
-            else:
-                edges.append((member, center))
+            edges.append((center, member) if rng.random() < 0.5 else (member, center))
         if size >= 3 and rng.random() < 0.4:
             edges.append((center + 1, center + 2))
-        next_node += size
-
-    namespace = _namespace(cfg)
-    token = cfg.token or _addr(namespace, (1 << 64) - 1)
-    addresses = _addrs(namespace, 1, budget)
-    blocks = _uniform_blocks(rng, len(edges), cfg.window, cfg.lifetime)
-    values = _lognormal_values(rng, len(edges), cfg.value_scale, cfg.value_sigma)
-    return _batch_from_edges(token, addresses, edges, blocks, values), 0
+        center += size
+    return edges
 
 
-def gen_honeypot_star(cfg: ArchetypeConfig) -> tuple[WindowBatch, int]:
-    """Single star component: null address and a pool hub, everyone else <= degree 3.
-
-    All activity happens in one clustered burst shorter than 10K blocks.
-    """
-    if cfg.node_budget < 10:
-        raise ValueError("honeypot archetype needs a node budget of at least 10")
-    if cfg.lifetime >= SCAM_LIFETIME_CAP:
-        raise ValueError(f"honeypot lifetime must stay under {SCAM_LIFETIME_CAP} blocks")
-    rng = np.random.default_rng(cfg.seed)
+def _wire_honeypot_star(cfg: ArchetypeConfig, rng: np.random.Generator) -> Edges:
+    """Single star: node 0 (the null address) mints to the pool hub, node 1,
+    and every other node is a user of degree <= 3 trading with the pool."""
     budget = cfg.node_budget
     n_users = budget - 2
-
-    namespace = _namespace(cfg)
-    token = cfg.token or _addr(namespace, (1 << 64) - 1)
-    addresses = [NULL_ADDRESS, *_addrs(namespace, 1, n_users + 1)]
     null_id, pool_id = 0, 1
 
     mints = 4 + int(rng.integers(0, 4))
-    edges: list[tuple[int, int]] = [(null_id, pool_id)] * mints
+    edges: Edges = [(null_id, pool_id)] * mints
 
     multiplier = cfg.edge_multiplier
     if multiplier is None:
         multiplier = float(rng.uniform(1.0, 1.6))
     target_edges = max(int(multiplier * budget), n_users + mints)
-    for user in range(n_users):
-        user_id = user + 2
-        if rng.random() < 0.65:
-            edges.append((pool_id, user_id))
-        else:
-            edges.append((user_id, pool_id))
+    for user_id in range(2, budget):
+        edges.append((pool_id, user_id) if rng.random() < 0.65 else (user_id, pool_id))
     extra = target_edges - len(edges)
     if extra > 0:
         # spread extras while honoring the degree <= 3 cap on users
@@ -245,30 +198,17 @@ def gen_honeypot_star(cfg: ArchetypeConfig) -> tuple[WindowBatch, int]:
             if added >= extra:
                 break
             take = min(int(capacity[user]), extra - added)
+            user_id = user + 2
             for _ in range(take):
-                user_id = user + 2
-                if rng.random() < 0.5:
-                    edges.append((pool_id, user_id))
-                else:
-                    edges.append((user_id, pool_id))
+                edges.append((pool_id, user_id) if rng.random() < 0.5 else (user_id, pool_id))
             capacity[user] -= take
             added += take
-
-    blocks = _clustered_blocks(rng, len(edges), cfg.window, cfg.lifetime,
-                               cfg.temporal_concentration)
-    values = _lognormal_values(rng, len(edges), cfg.value_scale, cfg.value_sigma)
-    return _batch_from_edges(token, addresses, edges, blocks, values), 1
+    return edges
 
 
-def gen_counterfeit_poisoning(cfg: ArchetypeConfig) -> tuple[WindowBatch, int]:
+def _wire_counterfeit_poisoning(cfg: ArchetypeConfig, rng: np.random.Generator) -> Edges:
     """Many scraps of 2-4 nodes: a fresh spoof address dusting one or two victims."""
-    if cfg.node_budget < 6:
-        raise ValueError("poisoning archetype needs a node budget of at least 6")
-    if cfg.lifetime >= SCAM_LIFETIME_CAP:
-        raise ValueError(f"poisoning lifetime must stay under {SCAM_LIFETIME_CAP} blocks")
-    rng = np.random.default_rng(cfg.seed)
     budget = cfg.node_budget
-
     sizes: list[int] = []
     remaining = budget
     while remaining > 0:
@@ -281,13 +221,11 @@ def gen_counterfeit_poisoning(cfg: ArchetypeConfig) -> tuple[WindowBatch, int]:
         sizes.append(size)
         remaining -= size
 
-    edges: list[tuple[int, int]] = []
-    next_node = 0
+    edges: Edges = []
+    scammer = 0
     for size in sizes:
-        scammer = next_node
-        for victim in range(scammer + 1, scammer + size):
-            edges.append((scammer, victim))
-        next_node += size
+        edges.extend((scammer, victim) for victim in range(scammer + 1, scammer + size))
+        scammer += size
 
     # repeat dustings of the same victims: parallel edges, no new nodes
     multiplier = cfg.edge_multiplier
@@ -295,28 +233,35 @@ def gen_counterfeit_poisoning(cfg: ArchetypeConfig) -> tuple[WindowBatch, int]:
         multiplier = float(rng.uniform(0.85, 1.45))
     repeats = int(multiplier * budget) - len(edges)
     if repeats > 0:
-        base = len(edges)
-        for idx in rng.integers(0, base, size=repeats).tolist():
-            edges.append(edges[idx])
-
-    namespace = _namespace(cfg)
-    token = cfg.token or _addr(namespace, (1 << 64) - 1)
-    addresses = _addrs(namespace, 1, budget)
-    blocks = _clustered_blocks(rng, len(edges), cfg.window, cfg.lifetime,
-                               cfg.temporal_concentration)
-    values = rng.integers(1, 1000, size=len(edges)).tolist()
-    return _batch_from_edges(token, addresses, edges, blocks, values), 1
+        edges += [edges[idx] for idx in rng.integers(0, len(edges), size=repeats).tolist()]
+    return edges
 
 
-_GENERATORS = {
-    LEGITIMATE: gen_legitimate,
-    HONEYPOT_STAR: gen_honeypot_star,
-    COUNTERFEIT_POISONING: gen_counterfeit_poisoning,
-}
-
-
-def generate(cfg: ArchetypeConfig) -> tuple[WindowBatch, int]:
-    return _GENERATORS[cfg.kind](cfg)
+def generate(cfg: ArchetypeConfig) -> WindowBatch:
+    """One token's transfers, drawn from ``cfg.seed``: the kind's wiring,
+    then blocks, then values.  The batch is in log order (by block, ties in
+    edge order, log indexes 0, 1, 2, ...), and its nodes are the token's
+    addresses, each an endpoint of some edge; a star's node 0 is the null
+    address."""
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.kind == LEGITIMATE:
+        edges = _wire_legitimate(cfg, rng)
+    elif cfg.kind == HONEYPOT_STAR:
+        edges = _wire_honeypot_star(cfg, rng)
+    else:
+        edges = _wire_counterfeit_poisoning(cfg, rng)
+    namespace = (cfg.seed % (1 << 48)) << 30 | (cfg.node_budget % (1 << 20)) | 1 << 78
+    addresses = _addresses(namespace, 1, cfg.node_budget)
+    if cfg.kind == HONEYPOT_STAR:
+        addresses = [NULL_ADDRESS, *addresses[:-1]]
+    n = len(edges)
+    blocks = _blocks(rng, n, cfg)
+    values = _values(rng, n, cfg)
+    order = np.argsort(blocks, kind="stable")
+    ends = np.fromiter(chain.from_iterable(edges), np.int32, 2 * n).reshape(n, 2)[order]
+    return WindowBatch([cfg.token or _addresses(namespace, _TOKEN_INDEX)[0]], [addresses],
+                       np.zeros(n, np.int32), ends[:, 0], ends[:, 1], blocks[order],
+                       np.arange(n, dtype=np.int64), np.array(values, dtype=object)[order])
 
 
 @dataclass
@@ -331,41 +276,31 @@ class CorpusProfile:
     legit_value_scale: float = 1e18
     honeypot_value_scale: float = 1e15
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+
+def _token_rng(*entropy: int) -> tuple[int, np.random.Generator]:
+    """A token's own seed, spawned from ``entropy``, and its generator."""
+    child_seed = int(np.random.SeedSequence(entropy).generate_state(1)[0])
+    return child_seed, np.random.default_rng(child_seed)
 
 
-def _token_config(
-    kind: str,
-    window: BlockWindow,
-    token: str,
-    profile: CorpusProfile,
-    rng: np.random.Generator,
-    seed: int,
-) -> ArchetypeConfig:
+def _token_config(kind: str, window: BlockWindow, token: str, profile: CorpusProfile,
+                  seed: int, rng: np.random.Generator, **legit) -> ArchetypeConfig:
+    """A token's config, drawn from ``profile`` in a fixed order: budget,
+    lifetime, then a scam's concentration.  ``legit`` sets further fields of
+    a legitimate token."""
     if kind == LEGITIMATE:
         lo, hi = profile.legit_lifetime_frac
         return ArchetypeConfig(
-            kind=kind,
-            node_budget=int(rng.integers(*profile.legit_budget)),
-            window=window,
-            lifetime=int(rng.uniform(lo, hi) * window.width),
-            temporal_concentration=1.0,
-            value_scale=profile.legit_value_scale,
-            token=token,
-            seed=seed,
-        )
-    value_scale = profile.honeypot_value_scale if kind == HONEYPOT_STAR else 1.0
+            kind, int(rng.integers(*profile.legit_budget)), window,
+            lifetime=int(rng.uniform(lo, hi) * window.width), seed=seed,
+            temporal_concentration=1.0, value_scale=profile.legit_value_scale,
+            token=token, **legit)
     return ArchetypeConfig(
-        kind=kind,
-        node_budget=int(rng.integers(*profile.scam_budget)),
-        window=window,
-        lifetime=int(rng.integers(*profile.scam_lifetime)),
+        kind, int(rng.integers(*profile.scam_budget)), window,
+        lifetime=int(rng.integers(*profile.scam_lifetime)), seed=seed,
         temporal_concentration=float(rng.uniform(*profile.scam_concentration)),
-        value_scale=value_scale,
-        token=token,
-        seed=seed,
-    )
+        value_scale=profile.honeypot_value_scale if kind == HONEYPOT_STAR else 1.0,
+        token=token)
 
 
 def gen_corpus(
@@ -403,21 +338,16 @@ def gen_corpus(
         # is needed here
         for window_idx, window in enumerate(windows):
             for token_idx in range(n_tokens):
-                if token_idx < n_legit:
-                    kind = LEGITIMATE
-                    token = token_address(seed, 0, token_idx)  # recurs across windows
-                elif token_idx < n_legit + n_honeypot:
-                    kind = HONEYPOT_STAR
-                    token = token_address(seed, window_idx + 1, token_idx)
+                if token_idx < n_legit:  # recurs across windows
+                    kind, token = LEGITIMATE, token_address(seed, 0, token_idx)
                 else:
-                    kind = COUNTERFEIT_POISONING
+                    kind = (HONEYPOT_STAR if token_idx < n_legit + n_honeypot
+                            else COUNTERFEIT_POISONING)
                     token = token_address(seed, window_idx + 1, token_idx)
-                entropy = np.random.SeedSequence([seed, window_idx, token_idx])
-                child_seed = int(entropy.generate_state(1)[0])
-                rng = np.random.default_rng(child_seed)
-                cfg = _token_config(kind, window, token, profile, rng, child_seed)
-                batch, label = generate(cfg)
-                labels[token] = label
+                cfg = _token_config(kind, window, token, profile,
+                                    *_token_rng(seed, window_idx, token_idx))
+                batch = generate(cfg)
+                labels[token] = cfg.label
                 handle.write("\n".join(_fixture_lines(batch)))
                 handle.write("\n")
                 total_events += len(batch)
@@ -431,7 +361,7 @@ def gen_corpus(
         "n_tokens": n_tokens,
         "scam_fraction": scam_fraction,
         "windows": [[w.start, w.end] for w in windows],
-        "profile": profile.to_dict(),
+        "profile": asdict(profile),
         "tokens_per_window": n_tokens,
         "scam_tokens_per_window": n_scam,
         "total_events": total_events,
@@ -452,9 +382,6 @@ class ScanProfile:
     value_scale: float = 2.4e18
     value_sigma: float = 0.2
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def gen_scan_corpus(
     n_tokens: int,
@@ -467,21 +394,25 @@ def gen_scan_corpus(
 
     Young tokens reuse the legitimate wiring inside a narrow slice of the
     window, modeling a token in its first hours of life; they are the
-    graphs a lifetime-aware model flags wholesale.
+    graphs a lifetime-aware model flags wholesale.  Veterans and scams are
+    drawn as in a training corpus, at the scan profile's budgets, scam
+    timing and legitimate values.
     """
     profile = profile or ScanProfile()
     n_young = round(n_tokens * profile.young_fraction)
     n_long = round(n_tokens * profile.long_legit_fraction)
+    veterans = CorpusProfile(legit_budget=profile.budget, scam_budget=profile.budget,
+                             scam_lifetime=profile.scam_lifetime,
+                             scam_concentration=profile.scam_concentration,
+                             legit_value_scale=profile.value_scale)
 
     lines: list[str] = []
     blocks, log_indexes = [], []
     for token_idx in range(n_tokens):
-        entropy = np.random.SeedSequence([seed, 7_777, token_idx])
-        child_seed = int(entropy.generate_state(1)[0])
-        rng = np.random.default_rng(child_seed)
-        budget = int(rng.integers(*profile.budget))
+        child_seed, rng = _token_rng(seed, 7_777, token_idx)
         token = token_address(seed, 9, token_idx)
         if token_idx < n_young:
+            budget = int(rng.integers(*profile.budget))
             lifetime = int(rng.integers(*profile.young_lifetime))
             width = max(int(lifetime / 0.9), lifetime + 2)
             offset = int(rng.integers(0, window.width - width))
@@ -493,24 +424,12 @@ def gen_scan_corpus(
                 edge_multiplier=float(rng.uniform(*profile.young_edge_multiplier)),
                 value_sigma=profile.value_sigma,
             )
-        elif token_idx < n_young + n_long:
-            cfg = ArchetypeConfig(
-                kind=LEGITIMATE, node_budget=budget, window=window,
-                lifetime=int(rng.uniform(0.82, 0.97) * window.width),
-                temporal_concentration=1.0,
-                value_scale=profile.value_scale, token=token, seed=child_seed,
-                value_sigma=profile.value_sigma,
-            )
         else:
-            kind = HONEYPOT_STAR if token_idx % 2 == 0 else COUNTERFEIT_POISONING
-            cfg = ArchetypeConfig(
-                kind=kind, node_budget=budget, window=window,
-                lifetime=int(rng.integers(*profile.scam_lifetime)),
-                temporal_concentration=float(rng.uniform(*profile.scam_concentration)),
-                value_scale=1e15 if kind == HONEYPOT_STAR else 1.0,
-                token=token, seed=child_seed,
-            )
-        batch, _ = generate(cfg)
+            kind = (LEGITIMATE if token_idx < n_young + n_long
+                    else HONEYPOT_STAR if token_idx % 2 == 0 else COUNTERFEIT_POISONING)
+            cfg = _token_config(kind, window, token, veterans, child_seed, rng,
+                                value_sigma=profile.value_sigma)
+        batch = generate(cfg)
         lines += _fixture_lines(batch)
         blocks.append(batch.block)
         log_indexes.append(batch.log_index)
@@ -526,6 +445,6 @@ def gen_scan_corpus(
         "seed": seed,
         "n_tokens": n_tokens,
         "window": [window.start, window.end],
-        "profile": profile.to_dict(),
+        "profile": asdict(profile),
         "total_events": len(lines),
     }

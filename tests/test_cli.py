@@ -282,6 +282,22 @@ def test_train_on_a_table_with_a_nan_cell_exits_2(corpus, capsys):
     assert not model_out.exists()
 
 
+def test_train_on_a_table_with_an_amount_beyond_float64_exits_2(corpus, capsys):
+    lines = corpus["features"].read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[10] = "1" + "0" * 400  # amount
+    lines[2] = ",".join(fields)
+    table = corpus["tmp"] / "huge.csv"
+    table.write_text("\n".join(lines) + "\n")
+    model_out = corpus["tmp"] / "m.txt"
+    capsys.readouterr()
+    assert main(["train", "--features", str(table), "--labels", str(corpus["labels"]),
+                 "--model-out", str(model_out), "--min-nodes", "0"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: line 3: amount beyond the float64 range"]
+    assert not model_out.exists()
+
+
 def test_cv_report_is_seed_deterministic(corpus):
     out1 = corpus["tmp"] / "cv1.csv"
     out2 = corpus["tmp"] / "cv2.csv"
@@ -358,6 +374,23 @@ def test_scan_empty_features_reports_zeros(corpus, tmp_path):
     assert main(["scan", "--model", str(model_path), "--features", str(empty),
                  "--out", str(out)]) == 0
     assert "total_scanned,0" in out.read_text()
+
+
+def test_scan_with_a_nan_intercept_exits_2(corpus, tmp_path, capsys):
+    model_path = tmp_path / "red.txt"
+    assert main(["train", "--features", str(corpus["features"]),
+                 "--labels", str(corpus["labels"]), "--model-out", str(model_path),
+                 "--variant", "reduced"]) == 0
+    lines = model_path.read_text().splitlines()
+    model_path.write_text("\n".join("intercept: nan" if line.startswith("intercept: ")
+                                    else line for line in lines) + "\n")
+    out = tmp_path / "report.csv"
+    capsys.readouterr()
+    assert main(["scan", "--model", str(model_path), "--features", str(corpus["features"]),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: intercept, coefficients, means and stds must be finite"]
+    assert not out.exists()
 
 
 # --- fetch ------------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 A change to the generators' RNG draw order, the fixture format, the feature
 arithmetic or the edge-list writer changes one of these digests.  They were
 recorded before the columnar fixture writer and window batches replaced the
-per-transfer event path, which had to keep every byte.
+per-transfer event path, which had to keep every byte.  The archetype
+digests pin each generator on its own, including the paths no CLI run takes:
+the budget floors, the default token address and an explicit edge multiplier.
 """
 
 from __future__ import annotations
@@ -14,6 +16,15 @@ import os
 import pytest
 
 from tokengraphs.cli import main
+from tokengraphs.ingest import BlockWindow
+from tokengraphs.synth import (
+    COUNTERFEIT_POISONING,
+    HONEYPOT_STAR,
+    LEGITIMATE,
+    ArchetypeConfig,
+    _fixture_lines,
+    generate,
+)
 
 EXPECTED = {
     "training/fixture.tsv":
@@ -65,3 +76,47 @@ def test_output_digest_is_pinned(outputs, name):
     path = outputs / name
     actual = _tree_digest(path) if path.is_dir() else _sha256(path)
     assert actual == EXPECTED[name]
+
+
+# (config fields, digest over the fixture lines of seeds 0-9); every token
+# address is the default one, since no case sets ``token``
+ARCHETYPES = {
+    "legitimate": (
+        dict(kind=LEGITIMATE, node_budget=120, lifetime=90_000),
+        "c4aa77aa3f2697a6533a605a4be855cae4eb1ece1ef56ef6ee87a785c1cc8d4e"),
+    "legitimate_floor": (
+        dict(kind=LEGITIMATE, node_budget=20, lifetime=80_000),
+        "93e58754a404eda5af874c7cf27e22f53231eedfd117932bef8cc6ee696e3690"),
+    "honeypot_star": (
+        dict(kind=HONEYPOT_STAR, node_budget=120, lifetime=8_000,
+             temporal_concentration=0.4, value_scale=1e15),
+        "de286e6fb40f7aab0e9e56fb01b0128b77edba94d8dca06ec7e7e2646c1534c4"),
+    "honeypot_star_floor": (
+        dict(kind=HONEYPOT_STAR, node_budget=10, lifetime=9_999),
+        "e83426a3365285e932795240c0617449262d72c9db77551be8fd732e2b38f28a"),
+    "honeypot_star_multiplier": (
+        dict(kind=HONEYPOT_STAR, node_budget=120, lifetime=6_000, edge_multiplier=1.9),
+        "a35e9b943c3a28bc0a1e85763c336efb32487c158004871d3d7baa3917e32c89"),
+    "counterfeit_poisoning": (
+        dict(kind=COUNTERFEIT_POISONING, node_budget=120, lifetime=8_000,
+             temporal_concentration=0.4),
+        "cb4b76298f904a1ef4b48ec4a2e1745a53b591788ca58631b76d3aa5602fda81"),
+    "counterfeit_poisoning_floor": (
+        dict(kind=COUNTERFEIT_POISONING, node_budget=6, lifetime=0),
+        "1403aa686dbf91f3e062e4cdc8c1a0fc19bb2bca52471b1662f39dd7f82317e8"),
+    "counterfeit_poisoning_multiplier": (
+        dict(kind=COUNTERFEIT_POISONING, node_budget=120, lifetime=6_000,
+             edge_multiplier=1.7),
+        "248ae476517241785279ae3972f017afeab3c79bf5fd62f6139b180287e5ac1d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARCHETYPES))
+def test_archetype_digest_is_pinned(name):
+    fields, expected = ARCHETYPES[name]
+    digest = hashlib.sha256()
+    for seed in range(10):
+        cfg = ArchetypeConfig(window=BlockWindow(18_000_000, 18_100_000), seed=seed,
+                              **fields)
+        digest.update("".join(map("%s\n".__mod__, _fixture_lines(generate(cfg)))).encode())
+    assert digest.hexdigest() == expected

@@ -183,6 +183,20 @@ def test_fixture_rejects_block_or_log_index_beyond_int64(tmp_path, field):
             list(read_fixture(path))
 
 
+@pytest.mark.parametrize("field, name, text", [
+    (4, "block", "\u0661\u0668\u0660\u0660\u0660\u0660\u0660\u0665"),  # Arabic-Indic 18000005
+    (3, "value", "\u00b2"),  # superscript two: str.isdigit accepts it
+    (5, "logIndex", "\uff17"),  # fullwidth seven
+])
+def test_fixture_numbers_are_ascii_decimal(tmp_path, field, name, text):
+    path = tmp_path / "digits.tsv"
+    fields = format_fixture_line(make_event()).split("\t")
+    fields[field] = text
+    path.write_text("\t".join(fields) + "\n", encoding="utf-8")
+    with pytest.raises(FixtureParseError, match=f"^line 1: non-decimal {name}: "):
+        list(read_fixture(path))
+
+
 def test_fixture_rejects_wrong_field_count(tmp_path):
     path = tmp_path / "short.tsv"
     path.write_text("0xabc\t1\t2\n")

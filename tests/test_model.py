@@ -272,6 +272,21 @@ def test_unknown_format_version_rejected(tmp_path):
     assert "99" in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["intercept", "coefficients", "means", "stds"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_model_parameters_rejected(tmp_path, key, bad):
+    path = tmp_path / "model.txt"
+    save_model(train(toy_dataset(10)), path)
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines):
+        name, value = line.split(": ", 1)
+        if name == key:  # the last of a list's entries goes bad
+            lines[i] = f"{name}: " + ",".join([*value.split(",")[:-1], bad])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModelFormatError, match="must be finite"):
+        load_model(path)
+
+
 def test_variant_is_recovered_from_names(tmp_path):
     dataset = toy_dataset(10)
     model = train(dataset, variant="reduced")

@@ -19,9 +19,6 @@ from tokengraphs.synth import (
     ArchetypeConfig,
     CorpusProfile,
     gen_corpus,
-    gen_counterfeit_poisoning,
-    gen_honeypot_star,
-    gen_legitimate,
     gen_scan_corpus,
     generate,
 )
@@ -76,24 +73,31 @@ def test_unknown_kind_rejected():
 
 def test_budget_floors():
     with pytest.raises(ValueError):
-        gen_legitimate(legit_cfg(budget=19))
+        legit_cfg(budget=19)
     with pytest.raises(ValueError):
-        gen_honeypot_star(star_cfg(budget=9))
+        star_cfg(budget=9)
     with pytest.raises(ValueError):
-        gen_counterfeit_poisoning(pois_cfg(budget=5))
+        pois_cfg(budget=5)
+    floors = (legit_cfg(budget=20), star_cfg(budget=10), pois_cfg(budget=6))
+    assert [len(generate(cfg).nodes[0]) for cfg in floors] == [20, 10, 6]
 
 
 def test_scam_lifetime_cap_enforced():
     with pytest.raises(ValueError):
-        gen_honeypot_star(star_cfg(lifetime=10_000))
+        star_cfg(lifetime=10_000)
+    with pytest.raises(ValueError):
+        pois_cfg(lifetime=10_000)
+    assert np.ptp(generate(pois_cfg(lifetime=9_999)).block) <= 9_999
+
+
+def test_label_follows_the_kind():
+    assert [cfg.label for cfg in (legit_cfg(), star_cfg(), pois_cfg())] == [0, 1, 1]
 
 
 # --- legitimate archetype -------------------------------------------------------
 
 def test_legit_giant_component_dominates():
-    batch, label = gen_legitimate(legit_cfg(budget=2_000))
-    graph, comps, fv = analyzed(batch)
-    assert label == 0
+    graph, comps, fv = analyzed(generate(legit_cfg(budget=2_000)))
     assert fv.num_nodes == 2_000
     assert max(comps.sizes) >= 1_500
     for size in sorted(comps.sizes)[:-1]:
@@ -101,7 +105,7 @@ def test_legit_giant_component_dominates():
 
 
 def test_legit_lifetime_spans_most_of_the_window():
-    batch, _ = gen_legitimate(legit_cfg(budget=150, lifetime=85_000))
+    batch = generate(legit_cfg(budget=150, lifetime=85_000))
     _, _, fv = analyzed(batch)
     assert fv.lifetime == 85_000
     assert fv.lifetime >= 0.8 * WINDOW.width
@@ -109,25 +113,23 @@ def test_legit_lifetime_spans_most_of_the_window():
 
 def test_legit_requires_long_lifetime():
     with pytest.raises(ValueError):
-        gen_legitimate(legit_cfg(lifetime=50_000))
+        legit_cfg(lifetime=79_999)
+    assert len(generate(legit_cfg(lifetime=80_000)))
 
 
 def test_legit_same_seed_is_identical():
-    (a, label_a), (b, label_b) = (gen_legitimate(legit_cfg(seed=5)) for _ in range(2))
-    assert batch_rows(a) == batch_rows(b) and label_a == label_b
+    assert batch_rows(generate(legit_cfg(seed=5))) == batch_rows(generate(legit_cfg(seed=5)))
 
 
 def test_legit_different_seed_differs():
-    assert (batch_rows(gen_legitimate(legit_cfg(seed=5))[0])
-            != batch_rows(gen_legitimate(legit_cfg(seed=6))[0]))
+    assert (batch_rows(generate(legit_cfg(seed=5)))
+            != batch_rows(generate(legit_cfg(seed=6))))
 
 
 # --- honeypot star --------------------------------------------------------------
 
 def test_star_is_single_component_with_two_hubs():
-    batch, label = gen_honeypot_star(star_cfg(budget=2_173))
-    graph, comps, fv = analyzed(batch)
-    assert label == 1
+    graph, comps, fv = analyzed(generate(star_cfg(budget=2_173)))
     assert comps.count == 1
     assert fv.num_nodes == 2_173
     in_deg, out_deg = degree_stats(graph)
@@ -138,14 +140,14 @@ def test_star_is_single_component_with_two_hubs():
 
 def test_star_lifetime_stays_under_ten_thousand():
     for seed in range(10):
-        batch, _ = gen_honeypot_star(star_cfg(seed=seed, lifetime=9_400))
+        batch = generate(star_cfg(seed=seed, lifetime=9_400))
         _, _, fv = analyzed(batch)
         assert fv.lifetime < 10_000
 
 
 def test_star_blocks_are_clustered():
     cfg = star_cfg(budget=500, lifetime=9_000, conc=0.3)
-    batch, _ = gen_honeypot_star(cfg)
+    batch = generate(cfg)
     _, _, fv = analyzed(batch)
     assert fv.transfer_std_dev <= cfg.temporal_concentration * cfg.lifetime / math.sqrt(12)
 
@@ -153,30 +155,26 @@ def test_star_blocks_are_clustered():
 # --- counterfeit poisoning -------------------------------------------------------
 
 def test_poisoning_components_are_small_scraps():
-    batch, label = gen_counterfeit_poisoning(pois_cfg(budget=900))
-    graph, comps, fv = analyzed(batch)
-    assert label == 1
+    graph, comps, fv = analyzed(generate(pois_cfg(budget=900)))
     assert fv.avg_comp_size <= 4
     assert max(comps.sizes) <= 4
     assert fv.num_components >= 900 / 4
 
 
 def test_poisoning_each_component_has_its_own_scammer():
-    batch, _ = gen_counterfeit_poisoning(pois_cfg(budget=60))
+    batch = generate(pois_cfg(budget=60))
     graph, comps, _ = analyzed(batch)
     # every component has a sender, so one sender each means as many as components
     assert len(set(graph.edge_from.tolist())) == comps.count
 
 
 def test_poisoning_values_are_dust():
-    batch, _ = gen_counterfeit_poisoning(pois_cfg(budget=100))
+    batch = generate(pois_cfg(budget=100))
     assert max(batch.values) < 1_000
 
 
 def test_poisoning_same_seed_reruns_identically():
-    (a, label_a), (b, label_b) = (gen_counterfeit_poisoning(pois_cfg(seed=3))
-                                  for _ in range(2))
-    assert batch_rows(a) == batch_rows(b) and label_a == label_b
+    assert batch_rows(generate(pois_cfg(seed=3))) == batch_rows(generate(pois_cfg(seed=3)))
 
 
 # --- archetype sweep ---------------------------------------------------------------
@@ -185,7 +183,7 @@ def test_every_archetype_holds_its_contract_over_many_seeds():
     rng = np.random.default_rng(2024)
     for seed in range(100):
         budget = int(rng.integers(40, 300))
-        batch, _ = gen_legitimate(legit_cfg(
+        batch = generate(legit_cfg(
             budget=max(budget, 20), lifetime=int(rng.uniform(0.82, 0.97) * WINDOW.width),
             seed=seed))
         _, comps, fv = analyzed(batch)
@@ -194,8 +192,8 @@ def test_every_archetype_holds_its_contract_over_many_seeds():
 
         life = int(rng.integers(1_500, 9_500))
         conc = float(rng.uniform(0.08, 1.0))
-        batch, _ = gen_honeypot_star(star_cfg(budget=max(budget, 10),
-                                               lifetime=life, conc=conc, seed=seed))
+        batch = generate(star_cfg(budget=max(budget, 10), lifetime=life, conc=conc,
+                                  seed=seed))
         graph, comps, fv = analyzed(batch)
         assert comps.count == 1
         in_deg, out_deg = degree_stats(graph)
@@ -203,9 +201,8 @@ def test_every_archetype_holds_its_contract_over_many_seeds():
         assert fv.lifetime < 10_000
         assert fv.transfer_std_dev <= conc * life / math.sqrt(12)
 
-        batch, _ = gen_counterfeit_poisoning(pois_cfg(budget=max(budget, 6),
-                                                       lifetime=life, conc=conc,
-                                                       seed=seed))
+        batch = generate(pois_cfg(budget=max(budget, 6), lifetime=life, conc=conc,
+                                  seed=seed))
         _, comps, fv = analyzed(batch)
         assert fv.avg_comp_size <= 4
         assert fv.lifetime < 10_000
