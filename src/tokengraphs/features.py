@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -33,6 +34,19 @@ VARIANTS = {
 
 TABLE_HEADER = ("token,window_start,window_end,num_nodes,num_edges,density,"
                 "num_components,avg_comp_size,lifetime,transfer_std_dev,amount")
+
+# cell patterns: the token is a fixture address, integers are ASCII digits,
+# reals are what ``format_real`` writes (nan and inf pass here and are refused
+# as non-finite after parsing)
+_CELL_PATTERNS = {
+    "token": r"0x[0-9a-f]{40}",
+    "int": r"[0-9]+",
+    "real": r"-?[0-9]+(?:\.[0-9]+)?(?:e[-+][0-9]+)?|-?inf|nan",
+}
+_TABLE_KINDS = ("token", "int", "int", "int", "int", "real", "int", "real", "int",
+                "real", "int")
+_TABLE_ROW_RE = re.compile(
+    ",".join(f"({_CELL_PATTERNS[kind]})" for kind in _TABLE_KINDS))
 
 
 @dataclass
@@ -135,8 +149,24 @@ def write_feature_table(vectors: Iterable[FeatureVector], path: str | os.PathLik
     return count
 
 
+def _diagnose_table_row(line_no: int, line: str) -> ValueError:
+    """The first bad cell of a row the row pattern refused."""
+    fields = line.split(",")
+    if len(fields) != len(_TABLE_KINDS):
+        return ValueError(f"line {line_no}: expected 11 columns")
+    for name, kind, cell in zip(TABLE_HEADER.split(","), _TABLE_KINDS, fields):
+        if re.fullmatch(_CELL_PATTERNS[kind], cell) is None:
+            if kind == "token":
+                return ValueError(f"line {line_no}: bad token address: {cell!r}")
+            form = "ASCII digits 0-9" if kind == "int" else "a decimal or exponent"
+            return ValueError(f"line {line_no}: invalid literal for {name} "
+                              f"(expected {form}): {cell!r}")
+    return ValueError(f"line {line_no}: malformed row")
+
+
 def read_feature_table(path: str | os.PathLike) -> list[FeatureVector]:
     vectors: list[FeatureVector] = []
+    match = _TABLE_ROW_RE.fullmatch
     with open(path, "r", encoding="utf-8") as handle:
         header = handle.readline().rstrip("\n")
         if header != TABLE_HEADER:
@@ -145,23 +175,25 @@ def read_feature_table(path: str | os.PathLike) -> list[FeatureVector]:
             line = line.rstrip("\n")
             if not line:
                 continue
-            fields = line.split(",")
-            if len(fields) != 11:
-                raise ValueError(f"line {line_no}: expected 11 columns")
+            m = match(line)
+            if m is None:
+                raise _diagnose_table_row(line_no, line)
+            (token, start, end, num_nodes, num_edges, density, num_components,
+             avg_comp_size, lifetime, std_dev, amount) = m.groups()
             try:
                 fv = FeatureVector(
-                    token=fields[0],
-                    window=BlockWindow(int(fields[1]), int(fields[2])),
-                    num_nodes=int(fields[3]),
-                    num_edges=int(fields[4]),
-                    density=float(fields[5]),
-                    num_components=int(fields[6]),
-                    avg_comp_size=float(fields[7]),
-                    lifetime=int(fields[8]),
-                    transfer_std_dev=float(fields[9]),
-                    amount=int(fields[10]),
+                    token=token,
+                    window=BlockWindow(int(start), int(end)),
+                    num_nodes=int(num_nodes),
+                    num_edges=int(num_edges),
+                    density=float(density),
+                    num_components=int(num_components),
+                    avg_comp_size=float(avg_comp_size),
+                    lifetime=int(lifetime),
+                    transfer_std_dev=float(std_dev),
+                    amount=int(amount),
                 )
-            except ValueError as exc:
+            except ValueError as exc:  # an integer past Python's digit limit
                 raise ValueError(f"line {line_no}: {exc}") from None
             # a nan or inf would reach the model matrix and every score
             if not all(map(math.isfinite, (fv.density, fv.avg_comp_size,

@@ -38,14 +38,28 @@ class FeatureMismatchError(ValueError):
     """Model feature names do not match what the caller can provide."""
 
 
+def _sigmoid_into(z: np.ndarray, out: np.ndarray, scratch: np.ndarray,
+                  nonneg: np.ndarray) -> np.ndarray:
+    """``out = where(z >= 0, 1, e) / (1 + e)`` with ``e = exp(-|z|)``.
+
+    Overflow-safe without masked gathers, and bitwise equal to the two-branch
+    ``1/(1+exp(-z))`` / ``exp(z)/(1+exp(z))`` form, ±0 and ±inf included (a nan
+    stays nan).
+    """
+    np.absolute(z, out=scratch)
+    np.negative(scratch, out=scratch)
+    np.exp(scratch, out=scratch)
+    np.add(scratch, 1.0, out=out)
+    np.greater_equal(z, 0.0, out=nonneg)
+    np.copyto(scratch, 1.0, where=nonneg)
+    return np.divide(scratch, out, out=out)
+
+
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     """Overflow-safe logistic function."""
     arr = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ez = np.exp(arr[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    out = _sigmoid_into(arr, np.empty_like(arr), np.empty_like(arr),
+                        np.empty(arr.shape, dtype=bool))
     return out if isinstance(z, np.ndarray) else float(out)
 
 
@@ -112,6 +126,56 @@ class Model:
         return sigmoid(self.decision_values(matrix))
 
 
+def _objective(matrix: np.ndarray, labels: np.ndarray, lam: float):
+    """The loss-and-gradient step for one fit, checked and allocated once.
+
+    Returns ``step(params) -> (loss, grad)``.  ``grad`` is a buffer the next
+    call overwrites; every expression and its order match the plain form in
+    ``loss_and_gradient``'s docstring, so results are bit-identical to it.
+    """
+    n_rows, n_feat = matrix.shape
+    if labels.shape != (n_rows,):
+        raise ValueError("parameter/label dimensions do not match the matrix")
+    if lam < 0:
+        raise ValueError("lam must be nonnegative")
+    penalty = lam / (2.0 * n_feat)
+    slope = lam / n_feat
+    matrix_t = matrix.T  # a view: a contiguous copy may change BLAS summation order
+    z = np.empty(n_rows)
+    row = np.empty(n_rows)
+    scratch = np.empty(n_rows)
+    nonneg = np.empty(n_rows, dtype=bool)
+    k_vector = np.empty(n_feat)
+    grad = np.empty(n_feat + 1)
+    grad_beta = grad[1:]
+
+    # at a few thousand rows an iteration is mostly per-call overhead, so the
+    # ufuncs are looked up once per fit rather than on every call
+    matmul, add, subtract, multiply = np.matmul, np.add, np.subtract, np.multiply
+    logaddexp, divide, add_reduce = np.logaddexp, np.divide, np.add.reduce
+
+    def step(params: np.ndarray) -> tuple[float, np.ndarray]:
+        beta = params[1:]
+        matmul(matrix, beta, out=z)
+        add(z, params[0], out=z)
+        # mean NLL: softplus(z) - y*z, via logaddexp(0, z) for stability
+        logaddexp(0.0, z, out=row)
+        multiply(labels, z, out=scratch)
+        subtract(row, scratch, out=row)
+        nll = float(add_reduce(row) / n_rows)
+        loss = nll + penalty * float(beta @ beta)
+
+        residual = subtract(_sigmoid_into(z, row, scratch, nonneg), labels, out=row)
+        grad[0] = add_reduce(residual) / n_rows
+        matmul(matrix_t, residual, out=k_vector)
+        divide(k_vector, n_rows, out=k_vector)
+        multiply(slope, beta, out=grad_beta)
+        add(k_vector, grad_beta, out=grad_beta)
+        return loss, grad
+
+    return step
+
+
 def loss_and_gradient(
     params: np.ndarray,
     matrix: np.ndarray,
@@ -123,25 +187,14 @@ def loss_and_gradient(
     ``params[0]`` is the intercept and is not penalized.  The penalty is
     ``lam/(2k) * sum(beta^2)`` over the k feature weights, which keeps the
     objective invariant under row replication.  The gradient is the exact
-    derivative; log-sum-exp keeps both pieces finite for any z.
+    derivative; log-sum-exp keeps both pieces finite for any z.  In plain form,
+    with ``z = beta0 + matrix @ beta`` and ``r = sigmoid(z) - labels``:
+    ``loss = mean(logaddexp(0, z) - labels*z) + lam/(2k) * beta@beta`` and
+    ``grad = [mean(r), matrix.T @ r / n + lam/k * beta]``.
     """
-    n_rows, n_feat = matrix.shape
-    if params.shape != (n_feat + 1,) or labels.shape != (n_rows,):
+    if params.shape != (matrix.shape[1] + 1,):
         raise ValueError("parameter/label dimensions do not match the matrix")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
-    beta0 = params[0]
-    beta = params[1:]
-    z = beta0 + matrix @ beta
-    # mean NLL: softplus(z) - y*z, via logaddexp(0, z) for stability
-    nll = float(np.mean(np.logaddexp(0.0, z) - labels * z))
-    loss = nll + lam / (2.0 * n_feat) * float(beta @ beta)
-
-    residual = sigmoid(z) - labels
-    grad = np.empty_like(params)
-    grad[0] = residual.mean()
-    grad[1:] = matrix.T @ residual / n_rows + lam / n_feat * beta
-    return loss, grad
+    return _objective(matrix, labels, lam)(params)
 
 
 def train_matrix(
@@ -162,16 +215,17 @@ def train_matrix(
     rng = np.random.default_rng(config.seed)
     params = rng.normal(0.0, 0.01, size=matrix.shape[1] + 1)
 
+    step = _objective(scaled, y, config.lam)
     history: list[float] = []
     iterations = 0
-    loss, grad = loss_and_gradient(params, scaled, y, config.lam)
+    loss, grad = step(params)
     history.append(loss)
     for iterations in range(1, config.max_iters + 1):
         if float(np.abs(grad).max()) < config.tolerance:
             iterations -= 1
             break
         params = params - config.learning_rate * grad
-        loss, grad = loss_and_gradient(params, scaled, y, config.lam)
+        loss, grad = step(params)
         if loss > history[-1] + 1e-12 * max(1.0, abs(history[-1])):
             raise TrainingError(
                 f"loss increased at iteration {iterations}; lower the learning rate"

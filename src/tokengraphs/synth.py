@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from itertools import chain, repeat
 from typing import Sequence
@@ -206,6 +207,15 @@ def _wire_honeypot_star(cfg: ArchetypeConfig, rng: np.random.Generator) -> Edges
     return edges
 
 
+# poisoning scrap sizes and their probabilities.  ``Generator.choice(sizes,
+# p=...)`` draws one ``random()`` and searches it in ``cumsum(p) / cumsum(p)[-1]``
+# with side="right"; doing the same here keeps every corpus byte-identical
+# and skips choice's per-call validation
+_SCRAP_SIZES = (2, 3, 4)
+_SCRAP_CUMSUM = np.cumsum((0.5, 0.35, 0.15))
+_SCRAP_CDF = tuple((_SCRAP_CUMSUM / _SCRAP_CUMSUM[-1]).tolist())
+
+
 def _wire_counterfeit_poisoning(cfg: ArchetypeConfig, rng: np.random.Generator) -> Edges:
     """Many scraps of 2-4 nodes: a fresh spoof address dusting one or two victims."""
     budget = cfg.node_budget
@@ -217,7 +227,7 @@ def _wire_counterfeit_poisoning(cfg: ArchetypeConfig, rng: np.random.Generator) 
         elif remaining == 5:
             size = 3
         else:
-            size = int(rng.choice((2, 3, 4), p=(0.5, 0.35, 0.15)))
+            size = _SCRAP_SIZES[bisect_right(_SCRAP_CDF, rng.random())]
         sizes.append(size)
         remaining -= size
 

@@ -181,3 +181,59 @@ def loop_stratified_folds(labels: list[int], k: int, seed: int) -> list[int]:
             assignment[row] = (position + offset) % k
         offset += idx.size
     return assignment.tolist()
+
+
+def masked_sigmoid(z: np.ndarray | float) -> np.ndarray | float:
+    """The logistic function by two masked branches, each overflow-safe."""
+    arr = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(arr)
+    pos = arr >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
+    ez = np.exp(arr[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out if isinstance(z, np.ndarray) else float(out)
+
+
+def straight_loss_and_gradient(
+    params: np.ndarray,
+    matrix: np.ndarray,
+    labels: np.ndarray,
+    lam: float,
+) -> tuple[float, np.ndarray]:
+    """Mean logistic NLL plus ``lam/(2k) * sum(beta^2)`` and its gradient,
+    written as plain expressions with fresh arrays; ``params[0]`` is the
+    unpenalized intercept."""
+    n_rows, n_feat = matrix.shape
+    beta0 = params[0]
+    beta = params[1:]
+    z = beta0 + matrix @ beta
+    nll = float(np.mean(np.logaddexp(0.0, z) - labels * z))
+    loss = nll + lam / (2.0 * n_feat) * float(beta @ beta)
+
+    residual = masked_sigmoid(z) - labels
+    grad = np.empty_like(params)
+    grad[0] = residual.mean()
+    grad[1:] = matrix.T @ residual / n_rows + lam / n_feat * beta
+    return loss, grad
+
+
+def straight_descent(
+    scaled: np.ndarray,
+    labels: np.ndarray,
+    params: np.ndarray,
+    lam: float,
+    learning_rate: float,
+    max_iters: int,
+    tolerance: float,
+) -> list[float]:
+    """Loss history of full-batch gradient descent over the straight objective,
+    stopping when the largest gradient component is under ``tolerance``."""
+    loss, grad = straight_loss_and_gradient(params, scaled, labels, lam)
+    history = [loss]
+    for _ in range(max_iters):
+        if float(np.abs(grad).max()) < tolerance:
+            break
+        params = params - learning_rate * grad
+        loss, grad = straight_loss_and_gradient(params, scaled, labels, lam)
+        history.append(loss)
+    return history

@@ -266,6 +266,17 @@ def test_train_single_class_labels_fails(corpus, tmp_path):
                  "--model-out", str(tmp_path / "m.txt")]) == 2
 
 
+def test_train_with_a_diverging_learning_rate_exits_2(corpus, capsys):
+    model_out = corpus["tmp"] / "m.txt"
+    capsys.readouterr()
+    assert main(["train", "--features", str(corpus["features"]),
+                 "--labels", str(corpus["labels"]), "--model-out", str(model_out),
+                 "--learning-rate", "1000", "--min-nodes", "0"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: loss increased at iteration 1; lower the learning rate"]
+    assert not model_out.exists()
+
+
 def test_train_on_a_table_with_a_nan_cell_exits_2(corpus, capsys):
     lines = corpus["features"].read_text().splitlines()
     fields = lines[3].split(",")

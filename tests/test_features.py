@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from tokengraphs.features import (
     REDUCED_FEATURES,
     REDUCED_NO_LIFETIME_FEATURES,
     VARIANTS,
+    FeatureVector,
     extract_features,
     feature_matrix,
     histogram_bins,
@@ -17,6 +20,7 @@ from tokengraphs.features import (
     write_feature_table,
 )
 from tokengraphs.graphs import build_graphs
+from tokengraphs.ingest import BlockWindow
 
 from conftest import WINDOW, batch_of, make_event
 from oracles import straight_line_features
@@ -221,6 +225,96 @@ def test_feature_table_rejects_a_bad_cell_naming_its_line(tmp_path, column, cell
     fields[column] = cell
     path.write_text(f"{header}\n{','.join(fields)}\n")
     with pytest.raises(ValueError, match=f"^line 2: .*{message}"):
+        read_feature_table(path)
+
+
+TOKEN = "0x" + "ab" * 20
+
+
+@st.composite
+def feature_vectors(draw):
+    reals = st.floats(-1e300, 1e300)  # .10g rounds the largest floats up to inf
+    counts = st.integers(0, 10**12)
+    start = draw(st.integers(0, 10**15))
+    return FeatureVector(
+        token="0x" + draw(st.text("0123456789abcdef", min_size=40, max_size=40)),
+        window=BlockWindow(start, start + draw(st.integers(0, 10**6))),
+        num_nodes=draw(counts), num_edges=draw(counts), density=draw(reals),
+        num_components=draw(counts), avg_comp_size=draw(reals),
+        lifetime=draw(counts), transfer_std_dev=draw(reals),
+        amount=draw(st.integers(0, 2**1000)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(feature_vectors(), max_size=5))
+def test_written_tables_read_back_identically(tmp_path_factory, vectors):
+    path = tmp_path_factory.mktemp("table") / "features.csv"
+    write_feature_table(vectors, path)
+    back = read_feature_table(path)
+    again = path.with_name("again.csv")
+    write_feature_table(back, again)
+    assert again.read_bytes() == path.read_bytes()
+    for original, loaded in zip(vectors, back, strict=True):
+        assert loaded.token == original.token and loaded.window == original.window
+        assert loaded.amount == original.amount
+        assert loaded.num_nodes == original.num_nodes
+
+
+# ways to spoil a cell that bare int()/float() would still accept
+_SPOILERS = (
+    lambda cell: f" {cell}", lambda cell: f"{cell} ", lambda cell: f"+{cell}",
+    lambda cell: cell[:1] + "_" + cell[1:] if len(cell) > 1 else cell + "_",
+    lambda cell: cell.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    lambda cell: cell.translate(str.maketrans("0123456789", "０１２３４５６７８９")),
+    lambda cell: cell.upper(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(feature_vectors(), st.integers(1, 10), st.sampled_from(_SPOILERS))
+def test_a_spoiled_number_cell_is_rejected_naming_its_line(tmp_path_factory, fv,
+                                                           column, spoil):
+    path = tmp_path_factory.mktemp("table") / "features.csv"
+    write_feature_table([fv, fv], path)
+    header, first, second = path.read_text().splitlines()
+    fields = second.split(",")
+    spoiled = spoil(fields[column])
+    if spoiled == fields[column]:  # e.g. upper() of a plain integer
+        return
+    fields[column] = spoiled
+    path.write_text(f"{header}\n{first}\n{','.join(fields)}\n")
+    name = header.split(",")[column]
+    with pytest.raises(ValueError, match=f"^line 3: invalid literal for {name} "):
+        read_feature_table(path)
+
+
+@pytest.mark.parametrize("column, cell", [
+    (3, "٥٠٠"), (8, " 1_000 "), (8, "1_000"), (4, "7 "), (1, "+18000000"),
+    (10, "-5"), (6, "１"), (5, "0.5 "), (7, "1_0.5"), (7, "١.٥"), (9, "NaN"),
+    (9, "Infinity"), (5, "1E+05"), (5, ".5"), (5, "5."), (9, "1e5")])
+def test_feature_table_rejects_a_number_format_real_never_writes(tmp_path, column,
+                                                                 cell):
+    path = tmp_path / "features.csv"
+    write_feature_table([features_of([("0xa", "0xb", 10, 18_000_100)])], path)
+    header, row = path.read_text().splitlines()
+    fields = row.split(",")
+    fields[column] = cell
+    path.write_text(f"{header}\n{','.join(fields)}\n")
+    name = header.split(",")[column]
+    with pytest.raises(ValueError, match=f"^line 2: invalid literal for {name} "
+                                         f".*: {re.escape(repr(cell))}$"):
+        read_feature_table(path)
+
+
+@pytest.mark.parametrize("token", ["not-an-address", "0x" + "AB" * 20, "0x" + "ab" * 19,
+                                   " " + TOKEN])
+def test_feature_table_rejects_a_token_that_is_not_an_address(tmp_path, token):
+    path = tmp_path / "features.csv"
+    write_feature_table([features_of([("0xa", "0xb", 10, 18_000_100)])], path)
+    header, row = path.read_text().splitlines()
+    path.write_text(f"{header}\n{token},{row.split(',', 1)[1]}\n")
+    with pytest.raises(ValueError,
+                       match=f"^line 2: bad token address: {re.escape(repr(token))}$"):
         read_feature_table(path)
 
 

@@ -6,6 +6,9 @@ recorded before the columnar fixture writer and window batches replaced the
 per-transfer event path, which had to keep every byte.  The archetype
 digests pin each generator on its own, including the paths no CLI run takes:
 the budget floors, the default token address and an explicit edge multiplier.
+The model digests pin the train-eval half (gradient descent, cv folds,
+cross-window reports and the scan report); they were recorded before the
+gradient-descent step became one preallocated kernel per fit.
 """
 
 from __future__ import annotations
@@ -120,3 +123,54 @@ def test_archetype_digest_is_pinned(name):
                               **fields)
         digest.update("".join(map("%s\n".__mod__, _fixture_lines(generate(cfg)))).encode())
     assert digest.hexdigest() == expected
+
+
+MODEL_EXPECTED = {
+    "full.txt":
+        "3e7d455a0f37b80fa3528ebf93bf8155cc7316d6e3fe595a4c2e1711b194f291",
+    "reduced.txt":
+        "677bb1f6fece40f1768eb92b8490cd60db31f1c2d82d67f88f61471564beb0b9",
+    "cv.csv":
+        "519a470b4d5f8b133823a40209e76b5238f7ffe751ace60c311b44c5633502d9",
+    "crosseval.csv":
+        "024c0d3d7cc025bb0d7170d58fde5e66274c10ec49f3b617c22a21b77e907602",
+    "scan_report.csv":
+        "5d85f99c2b5e45570c3ea50e9c682491a89fb99c7af6bd91d305574f83d15d7c",
+}
+
+
+@pytest.fixture(scope="module")
+def model_outputs(tmp_path_factory):
+    """Train, cv, crosseval over two held-out windows and scan, on small
+    tables with ``--min-nodes 0`` so both classes stay in every fit."""
+    root = tmp_path_factory.mktemp("golden_model")
+    corpora = {"w1": ("24", "3", "18000000"), "w2": ("12", "4", "18100000"),
+               "w3": ("12", "5", "18200000")}
+    for name, (n_tokens, seed, start) in corpora.items():
+        assert main(["synth", "--out-dir", str(root / name), "--n-tokens", n_tokens,
+                     "--seed", seed, "--window-start", start]) == 0
+    assert main(["synth", "--out-dir", str(root / "scan"), "--kind", "scan",
+                 "--n-tokens", "16", "--seed", "3"]) == 0
+    for name in (*corpora, "scan"):
+        assert main(["features", "--fixture", str(root / name / "fixture.tsv"),
+                     "--out", str(root / f"{name}.csv")]) == 0
+    w1 = ["--features", str(root / "w1.csv"), "--labels", str(root / "w1" / "labels.csv"),
+          "--min-nodes", "0"]
+    assert main(["train", *w1, "--model-out", str(root / "full.txt")]) == 0
+    assert main(["train", *w1, "--variant", "reduced",
+                 "--model-out", str(root / "reduced.txt")]) == 0
+    assert main(["cv", *w1, "--out", str(root / "cv.csv")]) == 0
+    assert main(["crosseval", "--train-features", str(root / "w1.csv"),
+                 "--train-labels", str(root / "w1" / "labels.csv"), "--min-nodes", "0",
+                 "--eval", str(root / "w2.csv"), str(root / "w2" / "labels.csv"),
+                 "--eval", str(root / "w3.csv"), str(root / "w3" / "labels.csv"),
+                 "--out", str(root / "crosseval.csv")]) == 0
+    assert main(["scan", "--model", str(root / "reduced.txt"),
+                 "--features", str(root / "scan.csv"),
+                 "--out", str(root / "scan_report.csv")]) == 0
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_EXPECTED))
+def test_model_output_digest_is_pinned(model_outputs, name):
+    assert _sha256(model_outputs / name) == MODEL_EXPECTED[name]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tokengraphs.dataset import LabeledDataset
 from tokengraphs.features import FeatureVector
@@ -15,6 +17,7 @@ from tokengraphs.model import (
     Standardizer,
     TrainConfig,
     TrainingError,
+    _objective,
     load_model,
     loss_and_gradient,
     predict_proba,
@@ -25,7 +28,8 @@ from tokengraphs.model import (
     train_matrix,
 )
 
-from oracles import finite_diff_gradient
+from oracles import (finite_diff_gradient, masked_sigmoid, straight_descent,
+                     straight_loss_and_gradient)
 
 WINDOW = BlockWindow(18_000_000, 18_100_000)
 
@@ -64,6 +68,22 @@ def test_sigmoid_midpoint_and_saturation():
     assert sigmoid(50.0) <= 1.0
     assert sigmoid(-50.0) < 1e-20
     assert sigmoid(-1000.0) == pytest.approx(0.0)  # overflow-safe branch
+
+
+_EDGE_VALUES = (0.0, -0.0, math.inf, -math.inf, math.nan, 800.0, -800.0,
+                709.0, -745.0, 1e-300, -1e-300)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_EDGE_VALUES), st.floats()),
+                max_size=40))
+def test_sigmoid_equals_the_masked_oracle_bitwise(values):
+    arr = np.array(values, dtype=np.float64)
+    assert np.array_equal(sigmoid(arr), masked_sigmoid(arr), equal_nan=True)
+    for value in values[:5]:
+        got, want = sigmoid(value), masked_sigmoid(value)
+        assert type(got) is float
+        assert got == want or (math.isnan(got) and math.isnan(want))
 
 
 # --- standardizer ---------------------------------------------------------------
@@ -136,6 +156,56 @@ def test_huge_regularization_collapses_to_base_rate():
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         loss_and_gradient(np.zeros(3), np.zeros((5, 3)), np.zeros(5), 0.1)
+    with pytest.raises(ValueError):
+        loss_and_gradient(np.zeros(4), np.zeros((5, 3)), np.zeros(4), 0.1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        loss_and_gradient(np.zeros(4), np.zeros((5, 3)), np.zeros(5), -0.1)
+
+
+@st.composite
+def objectives(draw):
+    """(matrix, labels, lam, params list): 1-60 rows, 1-8 columns, lam >= 0,
+    and params that put every z at exactly 0, at +-800 or anywhere.  No params
+    put z at -0.0: ``matrix @ beta`` sums from +0.0, so ``beta0 + matrix @ beta``
+    is never -0.0; the sigmoid test covers -0.0."""
+    n_rows = draw(st.integers(1, 60))
+    n_feat = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.normal(size=(n_rows, n_feat)) * draw(st.sampled_from((1.0, 30.0)))
+    labels = (rng.random(n_rows) < 0.4).astype(float)
+    lam = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3)))
+    params = [rng.normal(size=n_feat + 1) * scale for scale in (0.01, 1.0, 40.0)]
+    for beta0 in (0.0, -0.0, 800.0, -800.0):
+        fixed = np.zeros(n_feat + 1)
+        fixed[0] = beta0
+        params.append(fixed)
+    return matrix, labels, lam, params
+
+
+@settings(max_examples=150, deadline=None)
+@given(objectives())
+def test_kernel_equals_the_straight_oracle_bitwise(case):
+    matrix, labels, lam, params = case
+    step = _objective(matrix, labels, lam)
+    for p in params:  # consecutive steps of one kernel against fresh oracle calls
+        loss, grad = step(p)
+        want_loss, want_grad = straight_loss_and_gradient(p, matrix, labels, lam)
+        assert loss == want_loss
+        assert np.array_equal(grad, want_grad)
+        fresh_loss, fresh_grad = loss_and_gradient(p, matrix, labels, lam)
+        assert fresh_loss == want_loss
+        assert np.array_equal(fresh_grad, want_grad)
+
+
+def test_returned_gradient_is_not_overwritten_by_a_later_call():
+    rng = np.random.default_rng(4)
+    matrix = rng.normal(size=(20, 3))
+    labels = (rng.random(20) < 0.5).astype(float)
+    _, first = loss_and_gradient(np.zeros(4), matrix, labels, 0.5)
+    kept = first.copy()
+    _, second = loss_and_gradient(np.ones(4), matrix, labels, 0.5)
+    assert second is not first
+    assert np.array_equal(first, kept)
 
 
 # --- training ---------------------------------------------------------------------
@@ -177,6 +247,29 @@ def test_loss_history_is_monotone_nonincreasing():
     model = train(toy_dataset(30))
     history = np.array(model.loss_history)
     assert np.all(np.diff(history) <= 1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 60), st.integers(1, 8), st.integers(0, 2**32 - 1),
+       st.sampled_from((0.0, 0.3, 1.0)))
+def test_loss_history_equals_a_straight_oracle_loop(n_rows, n_feat, seed, lam):
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(n_rows, n_feat)) * 5.0 + 2.0
+    labels = np.arange(n_rows) % 2
+    config = TrainConfig(lam=lam, max_iters=300, tolerance=1e-5, seed=seed % 7)
+    model = train_matrix(matrix, labels, tuple(f"f{i}" for i in range(n_feat)), config)
+    scaled = standardize_fit(matrix).transform(matrix)
+    start = np.random.default_rng(config.seed).normal(0.0, 0.01, size=n_feat + 1)
+    history = straight_descent(scaled, labels.astype(float), start, lam,
+                               config.learning_rate, config.max_iters, config.tolerance)
+    assert model.loss_history == history
+    assert model.iterations == len(history) - 1
+
+
+def test_a_diverging_learning_rate_is_a_training_error():
+    with pytest.raises(TrainingError,
+                       match="^loss increased at iteration 1; lower the learning rate$"):
+        train(toy_dataset(10), TrainConfig(learning_rate=1000.0))
 
 
 def test_two_seeds_reach_the_same_optimum():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from tokengraphs.synth import (
     HONEYPOT_STAR,
     LEGITIMATE,
     NULL_ADDRESS,
+    _SCRAP_CDF,
+    _SCRAP_SIZES,
     ArchetypeConfig,
     CorpusProfile,
     gen_corpus,
@@ -298,3 +301,12 @@ def test_scan_corpus_is_small_graphs_only(tmp_path):
         assert fv.num_nodes <= 500
         young += fv.lifetime < 1_000
     assert young >= 10  # the young-token slice is present
+
+
+def test_scrap_size_search_is_the_draw_choice_makes():
+    for seed in range(50):
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(100):
+            size = _SCRAP_SIZES[bisect_right(_SCRAP_CDF, ours.random())]
+            assert size == int(numpys.choice((2, 3, 4), p=(0.5, 0.35, 0.15)))
+        assert ours.bit_generator.state == numpys.bit_generator.state
