@@ -7,7 +7,9 @@ drop the ones that are not fungible-token transfers, and look at the
 resulting per-token multigraph.
 """
 
-from tokengraphs.graphs import build_graphs, degree_stats, weak_components
+import numpy as np
+
+from tokengraphs.graphs import build_graphs, weak_components
 from tokengraphs.ingest import TRANSFER_TOPIC, RawLog, decode_logs, partition_windows
 
 print(f"Transfer topic0: {TRANSFER_TOPIC}")
@@ -47,8 +49,9 @@ for event in events:
 for window, batch in partition_windows(events).items():
     for token, graph in build_graphs(batch, window).items():
         comps = weak_components(graph)
-        in_deg, out_deg = degree_stats(graph)
-        degree = in_deg + out_deg  # indexed by node id
+        # degree of each node id, counting parallel edges; a self-loop counts twice
+        degree = (np.bincount(graph.edge_from, minlength=graph.num_nodes)
+                  + np.bincount(graph.edge_to, minlength=graph.num_nodes))
         print(f"\ntoken {token[-6:]} in window {window}:")
         print(f"  {graph.num_nodes} nodes, {graph.num_edges} edges, "
               f"{comps.count} weak component(s)")

@@ -9,8 +9,10 @@ address) and the address-poisoning spray (hundreds of 2-4 node scraps
 sending dust).  The per-graph features make the difference measurable.
 """
 
+import numpy as np
+
 from tokengraphs.features import extract_features, histogram_bins
-from tokengraphs.graphs import build_graphs, degree_stats, weak_components
+from tokengraphs.graphs import build_graphs, weak_components
 from tokengraphs.ingest import BlockWindow
 from tokengraphs.synth import ArchetypeConfig, generate
 
@@ -35,8 +37,9 @@ for name, cfg in configs:
     comps = weak_components(graph)
     fv = extract_features(graph)
     vectors.append(fv)
-    in_deg, out_deg = degree_stats(graph)
-    hubs = (in_deg + out_deg > 3).sum()
+    degree = (np.bincount(graph.edge_from, minlength=fv.num_nodes)
+              + np.bincount(graph.edge_to, minlength=fv.num_nodes))
+    hubs = (degree > 3).sum()
     print(f"{name} (label={cfg.label}):")
     print(f"  nodes={fv.num_nodes} edges={fv.num_edges} "
           f"components={fv.num_components} avg_comp_size={fv.avg_comp_size:.1f}")

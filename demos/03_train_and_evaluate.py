@@ -10,7 +10,7 @@ how the frozen model carries over to the second window.
 import tempfile
 from pathlib import Path
 
-from tokengraphs.dataset import join, load_labels, summarize
+from tokengraphs.dataset import join, load_labels
 from tokengraphs.evaluation import cross_window_eval, kfold_cv
 from tokengraphs.features import extract_features
 from tokengraphs.graphs import build_graphs
@@ -32,9 +32,16 @@ for window, batch in iter_window_groups(read_fixture(workdir / "fixture.tsv")):
     vectors = [extract_features(g) for g in build_graphs(batch, window).values()]
     datasets.append(join(vectors, labels, min_nodes=500))
 
-summary = summarize(datasets)
-print(f"rows={summary.pooled_rows} pooled scam share={summary.pooled_fraction:.1%} "
-      f"unique-token share={summary.unique_fraction:.1%} "
+# pooled over (token, window) rows, and once per token: a token is a scam if
+# any of its rows is
+rows = [row for dataset in datasets for row in dataset.rows]
+token_flag = {}
+for fv, label in rows:
+    token_flag[fv.token] = max(token_flag.get(fv.token, 0), label)
+pooled = sum(label for _fv, label in rows) / len(rows)
+unique = sum(token_flag.values()) / len(token_flag)
+print(f"rows={len(rows)} pooled scam share={pooled:.1%} "
+      f"unique-token share={unique:.1%} "
       f"(legitimate tokens recur, scams do not)\n")
 
 report = kfold_cv(datasets[0], k=5, seed=0, variant="full")

@@ -54,14 +54,11 @@ def _write_manifest(path: str, command: str, config: dict, **extra) -> None:
 
 
 def _manifest_path(args: argparse.Namespace, primary_output: str) -> str:
-    if getattr(args, "manifest", None):
-        return args.manifest
-    return primary_output + ".manifest.json"
+    return getattr(args, "manifest", None) or primary_output + ".manifest.json"
 
 
 def _config_from_args(args: argparse.Namespace) -> dict:
-    skip = {"func", "command"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
+    return {k: v for k, v in vars(args).items() if k != "command"}
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
@@ -258,11 +255,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
-    windows = [
-        BlockWindow(args.window_start + i * args.window_width,
-                    args.window_start + (i + 1) * args.window_width)
-        for i in range(args.n_windows)
-    ]
+    windows = [BlockWindow(args.window_start + i * args.window_width,
+                           args.window_start + (i + 1) * args.window_width)
+               for i in range(args.n_windows)]
     fixture = os.path.join(args.out_dir, "fixture.tsv")
     manifest_path = os.path.join(args.out_dir, "manifest.json")
     if args.kind == "training":
@@ -344,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rpc-timeout", type=float, default=30.0)
     p.add_argument("--rpc-retries", type=int, default=3)
     p.add_argument("--rpc-backoff", type=float, default=0.5)
-    p.set_defaults(func=cmd_fetch)
 
     p = sub.add_parser("features", parents=[common],
                        help="fixture -> per-(token, window) feature table")
@@ -355,14 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write one edge-list file per graph")
     p.add_argument("--histogram-out", metavar="CSV",
                    help="also write per-feature histogram bins")
-    p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("train", parents=[common, hyper],
                        help="join features with labels and fit the classifier")
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--model-out", required=True)
-    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("cv", parents=[common, hyper],
                        help="stratified k-fold cross-validation report")
@@ -372,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--roc-out", metavar="PREFIX",
                    help="write per-fold ROC point files <PREFIX>_<fold>.csv")
-    p.set_defaults(func=cmd_cv)
 
     p = sub.add_parser("crosseval", parents=[common, hyper],
                        help="train on one window, evaluate on others")
@@ -382,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar=("FEATURES", "LABELS"))
     p.add_argument("--out", required=True)
     p.add_argument("--roc-out", metavar="PREFIX")
-    p.set_defaults(func=cmd_crosseval)
 
     p = sub.add_parser("scan", parents=[common],
                        help="score sub-threshold graphs with a reduced model")
@@ -390,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--max-nodes", type=int, default=DEFAULT_MIN_NODES)
-    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("synth", parents=[common],
                        help="generate a seeded synthetic corpus")
@@ -401,13 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-windows", type=int, default=1)
     p.add_argument("--window-start", type=int, default=18_000_000)
     p.add_argument("--window-width", type=int, default=DEFAULT_WINDOW_WIDTH)
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("replay", help="re-run a command from its manifest")
     p.add_argument("manifest")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a recorded config value")
-    p.set_defaults(func=cmd_replay)
 
     return parser
 
@@ -420,6 +407,7 @@ _DISPATCH = {
     "crosseval": cmd_crosseval,
     "scan": cmd_scan,
     "synth": cmd_synth,
+    "replay": cmd_replay,
 }
 
 
@@ -427,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _DISPATCH[args.command](args)
     except _RUNTIME_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -5,10 +5,9 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .features import FeatureVector
-from .ingest import BlockWindow
 
 LABEL_HEADER = "token,suspicious"
 
@@ -112,50 +111,3 @@ def join(
             continue
         rows.append((fv, label))
     return LabeledDataset(rows=rows, unlabeled=unlabeled)
-
-
-@dataclass
-class CorpusSummary:
-    per_window: list[tuple[BlockWindow, int, int]]  # (window, rows, suspicious)
-    pooled_rows: int
-    pooled_suspicious: int
-    unique_tokens: int
-    unique_suspicious: int
-
-    @property
-    def pooled_fraction(self) -> float:
-        return self.pooled_suspicious / self.pooled_rows if self.pooled_rows else 0.0
-
-    @property
-    def unique_fraction(self) -> float:
-        return self.unique_suspicious / self.unique_tokens if self.unique_tokens else 0.0
-
-
-def summarize(datasets: Iterable[LabeledDataset]) -> CorpusSummary:
-    """Pooled and unique-token counts over per-window datasets.
-
-    A token counts as suspicious at the unique level when any of its window
-    rows is labeled suspicious; legitimate tokens recurring across windows
-    is what pushes the pooled fraction below the unique one.
-    """
-    per_window: list[tuple[BlockWindow, int, int]] = []
-    token_flag: dict[str, int] = {}
-    pooled_rows = 0
-    pooled_suspicious = 0
-    for dataset in datasets:
-        by_window: dict[BlockWindow, tuple[int, int]] = {}
-        for fv, label in dataset.rows:
-            rows, bad = by_window.get(fv.window, (0, 0))
-            by_window[fv.window] = (rows + 1, bad + label)
-            token_flag[fv.token] = max(token_flag.get(fv.token, 0), label)
-            pooled_rows += 1
-            pooled_suspicious += label
-        per_window.extend((w, rows, bad) for w, (rows, bad) in sorted(
-            by_window.items(), key=lambda item: item[0].start))
-    return CorpusSummary(
-        per_window=per_window,
-        pooled_rows=pooled_rows,
-        pooled_suspicious=pooled_suspicious,
-        unique_tokens=len(token_flag),
-        unique_suspicious=sum(token_flag.values()),
-    )

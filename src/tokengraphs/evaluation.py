@@ -178,9 +178,7 @@ def kfold_cv(
         folds.append(evaluate_model(model, test_set, label=f"fold-{fold_id + 1}",
                                     check_leakage=True))
 
-    pooled = ConfusionCounts()
-    for fold in folds:
-        pooled = pooled + fold.counts
+    pooled = sum((fold.counts for fold in folds), ConfusionCounts())
     mean = lambda attr: float(np.mean([getattr(f, attr) for f in folds]))
     return EvalReport(
         label=f"cv-{k}fold",

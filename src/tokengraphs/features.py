@@ -124,8 +124,13 @@ def feature_matrix(
 
 
 def format_real(x: float) -> str:
-    """A real number as the feature table and the report files write it."""
-    return format(x, ".10g")
+    """A real number as the feature table and the report files write it: 10
+    significant digits, or the shortest round-trip form where those would
+    round a finite value past the float64 maximum."""
+    text = format(x, ".10g")
+    if 1e308 < abs(x) < math.inf and math.isinf(float(text)):
+        return repr(x)
+    return text
 
 
 def write_feature_table(vectors: Iterable[FeatureVector], path: str | os.PathLike) -> int:
@@ -133,18 +138,10 @@ def write_feature_table(vectors: Iterable[FeatureVector], path: str | os.PathLik
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(TABLE_HEADER + "\n")
         for fv in vectors:
-            handle.write(",".join((
-                fv.token,
-                str(fv.window.start), str(fv.window.end),
-                str(fv.num_nodes), str(fv.num_edges),
-                format_real(fv.density),
-                str(fv.num_components),
-                format_real(fv.avg_comp_size),
-                str(fv.lifetime),
-                format_real(fv.transfer_std_dev),
-                str(fv.amount),
-            )))
-            handle.write("\n")
+            handle.write(f"{fv.token},{fv.window.start},{fv.window.end},{fv.num_nodes},"
+                         f"{fv.num_edges},{format_real(fv.density)},{fv.num_components},"
+                         f"{format_real(fv.avg_comp_size)},{fv.lifetime},"
+                         f"{format_real(fv.transfer_std_dev)},{fv.amount}\n")
             count += 1
     return count
 
@@ -181,18 +178,10 @@ def read_feature_table(path: str | os.PathLike) -> list[FeatureVector]:
             (token, start, end, num_nodes, num_edges, density, num_components,
              avg_comp_size, lifetime, std_dev, amount) = m.groups()
             try:
-                fv = FeatureVector(
-                    token=token,
-                    window=BlockWindow(int(start), int(end)),
-                    num_nodes=int(num_nodes),
-                    num_edges=int(num_edges),
-                    density=float(density),
-                    num_components=int(num_components),
-                    avg_comp_size=float(avg_comp_size),
-                    lifetime=int(lifetime),
-                    transfer_std_dev=float(std_dev),
-                    amount=int(amount),
-                )
+                fv = FeatureVector(token, BlockWindow(int(start), int(end)), int(num_nodes),
+                                   int(num_edges), float(density), int(num_components),
+                                   float(avg_comp_size), int(lifetime), float(std_dev),
+                                   int(amount))
             except ValueError as exc:  # an integer past Python's digit limit
                 raise ValueError(f"line {line_no}: {exc}") from None
             # a nan or inf would reach the model matrix and every score

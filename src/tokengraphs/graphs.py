@@ -1,25 +1,27 @@
-"""Per-token transfer multigraphs and their component/degree structure."""
+"""Per-token transfer multigraphs and their weak components."""
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 import numpy as np
 
-from .ingest import BlockWindow, WindowBatch
+from .ingest import BlockWindow, LimbValues, WindowBatch
 
 
 @dataclass
-class TokenGraph:
+class TokenGraph(LimbValues):
     """Directed multigraph of one token's transfers inside one block window.
 
     Nodes are lowercase hex addresses; ``nodes[i]`` is the address of node id
     ``i``.  Edges are stored as parallel arrays ordered by (block, logIndex)
     of the originating transfers, so parallel edges and self-loops occur
-    as-is.  Values stay exact python ints (uint256 sums overflow any fixed
-    dtype); ``amount`` is their sum.
+    as-is.  Edge values are uint64 limbs plus a side dict keyed by edge (see
+    ``LimbValues``; ``values`` makes exact ints on demand), and ``amount`` is
+    their exact sum.
     """
 
     token: str
@@ -27,8 +29,10 @@ class TokenGraph:
     nodes: list[str]
     edge_from: np.ndarray  # int32 node ids
     edge_to: np.ndarray    # int32 node ids
-    values: np.ndarray     # object array of exact python ints, one per edge
     blocks: np.ndarray     # int64 block numbers, one per edge
+    value_lo: np.ndarray
+    value_hi: np.ndarray
+    wide: dict[int, int]
     amount: int
 
     @property
@@ -37,7 +41,7 @@ class TokenGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.values)
+        return len(self.blocks)
 
 
 @dataclass
@@ -46,27 +50,52 @@ class ComponentSummary:
     sizes: list[int]
 
 
+# below 2**32 transfers a window, each 32-bit limb of their values sums exactly in uint64
+MAX_WINDOW_TRANSFERS = (1 << 32) - 1
+
+
+def _limb_sums(lo: np.ndarray, hi: np.ndarray, starts: list[int]) -> list[int]:
+    """Exact sums of ``lo + (hi << 64)`` over the runs that begin at ``starts``,
+    from each 32-bit limb summed in uint64."""
+    sums, limb = [0] * len(starts), np.empty_like(lo)
+    for shift, column in ((0, lo), (32, lo), (64, hi), (96, hi)):
+        np.right_shift(column, np.uint64(shift % 64), out=limb)
+        np.bitwise_and(limb, np.uint64(0xFFFFFFFF), out=limb)
+        parts = np.add.reduceat(limb, starts).tolist()
+        sums = [total + (part << shift) for total, part in zip(sums, parts)]
+    return sums
+
+
 def build_graphs(batch: WindowBatch, window: BlockWindow) -> dict[str, TokenGraph]:
     """Build one graph per token from one window's batch.
 
     Every transfer becomes exactly one edge of its token's graph; the node set
     is exactly the set of edge endpoints.  Transfers may come in any order:
-    this is the one place that puts edges in (block, logIndex) order.  The
-    graphs' arrays are slices of one (token, block, logIndex)-sorted copy of
-    the batch.
+    this is the one place that puts edges in (block, logIndex) order.  It
+    takes the batch over: its columns are put in (token, block, logIndex)
+    order one at a time, each sorted copy replacing (and freeing) its input,
+    and the graphs' arrays are slices of them.
     """
+    if len(batch) > MAX_WINDOW_TRANSFERS:
+        raise ValueError(f"window {window} holds {len(batch)} transfers; values are "
+                         f"summed exactly for at most {MAX_WINDOW_TRANSFERS}")
     order = np.lexsort((batch.log_index, batch.block, batch.token))
-    edge_start = np.searchsorted(batch.token[order],
-                                 np.arange(len(batch.tokens) + 1)).tolist()
-    src, dst = batch.src[order], batch.dst[order]
-    values, blocks = batch.values[order], batch.block[order]
-    amounts = np.add.reduceat(values, edge_start[:-1]).tolist()
+    for name in ("token", "src", "dst", "block", "log_index", "value_lo", "value_hi"):
+        setattr(batch, name, getattr(batch, name)[order])
+    rows = np.flatnonzero(np.isin(order, list(batch.wide))).tolist() if batch.wide else []
+    batch.wide = dict(zip(rows, map(batch.wide.get, order[rows].tolist())))
+    del order
+    edge_start = np.searchsorted(batch.token, np.arange(len(batch.tokens) + 1)).tolist()
+    amounts = _limb_sums(batch.value_lo, batch.value_hi, edge_start[:-1])
 
     graphs: dict[str, TokenGraph] = {}
     for t, name in enumerate(batch.tokens):
         lo, hi = edge_start[t], edge_start[t + 1]
-        graphs[name] = TokenGraph(name, window, batch.nodes[t], src[lo:hi], dst[lo:hi],
-                                  values[lo:hi], blocks[lo:hi], amounts[t])
+        wide = {row - lo: batch.wide[row]
+                for row in rows[bisect_left(rows, lo):bisect_left(rows, hi)]}
+        graphs[name] = TokenGraph(name, window, batch.nodes[t], batch.src[lo:hi],
+                                  batch.dst[lo:hi], batch.block[lo:hi], batch.value_lo[lo:hi],
+                                  batch.value_hi[lo:hi], wide, amounts[t] + sum(wide.values()))
     return graphs
 
 
@@ -95,20 +124,12 @@ def weak_components(graph: TokenGraph) -> ComponentSummary:
     return ComponentSummary(count=len(sizes), sizes=sizes.tolist())
 
 
-def degree_stats(graph: TokenGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(in, out) degree of each node id, counting multiplicity; a self-loop
-    adds 1 to each side."""
-    n = graph.num_nodes
-    return (np.bincount(graph.edge_to, minlength=n),
-            np.bincount(graph.edge_from, minlength=n))
-
-
 def write_edge_list(graph: TokenGraph, out: TextIO) -> None:
     """Dump one graph in the plotting-friendly edge-list format."""
     out.write(f"# token={graph.token} window={graph.window}\n")
     nodes = graph.nodes
     for src, dst, value, block in zip(graph.edge_from.tolist(), graph.edge_to.tolist(),
-                                      graph.values.tolist(), graph.blocks.tolist()):
+                                      graph.values, graph.blocks.tolist()):
         out.write(f"{nodes[src]}\t{nodes[dst]}\t{value}\t{block}\n")
 
 

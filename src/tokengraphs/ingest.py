@@ -12,6 +12,7 @@ import logging
 import os
 import re
 import time
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice
@@ -363,8 +364,7 @@ def write_fixture(events: Iterable[TransferEvent], path: str | os.PathLike) -> i
     count = 0
     with open(path, "w", encoding="utf-8") as handle:
         for event in events:
-            handle.write(format_fixture_line(event))
-            handle.write("\n")
+            handle.write(format_fixture_line(event) + "\n")
             count += 1
     return count
 
@@ -372,14 +372,55 @@ def write_fixture(events: Iterable[TransferEvent], path: str | os.PathLike) -> i
 # ---------------------------------------------------------------------------
 # block windows as interned columns
 
+_LIMB = (1 << 64) - 1
+_WIDE = 1 << 128
+
+
+def append_values(lo: array, hi: array, wide: dict[int, int], values: list[int]) -> None:
+    """Append uint256 ``values`` as uint64 limbs, bits 0-63 to ``lo`` and 64-127
+    to ``hi``; a value of 2**128 or more gets zero limbs and is kept whole in
+    ``wide`` under its row."""
+    try:
+        lo.fromlist(values)  # leaves lo as it was if a value needs more than 64 bits
+    except OverflowError:
+        low, high = values[:], [0] * len(values)
+        for i, value in enumerate(values):
+            if value > _LIMB:
+                if value < _WIDE:
+                    low[i], high[i] = value & _LIMB, value >> 64
+                else:
+                    low[i], wide[len(lo) + i] = 0, value
+        lo.fromlist(low)
+        hi.fromlist(high)
+    else:
+        hi.frombytes(bytes(8 * len(values)))
+
+
+class LimbValues:
+    """Exact values as ``append_values`` splits them: uint64 ``value_lo`` and
+    ``value_hi`` limb columns, and a ``wide`` side dict {row: value}."""
+
+    @property
+    def values(self) -> list[int]:
+        """Each row's exact value as a Python int, made on demand."""
+        values = self.value_lo.tolist()
+        rows = np.flatnonzero(self.value_hi)
+        for row, high in zip(rows.tolist(), self.value_hi[rows].tolist()):
+            values[row] |= high << 64
+        for row, value in self.wide.items():
+            values[row] = value
+        return values
+
+
 @dataclass
-class WindowBatch:
+class WindowBatch(LimbValues):
     """One window's transfers as columns, in input order.
 
     Tokens are interned per window and addresses per token, each numbered in
     order of first appearance: ``tokens[t]`` is the address of token id
     ``t`` and ``nodes[t][i]`` the address of node ``i`` of that token's graph.
     An address that moved two tokens is a node of each, never one shared node.
+    No column holds a Python object: values are limbs (see ``LimbValues``).
     """
 
     tokens: list[str]
@@ -389,7 +430,9 @@ class WindowBatch:
     dst: np.ndarray        # int32 node id of the recipient, within its token
     block: np.ndarray      # int64
     log_index: np.ndarray  # int64
-    values: np.ndarray     # object array of exact python ints
+    value_lo: np.ndarray
+    value_hi: np.ndarray
+    wide: dict[int, int]
 
     def __len__(self) -> int:
         return len(self.token)
@@ -400,6 +443,9 @@ class WindowBatch:
 _CHUNK = 1 << 8
 
 _TOKEN, _FROM, _TO, _VALUE, _BLOCK, _LOG_INDEX = map(itemgetter, range(6))
+
+# the dtypes of a WindowBatch's columns, token to value_hi, grown in place
+_DTYPES = (np.int32,) * 3 + (np.int64,) * 2 + (np.uint64,) * 2
 
 
 def _interner() -> defaultdict[str, int]:
@@ -419,27 +465,29 @@ class _BatchBuilder:
     def __init__(self):
         self.token_ids = _interner()
         self.node_ids: list[defaultdict[str, int]] = []  # by token id
-        self.chunks: list[tuple[np.ndarray, ...]] = []
-        self.values: list[int] = []
+        self.columns = [array(np.dtype(dtype).char) for dtype in _DTYPES]
+        self.wide: dict[int, int] = {}
 
     def add(self, events: list[TransferEvent], blocks: np.ndarray) -> None:
-        n = len(events)
-        token = np.fromiter(map(self.token_ids.__getitem__, map(_TOKEN, events)),
-                            np.int32, n)
+        ids = list(map(self.token_ids.__getitem__, map(_TOKEN, events)))
         self.node_ids += (_interner() for _ in range(len(self.token_ids)
                                                      - len(self.node_ids)))
-        tables = list(map(self.node_ids.__getitem__, token.tolist()))
-        self.chunks.append((
-            token,
-            np.fromiter(map(dict.__getitem__, tables, map(_FROM, events)), np.int32, n),
-            np.fromiter(map(dict.__getitem__, tables, map(_TO, events)), np.int32, n),
-            blocks, np.fromiter(map(_LOG_INDEX, events), np.int64, n)))
-        self.values.extend(map(_VALUE, events))
+        tables = list(map(self.node_ids.__getitem__, ids))
+        token, src, dst, block, log_index, lo, hi = self.columns
+        token.fromlist(ids)
+        src.fromlist(list(map(dict.__getitem__, tables, map(_FROM, events))))
+        dst.fromlist(list(map(dict.__getitem__, tables, map(_TO, events))))
+        block.frombytes(blocks.tobytes())
+        log_index.fromlist(list(map(_LOG_INDEX, events)))
+        append_values(lo, hi, self.wide, list(map(_VALUE, events)))
 
     def finish(self) -> WindowBatch:
-        token, src, dst, block, log_index = map(np.concatenate, zip(*self.chunks))
-        return WindowBatch(list(self.token_ids), list(map(list, self.node_ids)), token,
-                           src, dst, block, log_index, np.array(self.values, dtype=object))
+        """The window's batch.  The builder lets go of its columns and interning
+        dicts, so each column lives exactly as long as the batch holds it."""
+        batch = WindowBatch(list(self.token_ids), list(map(list, self.node_ids)),
+                            *map(np.frombuffer, self.columns, _DTYPES), self.wide)
+        del self.columns, self.token_ids, self.node_ids, self.wide
+        return batch
 
 
 def partition_windows(

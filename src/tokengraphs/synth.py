@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from itertools import chain, repeat
@@ -22,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import write_labels
-from .ingest import FIXTURE_LINE, BlockWindow, WindowBatch
+from .ingest import FIXTURE_LINE, BlockWindow, WindowBatch, append_values
 
 NULL_ADDRESS = "0x" + "0" * 40
 
@@ -126,7 +127,7 @@ def _fixture_lines(batch: WindowBatch) -> list[str]:
     log_index = batch.log_index.tolist()
     tx_hashes = map(f"0x{int(token[2:], 16) % (1 << 128):032x}%032x".__mod__, log_index)
     rows = zip(repeat(token), map(addresses.__getitem__, batch.src.tolist()),
-               map(addresses.__getitem__, batch.dst.tolist()), batch.values.tolist(),
+               map(addresses.__getitem__, batch.dst.tolist()), batch.values,
                batch.block.tolist(), log_index, tx_hashes)
     return list(map(FIXTURE_LINE.__mod__, rows))
 
@@ -269,9 +270,12 @@ def generate(cfg: ArchetypeConfig) -> WindowBatch:
     values = _values(rng, n, cfg)
     order = np.argsort(blocks, kind="stable")
     ends = np.fromiter(chain.from_iterable(edges), np.int32, 2 * n).reshape(n, 2)[order]
+    lo, hi, wide = array("Q"), array("Q"), {}
+    append_values(lo, hi, wide, list(map(values.__getitem__, order.tolist())))
     return WindowBatch([cfg.token or _addresses(namespace, _TOKEN_INDEX)[0]], [addresses],
                        np.zeros(n, np.int32), ends[:, 0], ends[:, 1], blocks[order],
-                       np.arange(n, dtype=np.int64), np.array(values, dtype=object)[order])
+                       np.arange(n, dtype=np.int64), np.frombuffer(lo, np.uint64),
+                       np.frombuffer(hi, np.uint64), wide)
 
 
 @dataclass

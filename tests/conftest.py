@@ -42,7 +42,7 @@ def batch_rows(batch: WindowBatch) -> list[tuple[str, str, str, int, int, int]]:
     return list(zip(map(batch.tokens.__getitem__, token),
                     map(lambda t, i: batch.nodes[t][i], token, batch.src.tolist()),
                     map(lambda t, i: batch.nodes[t][i], token, batch.dst.tolist()),
-                    batch.values.tolist(), batch.block.tolist(),
+                    batch.values, batch.block.tolist(),
                     batch.log_index.tolist()))
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -237,3 +238,59 @@ def straight_descent(
         loss, grad = straight_loss_and_gradient(params, scaled, labels, lam)
         history.append(loss)
     return history
+
+
+def degree_stats(graph) -> tuple[np.ndarray, np.ndarray]:
+    """(in, out) degree of each node id of a ``TokenGraph``, counting
+    multiplicity; a self-loop adds 1 to each side."""
+    n = graph.num_nodes
+    return (np.bincount(graph.edge_to, minlength=n),
+            np.bincount(graph.edge_from, minlength=n))
+
+
+# a NamedTuple, not a dataclass: perfbench/checks.py runs this file without
+# registering it in sys.modules, which a dataclass needs
+class CorpusSummary(NamedTuple):
+    per_window: list[tuple]  # (window, rows, suspicious)
+    pooled_rows: int
+    pooled_suspicious: int
+    unique_tokens: int
+    unique_suspicious: int
+
+    @property
+    def pooled_fraction(self) -> float:
+        return self.pooled_suspicious / self.pooled_rows if self.pooled_rows else 0.0
+
+    @property
+    def unique_fraction(self) -> float:
+        return self.unique_suspicious / self.unique_tokens if self.unique_tokens else 0.0
+
+
+def summarize(datasets: Iterable) -> CorpusSummary:
+    """Pooled and unique-token counts over per-window ``LabeledDataset`` rows.
+
+    A token counts as suspicious at the unique level when any of its window
+    rows is labeled suspicious; legitimate tokens recurring across windows
+    is what pushes the pooled fraction below the unique one.
+    """
+    per_window: list[tuple] = []
+    token_flag: dict[str, int] = {}
+    pooled_rows = 0
+    pooled_suspicious = 0
+    for dataset in datasets:
+        by_window: dict = {}
+        for fv, label in dataset.rows:
+            rows, bad = by_window.get(fv.window, (0, 0))
+            by_window[fv.window] = (rows + 1, bad + label)
+            token_flag[fv.token] = max(token_flag.get(fv.token, 0), label)
+            pooled_rows += 1
+            pooled_suspicious += label
+        per_window.extend((w, rows, bad) for w, (rows, bad) in sorted(
+            by_window.items(), key=lambda item: item[0].start))
+    return CorpusSummary(
+        per_window=per_window,
+        pooled_rows=pooled_rows,
+        pooled_suspicious=pooled_suspicious,
+        unique_tokens=len(token_flag),
+        unique_suspicious=sum(token_flag.values()),
+    )

@@ -3,17 +3,17 @@ from __future__ import annotations
 import pytest
 
 from tokengraphs.dataset import (
-    CorpusSummary,
     LabelConflictError,
     LabelParseError,
     LabeledDataset,
     join,
     load_labels,
-    summarize,
     write_labels,
 )
 from tokengraphs.features import FeatureVector
 from tokengraphs.ingest import BlockWindow
+
+from oracles import summarize
 
 WINDOW = BlockWindow(18_000_000, 18_100_000)
 

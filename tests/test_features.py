@@ -15,6 +15,7 @@ from tokengraphs.features import (
     FeatureVector,
     extract_features,
     feature_matrix,
+    format_real,
     histogram_bins,
     read_feature_table,
     write_feature_table,
@@ -233,7 +234,7 @@ TOKEN = "0x" + "ab" * 20
 
 @st.composite
 def feature_vectors(draw):
-    reals = st.floats(-1e300, 1e300)  # .10g rounds the largest floats up to inf
+    reals = st.floats(allow_nan=False, allow_infinity=False)
     counts = st.integers(0, 10**12)
     start = draw(st.integers(0, 10**15))
     return FeatureVector(
@@ -258,6 +259,20 @@ def test_written_tables_read_back_identically(tmp_path_factory, vectors):
         assert loaded.token == original.token and loaded.window == original.window
         assert loaded.amount == original.amount
         assert loaded.num_nodes == original.num_nodes
+
+
+@pytest.mark.parametrize("x", [1.7976931345e+308, -1.7976931345e+308,
+                               1.7976931348623157e+308, -1.7976931348623157e+308])
+def test_format_real_keeps_the_largest_finite_reals_finite(x):
+    # .10g would round these up to 1.797693135e+308, which reads back as inf
+    assert format(x, ".10g").lstrip("-") == "1.797693135e+308"
+    assert float(format_real(x)) == x
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, 1.5, 1e-300, 1.7976931344e+308,
+                               -1.7976931344e+308, 5e-324])
+def test_format_real_is_ten_significant_digits_below_the_float64_edge(x):
+    assert format_real(x) == format(x, ".10g")
 
 
 # ways to spoil a cell that bare int()/float() would still accept

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tokengraphs.graphs import (TokenGraph, build_graphs, degree_stats, weak_components,
-                                write_edge_list)
+from tokengraphs.graphs import TokenGraph, build_graphs, weak_components, write_edge_list
 
 from conftest import WINDOW, batch_of, make_event
-from oracles import bfs_component_sizes, bfs_components
+from oracles import bfs_component_sizes, bfs_components, degree_stats
 
 
 def graph_of(pairs, token="0x01", window=WINDOW, blocks=None):
@@ -60,7 +59,7 @@ def test_edges_follow_block_logindex_order():
               make_event("0xc", "0xa", value=3, block=18_000_005, log_index=0, tx=3)]
     graph = build_graphs(batch_of(events), WINDOW)[events[0].token]
     assert graph.blocks.tolist() == [18_000_001, 18_000_005, 18_000_005]
-    assert graph.values.tolist() == [2, 3, 1]
+    assert graph.values == [2, 3, 1]
 
 
 # --- components -------------------------------------------------------------
@@ -136,8 +135,8 @@ def test_weak_components_match_bfs_in_smallest_node_id_order(shaped):
     graph = TokenGraph("0x01", WINDOW, [f"0x{i:x}" for i in range(n)],
                        np.array([a for a, _ in edges], dtype=np.int32),
                        np.array([b for _, b in edges], dtype=np.int32),
-                       np.ones(len(edges), dtype=object), np.full(len(edges), WINDOW.start),
-                       len(edges))
+                       np.full(len(edges), WINDOW.start), np.ones(len(edges), np.uint64),
+                       np.zeros(len(edges), np.uint64), {}, len(edges))
     comps = weak_components(graph)
     assert comps.sizes == bfs_component_sizes(n, edges)
     assert comps.count == len(comps.sizes)
@@ -197,7 +196,7 @@ def test_identical_input_builds_identical_graphs():
     g2 = build_graphs(batch_of(events), WINDOW)[events[0].token]
     assert g1.nodes == g2.nodes
     assert g1.edge_from.tolist() == g2.edge_from.tolist()
-    assert g1.values.tolist() == g2.values.tolist()
+    assert g1.values == g2.values
 
 
 # --- export -----------------------------------------------------------------

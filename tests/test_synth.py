@@ -10,7 +10,7 @@ import pytest
 
 from tokengraphs.dataset import join, load_labels
 from tokengraphs.features import extract_features
-from tokengraphs.graphs import build_graphs, degree_stats, weak_components
+from tokengraphs.graphs import build_graphs, weak_components
 from tokengraphs.ingest import BlockWindow, iter_window_groups, read_fixture
 from tokengraphs.synth import (
     COUNTERFEIT_POISONING,
@@ -27,6 +27,7 @@ from tokengraphs.synth import (
 )
 
 from conftest import batch_of, batch_rows
+from oracles import degree_stats, summarize
 
 WINDOW = BlockWindow(18_000_000, 18_100_000)
 
@@ -276,7 +277,6 @@ def test_legitimate_tokens_recur_scams_do_not(tmp_path):
 
 
 def test_recurring_legit_tokens_push_unique_fraction_up(tmp_path):
-    from tokengraphs.dataset import summarize
     windows = [WINDOW, BlockWindow(18_100_000, 18_200_000)]
     gen_corpus(30, 0.4, windows, tmp_path / "f.tsv", tmp_path / "l.csv", seed=6,
                profile=CorpusProfile(legit_budget=(510, 600), scam_budget=(510, 600)))

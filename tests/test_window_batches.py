@@ -3,27 +3,47 @@
 Fixture events go through ``iter_window_groups`` (interning into one
 ``WindowBatch`` per window), ``build_graphs`` (one lexsort per window) and
 ``extract_features``; every per-token result must equal the oracles run on
-that token's transfers alone.
+that token's transfers alone.  Values are uint64 limbs plus a side dict for
+values of 2**128 and more, so values at and around each limb edge are drawn
+on purpose.
 """
 
 from __future__ import annotations
 
+from array import array
+from dataclasses import fields
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tokengraphs.graphs as graphs_module
 import tokengraphs.ingest as ingest
+from tokengraphs.cli import main as cli_main
 from tokengraphs.features import extract_features
 from tokengraphs.graphs import build_graphs, weak_components
-from tokengraphs.ingest import UINT256_MAX, BlockWindow, iter_window_groups
+from tokengraphs.ingest import (UINT256_MAX, BlockWindow, WindowBatch, append_values,
+                                format_fixture_line, iter_window_groups)
 
 from conftest import batch_of, batch_rows, make_event
 from oracles import bfs_components, straight_line_features
 
 WIDTH = 1_000
 FIRST = 18_000_000
+
+# the limb edges: the top of a 32-bit limb, the top of the low uint64 limb and
+# the start of the high one, the start of the top 32-bit limb, the top of both
+# uint64 limbs, and the first and last value kept in the side dict
+EDGE_VALUES = (2**32 - 1, 2**64 - 1, 2**64, 2**96, 2**128 - 1, 2**128, UINT256_MAX)
+uint256s = st.one_of(st.integers(0, 1_000), st.sampled_from(EDGE_VALUES),
+                     st.integers(0, UINT256_MAX))
+
+
+def _columns_hold_no_objects(record) -> bool:
+    return all(getattr(record, f.name).dtype != object for f in fields(record)
+               if isinstance(getattr(record, f.name), np.ndarray))
 
 
 @st.composite
@@ -40,8 +60,7 @@ def windows(draw):
     for window_idx in range(draw(st.integers(1, 2))):
         rows = draw(st.lists(st.tuples(
             st.integers(0, n_tokens - 1), st.integers(0, pool - 1),
-            st.integers(0, pool - 1),
-            st.one_of(st.integers(0, 1_000), st.integers(0, UINT256_MAX)),
+            st.integers(0, pool - 1), uint256s,
             st.integers(0, 3), st.integers(0, 2)), min_size=1, max_size=40))
         start = FIRST + window_idx * WIDTH
         window_events = [
@@ -73,16 +92,18 @@ def test_batches_graphs_and_features_match_the_oracles(events, chunk):
     for window, batch in groups:
         inside = [e for e in events if window.start <= e.block < window.end]
         assert batch_rows(batch) == [tuple(e[:6]) for e in inside]
+        assert _columns_hold_no_objects(batch)
         expected = _expected_edges(events, window)
 
         graphs = build_graphs(batch, window)
         assert set(graphs) == set(expected)
         for token, graph in graphs.items():
+            assert _columns_hold_no_objects(graph)
             edges = expected[token]
             nodes = graph.nodes
             assert [(nodes[s], nodes[d], v, b) for s, d, v, b in zip(
                 graph.edge_from.tolist(), graph.edge_to.tolist(),
-                graph.values.tolist(), graph.blocks.tolist())] == edges
+                graph.values, graph.blocks.tolist())] == edges
             # a node is a (token, address) pair: nodes are exactly this
             # token's endpoints, whatever other tokens touch the same address
             assert sorted(nodes) == sorted({a for f, t, _v, _b in edges for a in (f, t)})
@@ -117,3 +138,73 @@ def test_a_shared_address_is_one_node_in_each_of_its_tokens():
 
 def test_no_events_make_no_windows():
     assert list(iter_window_groups(iter([]), WIDTH)) == []
+
+
+@pytest.mark.parametrize("chunk", [1, 2, ingest._CHUNK])
+def test_values_at_every_limb_edge_stay_exact(chunk):
+    values = [2**64 - 1, 2**64, 2**128 - 1, 2**128, UINT256_MAX, 0, 7, 2**64 + 5]
+    events = [make_event("0xa", "0xb", value=value, block=FIRST + 10 - i, log_index=i,
+                         token=f"0x{i % 3 + 1:x}", tx=i + 1)
+              for i, value in enumerate(values)]
+    with mock.patch.object(ingest, "_CHUNK", chunk):
+        (window, batch), = iter_window_groups(iter(events), WIDTH)
+    assert batch_rows(batch) == [tuple(e[:6]) for e in events]
+    assert sorted(batch.wide.values()) == [2**128, UINT256_MAX]
+    graphs = build_graphs(batch, window)
+    expected = _expected_edges(events, window)
+    for token, graph in graphs.items():
+        assert graph.values == [value for _f, _t, value, _b in expected[token]]
+        assert graph.amount == sum(graph.values)
+    assert sum(g.amount for g in graphs.values()) == sum(values)
+
+
+@st.composite
+def value_runs(draw):
+    """Per-token uint256 value lists, and the rows of all of them, shuffled."""
+    runs = draw(st.lists(st.lists(uint256s, min_size=1, max_size=60),
+                         min_size=1, max_size=5))
+    rows = [(t, value) for t, run in enumerate(runs) for value in run]
+    return runs, draw(st.permutations(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(value_runs(), st.integers(1, 64))
+def test_limb_sums_equal_python_sums(runs_and_rows, chunk):
+    runs, rows = runs_and_rows
+    lo, hi, wide = array("Q"), array("Q"), {}
+    values = [value for _t, value in rows]
+    for start in range(0, len(values), chunk):
+        append_values(lo, hi, wide, values[start:start + chunk])
+    n = len(rows)
+    # row r of token t is transfer r of the window, at block r: input order is
+    # (block, logIndex) order
+    batch = WindowBatch([f"0x{t:040x}" for t in range(len(runs))], [["0x0"]] * len(runs),
+                        np.array([t for t, _v in rows], np.int32), np.zeros(n, np.int32),
+                        np.zeros(n, np.int32), np.arange(n, dtype=np.int64),
+                        np.zeros(n, np.int64), np.frombuffer(lo, np.uint64),
+                        np.frombuffer(hi, np.uint64), wide)
+    assert batch.values == values
+    graphs = build_graphs(batch, BlockWindow(0, n))
+    for t, run in enumerate(runs):
+        graph = graphs[f"0x{t:040x}"]
+        assert graph.values == [value for token, value in rows if token == t]
+        assert graph.amount == sum(run)
+
+
+def test_a_window_past_the_exact_sum_limit_exits_2(tmp_path, capsys):
+    fixture = tmp_path / "fixture.tsv"
+    fixture.write_text("".join(
+        format_fixture_line(make_event("0xa", "0xb", value=2**64, block=FIRST + i,
+                                       log_index=i, tx=i + 1)) + "\n"
+        for i in range(4)))
+    out = tmp_path / "features.csv"
+    argv = ["features", "--fixture", str(fixture), "--out", str(out)]
+    with mock.patch.object(graphs_module, "MAX_WINDOW_TRANSFERS", 4):
+        assert cli_main(argv) == 0
+    capsys.readouterr()
+    with mock.patch.object(graphs_module, "MAX_WINDOW_TRANSFERS", 3):
+        assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: window 18000000-18100000 holds 4 transfers; "
+                            f"values are summed exactly for at most 3\n")
+    assert captured.out == ""
