@@ -16,10 +16,8 @@ import os
 import sys
 
 from . import __version__
-from .dataset import (DEFAULT_MIN_NODES, LabelConflictError, LabeledDataset,
-                      LabelParseError, join, load_labels)
-from .evaluation import (UndefinedAUCError, VariantMismatchError,
-                         cross_window_eval, kfold_cv, unlabeled_scan,
+from .dataset import DEFAULT_MIN_NODES, LabeledDataset, join, load_labels
+from .evaluation import (cross_window_eval, kfold_cv, unlabeled_scan,
                          write_report, write_roc, write_scan_report,
                          write_window_reports)
 from .features import (VARIANTS, extract_features, histogram_bins,
@@ -27,19 +25,14 @@ from .features import (VARIANTS, extract_features, histogram_bins,
                        write_histograms)
 from .graphs import build_graphs, export_graphs
 from .ingest import (DEFAULT_WINDOW_WIDTH, ENDPOINT_ENV_VAR, BlockWindow,
-                     FetchError, FixtureParseError, decode_logs, fetch_logs,
-                     format_fixture_line, iter_window_groups, read_fixture)
-from .model import (FeatureMismatchError, ModelFormatError, TrainConfig,
-                    TrainingError, load_model, save_model, train)
+                     FetchError, decode_logs, fetch_logs, format_fixture_line,
+                     iter_window_groups, read_fixture)
+from .model import TrainConfig, TrainingError, load_model, save_model, train
 from .synth import CorpusProfile, ScanProfile, gen_corpus, gen_scan_corpus
 
 MANIFEST_FORMAT = 1
 
-_INPUT_ERRORS = (
-    FixtureParseError, LabelParseError, LabelConflictError, ModelFormatError,
-    FeatureMismatchError, VariantMismatchError, TrainingError,
-    UndefinedAUCError, ValueError, FileNotFoundError, IsADirectoryError,
-)
+_INPUT_ERRORS = (ValueError, TrainingError, FileNotFoundError, IsADirectoryError)
 _RUNTIME_ERRORS = (FetchError,)
 
 
@@ -51,6 +44,15 @@ def _write_manifest(path: str, command: str, config: dict, **extra) -> None:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     os.replace(path + ".tmp", path)
+
+
+def _read_manifest(path: str) -> dict:
+    """A manifest as written by ``_write_manifest``: an object with a config."""
+    with open(path, "r", encoding="utf-8") as handle:
+        manifest = json.load(handle)
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
+        raise ValueError(f"manifest {path} is not a JSON object with a 'config' object")
+    return manifest
 
 
 def _manifest_path(args: argparse.Namespace, primary_output: str) -> str:
@@ -101,8 +103,14 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     # state was never written, or a torn line) before fetching that chunk again
     completed_through, committed = window.start, 0
     if args.resume and os.path.exists(manifest_path):
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            previous = json.load(handle)
+        previous = _read_manifest(manifest_path)
+        recorded = previous["config"]
+        if (previous.get("command") != "fetch"
+                or (recorded.get("start"), recorded.get("end")) != window):
+            raise ValueError(
+                f"{manifest_path} records {previous.get('command')!r} over blocks "
+                f"{recorded.get('start')}-{recorded.get('end')}, not fetch over "
+                f"blocks {window}; fetch again without --resume")
         state = previous.get("state", {})
         completed_through = int(state.get("completed_through", window.start))
         if completed_through > window.start:
@@ -112,39 +120,29 @@ def cmd_fetch(args: argparse.Namespace) -> int:
                 raise ValueError(
                     f"{args.out} has {on_disk} bytes but its manifest committed "
                     f"{committed}; fetch again without --resume")
+    chunks = fetch_logs(endpoint, BlockWindow(completed_through, window.end),
+                        chunk=args.chunk, timeout=args.rpc_timeout,
+                        retries=args.rpc_retries, backoff_base=args.rpc_backoff)
+    if completed_through > window.start:
         print(f"resuming at block {completed_through}", file=sys.stderr)
 
     config = _config_from_args(args)
-    count = 0
     state = {"completed_through": completed_through, "committed_bytes": committed,
              "finished": False}
     _write_manifest(manifest_path, "fetch", config, state=state)
-    buffered: list[str] = []
-
+    count = 0
     with open(args.out, "r+b" if committed else "wb") as out:
         out.seek(committed)
         out.truncate()
-
-        def flush_chunk(chunk_start: int, chunk_end: int) -> None:
-            nonlocal count
-            if buffered:
-                out.write(("\n".join(buffered) + "\n").encode("utf-8"))
+        for chunk_end, logs in chunks:
+            lines = [format_fixture_line(event) for event in decode_logs(logs)]
+            if lines:
+                out.write(("\n".join(lines) + "\n").encode("utf-8"))
                 out.flush()
                 os.fsync(out.fileno())  # the lines are on disk before the state says so
-                count += len(buffered)
-                buffered.clear()
-            state["completed_through"] = chunk_end
-            state["committed_bytes"] = out.tell()
+                count += len(lines)
+            state.update(completed_through=chunk_end, committed_bytes=out.tell())
             _write_manifest(manifest_path, "fetch", config, state=state)
-
-        remaining = BlockWindow(completed_through, window.end)
-        if remaining.width > 0:
-            stream = fetch_logs(endpoint, remaining, chunk=args.chunk,
-                                timeout=args.rpc_timeout, retries=args.rpc_retries,
-                                backoff_base=args.rpc_backoff,
-                                on_chunk_done=flush_chunk)
-            for event in decode_logs(stream):
-                buffered.append(format_fixture_line(event))
 
     state["finished"] = True
     _write_manifest(manifest_path, "fetch", config, state=state)
@@ -254,12 +252,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     windows = [BlockWindow(args.window_start + i * args.window_width,
                            args.window_start + (i + 1) * args.window_width)
                for i in range(args.n_windows)]
+    if not windows:
+        raise ValueError("at least one window is required")
+    os.makedirs(args.out_dir, exist_ok=True)
     fixture = os.path.join(args.out_dir, "fixture.tsv")
-    manifest_path = os.path.join(args.out_dir, "manifest.json")
+    manifest_path = args.manifest or os.path.join(args.out_dir, "manifest.json")
     if args.kind == "training":
         labels = os.path.join(args.out_dir, "labels.csv")
         corpus = gen_corpus(args.n_tokens, args.scam_fraction, windows,
@@ -276,12 +276,16 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    with open(args.manifest, "r", encoding="utf-8") as handle:
-        manifest = json.load(handle)
+    manifest = _read_manifest(args.manifest)
     command = manifest.get("command")
     if command not in _DISPATCH or command == "replay":
         raise ValueError(f"manifest does not name a replayable command: {command!r}")
     config = dict(manifest["config"])
+    subcommands = next(a for a in build_parser()._actions if a.dest == "command")
+    missing = [repr(action.dest) for action in subcommands.choices[command]._actions
+               if action.dest not in config and action.dest != "help"]
+    if missing:  # a run records every option of its command
+        raise ValueError(f"manifest config for {command} lacks {', '.join(missing)}")
     for override in args.set or []:
         key, _, value = override.partition("=")
         if key not in config:

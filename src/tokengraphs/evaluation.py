@@ -137,6 +137,8 @@ def stratified_folds(labels: Sequence[int], k: int, seed: int) -> list[int]:
     starts dealing where the first left off so fold sizes stay within one
     row of each other (and exact when k divides the row count).
     """
+    if k < 2:
+        raise ValueError(f"k must be at least 2 folds, not {k}")
     y = np.asarray(labels, dtype=np.int64)
     for cls in (0, 1):
         if int((y == cls).sum()) < k:

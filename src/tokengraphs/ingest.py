@@ -1,9 +1,10 @@
 """Fetching, filtering, decoding and windowing of ERC-20 Transfer logs.
 
 The pipeline entry point: raw logs come either from an Ethereum JSON-RPC
-endpoint (``fetch_logs``) or from a local tab-separated fixture file
-(``read_fixture``) as streams of decoded :class:`TransferEvent`, and leave
-as one :class:`WindowBatch` of interned columns per fixed-width block window.
+endpoint (``fetch_logs``, one list per block chunk) or from a local
+tab-separated fixture file (``read_fixture``, a stream of decoded
+:class:`TransferEvent`), and leave as one :class:`WindowBatch` of interned
+columns per fixed-width block window.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import time
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -196,21 +197,46 @@ def _requests_transport(endpoint: str, payload: dict, timeout: float) -> dict:
 Transport = Callable[[str, dict, float], dict]
 
 
-class _RpcClient:
-    def __init__(self, endpoint: str, transport: Transport | None,
-                 timeout: float, retries: int, backoff_base: float):
-        self.endpoint = endpoint
-        self.transport = transport or _requests_transport
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff_base = backoff_base
-        self._next_id = 1
+class _OverLimit(Exception):
+    pass
 
-    def get_logs(self, from_block: int, to_block: int) -> list[dict]:
+
+def fetch_logs(
+    endpoint: str,
+    window: BlockWindow,
+    chunk: int = 2_000,
+    transport: Transport | None = None,
+    timeout: float = 30.0,
+    retries: int = 3,
+    backoff_base: float = 0.5,
+) -> Iterator[tuple[int, list[RawLog]]]:
+    """Fetch Transfer-topic logs over ``window`` in ``chunk``-block slices.
+
+    Yields ``(chunk_end, logs)`` for every slice in block order, empty slices
+    included, so a caller can record its progress after each one; ``logs``
+    are ordered by (block, logIndex).  When the provider rejects a slice as
+    too large, the slice is halved and re-requested; a slice that cannot go
+    below one block raises :class:`RangeTooDenseError`.  Duplicate logs (same
+    block, txHash, logIndex) from provider retries are dropped; slices share
+    no block, so duplicates are looked for within each slice only.  The
+    arguments are checked on the call, before any request is made.
+    """
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1 block")
+    if retries < 0:
+        raise ValueError("rpc retries must be >= 0")
+    if not timeout > 0:
+        raise ValueError("rpc timeout must be > 0 seconds")
+    if not backoff_base >= 0:
+        raise ValueError("rpc backoff must be >= 0 seconds")
+    transport = transport or _requests_transport
+    request_ids = count(1)
+
+    def get_logs(from_block: int, to_block: int) -> list[dict]:
         """eth_getLogs over the inclusive block range [from_block, to_block]."""
         payload = {
             "jsonrpc": "2.0",
-            "id": self._next_id,
+            "id": next(request_ids),
             "method": "eth_getLogs",
             "params": [{
                 "fromBlock": hex(from_block),
@@ -218,13 +244,12 @@ class _RpcClient:
                 "topics": [TRANSFER_TOPIC],
             }],
         }
-        self._next_id += 1
         last_error: Exception | None = None
-        for attempt in range(self.retries + 1):
-            if attempt and self.backoff_base:
-                time.sleep(min(self.backoff_base * 2 ** (attempt - 1), 30.0))
+        for attempt in range(retries + 1):
+            if attempt and backoff_base:
+                time.sleep(min(backoff_base * 2 ** (attempt - 1), 30.0))
             try:
-                reply = self.transport(self.endpoint, payload, self.timeout)
+                reply = transport(endpoint, payload, timeout)
             except Exception as exc:  # transport-level: connection, timeout, 5xx
                 last_error = exc
                 log.info("eth_getLogs transport error (attempt %d): %s",
@@ -244,42 +269,13 @@ class _RpcClient:
             log.info("eth_getLogs provider error (attempt %d): %s",
                      attempt + 1, message)
         raise FetchError(
-            f"eth_getLogs failed after {self.retries + 1} attempts: {last_error}"
+            f"eth_getLogs failed after {retries + 1} attempts: {last_error}"
         ) from last_error
-
-
-class _OverLimit(Exception):
-    pass
-
-
-def fetch_logs(
-    endpoint: str,
-    window: BlockWindow,
-    chunk: int = 2_000,
-    transport: Transport | None = None,
-    timeout: float = 30.0,
-    retries: int = 3,
-    backoff_base: float = 0.5,
-    on_chunk_done: Callable[[int, int], None] | None = None,
-) -> Iterator[RawLog]:
-    """Stream Transfer-topic logs over ``window``, ordered by (block, logIndex).
-
-    The range is requested in ``chunk``-block slices.  When the provider
-    rejects a slice as too large, the slice is halved and re-requested; a
-    slice that cannot go below one block raises :class:`RangeTooDenseError`.
-    Duplicate logs (same block, txHash, logIndex) from provider retries are
-    dropped; chunks share no block, so duplicates are looked for within each
-    chunk only.  ``on_chunk_done(start, end)`` fires after each top-level chunk,
-    which is what makes resumable fetches possible.
-    """
-    if chunk < 1:
-        raise ValueError("chunk must be >= 1 block")
-    client = _RpcClient(endpoint, transport, timeout, retries, backoff_base)
 
     def fetch_span(span_start: int, span_end: int) -> list[RawLog]:
         # spans are half-open; eth_getLogs takes inclusive bounds
         try:
-            raw = client.get_logs(span_start, span_end - 1)
+            raw = get_logs(span_start, span_end - 1)
         except _OverLimit as exc:
             if span_end - span_start <= 1:
                 raise RangeTooDenseError(
@@ -292,19 +288,16 @@ def fetch_logs(
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise FetchError(f"malformed log entry from provider: {exc!r}") from exc
 
-    for start in range(window.start, window.end, chunk):
+    def fetch_chunk(start: int) -> tuple[int, list[RawLog]]:
         end = min(start + chunk, window.end)
-        batch = fetch_span(start, end)
-        batch.sort(key=lambda e: (e.block_number, e.log_index))
-        seen: set[tuple[int, str, int]] = set()
-        for entry in batch:
-            key = (entry.block_number, entry.tx_hash, entry.log_index)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield entry
-        if on_chunk_done is not None:
-            on_chunk_done(start, end)
+        unique: dict[tuple[int, str, int], RawLog] = {}
+        for entry in sorted(fetch_span(start, end),
+                            key=lambda e: (e.block_number, e.log_index)):
+            unique.setdefault((entry.block_number, entry.tx_hash, entry.log_index),
+                              entry)
+        return end, list(unique.values())
+
+    return map(fetch_chunk, range(window.start, window.end, chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +354,12 @@ def read_fixture(path: str | os.PathLike) -> Iterator[TransferEvent]:
 
 def write_fixture(events: Iterable[TransferEvent], path: str | os.PathLike) -> int:
     """Write events to a fixture file; returns the number written."""
-    count = 0
+    written = 0
     with open(path, "w", encoding="utf-8") as handle:
         for event in events:
             handle.write(format_fixture_line(event) + "\n")
-            count += 1
-    return count
+            written += 1
+    return written
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,23 @@ def test_synth_scan_kind_has_no_labels(tmp_path):
     assert not (out / "labels.csv").exists()
 
 
+def test_synth_without_windows_exits_2(tmp_path, capsys):
+    out = tmp_path / "none"
+    assert main(["synth", "--out-dir", str(out), "--kind", "scan",
+                 "--n-tokens", "3", "--n-windows", "0"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: at least one window is required"]
+    assert not out.exists()
+
+
+def test_synth_writes_its_manifest_where_asked(tmp_path):
+    out, manifest = tmp_path / "corpus", tmp_path / "elsewhere.json"
+    assert main(["synth", "--out-dir", str(out), "--n-tokens", "3",
+                 "--manifest", str(manifest)]) == 0
+    assert json.loads(manifest.read_text())["config"]["manifest"] == str(manifest)
+    assert not (out / "manifest.json").exists()
+
+
 # --- features --------------------------------------------------------------------
 
 def test_features_writes_one_row_per_token_window(corpus):
@@ -321,6 +338,16 @@ def test_cv_report_is_seed_deterministic(corpus):
     assert len(lines) == 7  # header, 5 folds, averaged row
 
 
+@pytest.mark.parametrize("k", ["1", "0", "-2"])
+def test_cv_with_fewer_than_two_folds_exits_2(corpus, capsys, k):
+    out = corpus["tmp"] / "cv.csv"
+    assert main(["cv", "--features", str(corpus["features"]),
+                 "--labels", str(corpus["labels"]), "--out", str(out), "--k", k]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: k must be at least 2 folds, not {k}"]
+    assert not out.exists()
+
+
 def test_cv_roc_files(corpus):
     out = corpus["tmp"] / "cv.csv"
     prefix = str(corpus["tmp"] / "roc")
@@ -542,6 +569,80 @@ def test_fetch_resume_refuses_a_fixture_shorter_than_its_state(tmp_path, monkeyp
     assert "without --resume" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [
+    ["--chunk", "0"], ["--rpc-retries", "-1"], ["--rpc-timeout", "0"],
+    ["--rpc-timeout", "-2"], ["--rpc-backoff", "-0.5"],
+])
+@pytest.mark.parametrize("resume", [[], ["--resume"]])
+def test_fetch_argument_errors_leave_fixture_and_manifest_alone(tmp_path, monkeypatch,
+                                                                capsys, bad, resume):
+    import tokengraphs.ingest as ingest_mod
+
+    provider = FakeProvider([rpc_entry(100, 0), rpc_entry(106, 0)])
+    monkeypatch.setattr(ingest_mod, "_requests_transport", provider)
+    out = tmp_path / "kept.tsv"
+    args = ["fetch", "--start", "100", "--end", "110", "--chunk", "5",
+            "--out", str(out), "--endpoint", "http://fake", "--rpc-backoff", "0"]
+    assert main(args) == 0
+    manifest = pathlib.Path(str(out) + ".manifest.json")
+    before = out.read_bytes(), manifest.read_bytes()
+    calls = len(provider.calls)
+    capsys.readouterr()
+    assert main(args + bad + resume) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert (out.read_bytes(), manifest.read_bytes()) == before
+    assert len(provider.calls) == calls
+
+
+def test_fetch_resume_refuses_a_manifest_of_another_range(tmp_path, monkeypatch, capsys):
+    import tokengraphs.ingest as ingest_mod
+
+    logs = [rpc_entry(120, 0), rpc_entry(180, 0), rpc_entry(350, 0)]
+    monkeypatch.setattr(ingest_mod, "_requests_transport", FakeProvider(logs))
+    out = tmp_path / "ranged.tsv"
+    manifest = pathlib.Path(str(out) + ".manifest.json")
+
+    def fetch(start, end, chunk, endpoint, *extra):
+        return main(["fetch", "--start", start, "--end", end, "--chunk", chunk,
+                     "--out", str(out), "--endpoint", endpoint, "--rpc-backoff", "0",
+                     *extra])
+
+    assert fetch("100", "200", "50", "http://fake") == 0
+    before = out.read_bytes(), manifest.read_bytes()
+    capsys.readouterr()
+    assert fetch("300", "400", "50", "http://fake", "--resume") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "100-200" in err[0] and "300-400" in err[0]
+    assert (out.read_bytes(), manifest.read_bytes()) == before
+
+    # the state is kept by block: another endpoint and chunk size may resume
+    assert fetch("100", "200", "7", "http://other", "--resume") == 0
+    assert out.read_bytes() == before[0]
+
+
+def test_fetch_resume_refuses_a_manifest_of_another_command(tmp_path, monkeypatch,
+                                                            capsys):
+    import tokengraphs.ingest as ingest_mod
+
+    provider = FakeProvider([rpc_entry(100, 0)])
+    monkeypatch.setattr(ingest_mod, "_requests_transport", provider)
+    out = tmp_path / "f.tsv"
+    out.write_bytes(b"kept\n")
+    manifest = pathlib.Path(str(out) + ".manifest.json")
+    manifest.write_text(json.dumps({"command": "features",
+                                    "config": {"fixture": "x", "out": str(out)},
+                                    "state": {"completed_through": 105}}))
+    before = manifest.read_bytes()
+    assert main(["fetch", "--start", "100", "--end", "110", "--out", str(out),
+                 "--endpoint", "http://fake", "--resume"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "'features'" in err[0] and "100-110" in err[0]
+    assert (out.read_bytes(), manifest.read_bytes()) == (b"kept\n", before)
+    assert provider.calls == []
+
+
 class ReplyProvider(FakeProvider):
     """Answers every call with one canned reply, whatever its shape."""
 
@@ -645,3 +746,17 @@ def test_replay_rejects_unknown_override(corpus):
           "--labels", str(corpus["labels"]), "--out", str(out)])
     assert main(["replay", str(out) + ".manifest.json",
                  "--set", "bogus=1"]) == 2
+
+
+@pytest.mark.parametrize("manifest, named", [
+    ({"command": "train", "config": {}}, "'features'"),
+    ({"command": "train"}, "'config'"),
+    ([1], "'config'"),
+    ({"command": "cv", "config": ["features"]}, "'config'"),
+])
+def test_replay_of_a_malformed_manifest_exits_2(tmp_path, capsys, manifest, named):
+    path = tmp_path / "bad.manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["replay", str(path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]

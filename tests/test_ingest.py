@@ -293,10 +293,15 @@ def rpc_entry(block, index, tx=None, value=5):
     }
 
 
+def flat(chunks):
+    """The logs of every chunk ``fetch_logs`` yields, in order."""
+    return [entry for _, logs in chunks for entry in logs]
+
+
 def test_fetch_chunks_cover_range_in_order():
     logs = [rpc_entry(100, 0), rpc_entry(150, 1), rpc_entry(199, 0)]
     provider = FakeProvider(logs)
-    out = list(fetch_logs("http://fake", BlockWindow(100, 200), chunk=50,
+    out = flat(fetch_logs("http://fake", BlockWindow(100, 200), chunk=50,
                           transport=provider, backoff_base=0.0))
     assert [(e.block_number, e.log_index) for e in out] == [(100, 0), (150, 1), (199, 0)]
     assert provider.calls[0] == (100, 149)
@@ -305,15 +310,36 @@ def test_fetch_chunks_cover_range_in_order():
 
 def test_fetch_empty_range_is_empty():
     provider = FakeProvider([])
-    assert list(fetch_logs("http://fake", BlockWindow(100, 100), chunk=10,
+    assert flat(fetch_logs("http://fake", BlockWindow(100, 100), chunk=10,
                            transport=provider, backoff_base=0.0)) == []
+    assert provider.calls == []
+
+
+def test_fetch_yields_every_chunk_end_with_its_logs_empty_chunks_included():
+    logs = [rpc_entry(151, 0), rpc_entry(100, 1), rpc_entry(100, 0)]
+    chunks = list(fetch_logs("http://fake", BlockWindow(100, 190), chunk=25,
+                             transport=FakeProvider(logs), backoff_base=0.0))
+    assert [(end, [(e.block_number, e.log_index) for e in found])
+            for end, found in chunks] == [
+        (125, [(100, 0), (100, 1)]), (150, []), (175, [(151, 0)]), (190, [])]
+
+
+@pytest.mark.parametrize("bad", [
+    {"chunk": 0}, {"retries": -1}, {"timeout": 0.0}, {"timeout": float("nan")},
+    {"backoff_base": -0.5},
+])
+def test_fetch_arguments_are_checked_on_the_call_before_any_request(bad):
+    provider = FakeProvider([rpc_entry(100, 0)])
+    with pytest.raises(ValueError):
+        fetch_logs("http://fake", BlockWindow(100, 110), transport=provider,
+                   **{"chunk": 5, **bad})
     assert provider.calls == []
 
 
 def test_over_limit_chunk_is_split_in_half():
     logs = [rpc_entry(100, 0), rpc_entry(190, 0)]
     provider = FakeProvider(logs, over_limit_spans={(100, 199)})
-    out = list(fetch_logs("http://fake", BlockWindow(100, 200), chunk=100,
+    out = flat(fetch_logs("http://fake", BlockWindow(100, 200), chunk=100,
                           transport=provider, backoff_base=0.0))
     assert len(out) == 2
     assert provider.calls == [(100, 199), (100, 149), (150, 199)]
@@ -322,13 +348,13 @@ def test_over_limit_chunk_is_split_in_half():
 def test_single_block_over_limit_raises_range_too_dense():
     provider = FakeProvider([], over_limit_spans={(100, 100)})
     with pytest.raises(RangeTooDenseError):
-        list(fetch_logs("http://fake", BlockWindow(100, 101), chunk=1,
+        flat(fetch_logs("http://fake", BlockWindow(100, 101), chunk=1,
                         transport=provider, backoff_base=0.0))
 
 
 def test_transient_errors_are_retried_then_succeed():
     provider = FakeProvider([rpc_entry(100, 0)], fail_first=2)
-    out = list(fetch_logs("http://fake", BlockWindow(100, 101), chunk=1,
+    out = flat(fetch_logs("http://fake", BlockWindow(100, 101), chunk=1,
                           transport=provider, retries=3, backoff_base=0.0))
     assert len(out) == 1
 
@@ -336,14 +362,14 @@ def test_transient_errors_are_retried_then_succeed():
 def test_unreachable_endpoint_fails_after_retries():
     provider = FakeProvider([], fail_first=99)
     with pytest.raises(FetchError):
-        list(fetch_logs("http://fake", BlockWindow(100, 101), chunk=1,
+        flat(fetch_logs("http://fake", BlockWindow(100, 101), chunk=1,
                         transport=provider, retries=2, backoff_base=0.0))
 
 
 def test_duplicate_logs_are_dropped():
     dup = rpc_entry(100, 0, tx=7)
     provider = FakeProvider([dup, dict(dup)])
-    out = list(fetch_logs("http://fake", BlockWindow(100, 101), chunk=1,
+    out = flat(fetch_logs("http://fake", BlockWindow(100, 101), chunk=1,
                           transport=provider, backoff_base=0.0))
     assert len(out) == 1
 
@@ -359,7 +385,7 @@ def test_duplicate_across_halves_of_a_split_chunk_is_dropped():
             reply["result"] = [dict(dup)]
         return reply
 
-    out = list(fetch_logs("http://fake", BlockWindow(100, 200), chunk=100,
+    out = flat(fetch_logs("http://fake", BlockWindow(100, 200), chunk=100,
                           transport=lagging_replica, backoff_base=0.0))
     assert provider.calls == [(100, 199), (100, 149), (150, 199)]
     assert len(out) == 1
@@ -372,8 +398,8 @@ def test_fetch_order_is_independent_of_chunk_size():
         provider = FakeProvider(logs)
         streams.append([
             (e.block_number, e.log_index)
-            for e in fetch_logs("http://fake", BlockWindow(100, 200), chunk=chunk,
-                                transport=provider, backoff_base=0.0)
+            for e in flat(fetch_logs("http://fake", BlockWindow(100, 200), chunk=chunk,
+                                     transport=provider, backoff_base=0.0))
         ])
     assert streams[0] == streams[1] == streams[2]
     assert streams[0] == sorted(streams[0])
