@@ -10,7 +10,7 @@ resulting per-token multigraph.
 import numpy as np
 
 from tokengraphs.graphs import build_graphs, weak_components
-from tokengraphs.ingest import TRANSFER_TOPIC, RawLog, decode_logs, partition_windows
+from tokengraphs.ingest import TRANSFER_TOPIC, decode_logs, partition_windows
 
 print(f"Transfer topic0: {TRANSFER_TOPIC}")
 
@@ -38,7 +38,7 @@ raw = [
      "logIndex": "0x1"},
 ]
 
-events = list(decode_logs(RawLog.from_rpc(entry) for entry in raw))
+events = list(decode_logs(raw))
 print(f"decoded {len(events)} transfers (the NFT-shaped log was dropped)")
 for event in events:
     print(f"  {event.from_addr[-6:]} -> {event.to_addr[-6:]} "

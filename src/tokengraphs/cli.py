@@ -25,7 +25,7 @@ from .features import (VARIANTS, extract_features, histogram_bins,
                        write_histograms)
 from .graphs import build_graphs, export_graphs
 from .ingest import (DEFAULT_WINDOW_WIDTH, ENDPOINT_ENV_VAR, BlockWindow,
-                     FetchError, decode_logs, fetch_logs, format_fixture_line,
+                     FetchError, fetch_logs, format_fixture_line,
                      iter_window_groups, read_fixture)
 from .model import TrainConfig, TrainingError, load_model, save_model, train
 from .synth import CorpusProfile, ScanProfile, gen_corpus, gen_scan_corpus
@@ -112,14 +112,20 @@ def cmd_fetch(args: argparse.Namespace) -> int:
                 f"{recorded.get('start')}-{recorded.get('end')}, not fetch over "
                 f"blocks {window}; fetch again without --resume")
         state = previous.get("state", {})
-        completed_through = int(state.get("completed_through", window.start))
+        completed_through = (state.get("completed_through", window.start)
+                             if isinstance(state, dict) else None)
+        if (type(completed_through) is not int
+                or not window.start <= completed_through <= window.end):
+            raise ValueError(
+                f"{manifest_path} records the state {state!r}, which names no block "
+                f"of {window.start}..{window.end} as done; fetch again without --resume")
         if completed_through > window.start:
             on_disk = os.path.getsize(args.out)
-            committed = int(state.get("committed_bytes", on_disk))
-            if on_disk < committed:
+            committed = state.get("committed_bytes", on_disk)
+            if type(committed) is not int or not 0 <= committed <= on_disk:
                 raise ValueError(
                     f"{args.out} has {on_disk} bytes but its manifest committed "
-                    f"{committed}; fetch again without --resume")
+                    f"{committed!r}; fetch again without --resume")
     chunks = fetch_logs(endpoint, BlockWindow(completed_through, window.end),
                         chunk=args.chunk, timeout=args.rpc_timeout,
                         retries=args.rpc_retries, backoff_base=args.rpc_backoff)
@@ -134,8 +140,8 @@ def cmd_fetch(args: argparse.Namespace) -> int:
     with open(args.out, "r+b" if committed else "wb") as out:
         out.seek(committed)
         out.truncate()
-        for chunk_end, logs in chunks:
-            lines = [format_fixture_line(event) for event in decode_logs(logs)]
+        for chunk_end, transfers in chunks:
+            lines = [format_fixture_line(event) for event in transfers]
             if lines:
                 out.write(("\n".join(lines) + "\n").encode("utf-8"))
                 out.flush()
@@ -257,6 +263,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
                for i in range(args.n_windows)]
     if not windows:
         raise ValueError("at least one window is required")
+    if args.kind == "scan" and len(windows) > 1:
+        raise ValueError("a scan corpus has one window: pass --n-windows 1")
     os.makedirs(args.out_dir, exist_ok=True)
     fixture = os.path.join(args.out_dir, "fixture.tsv")
     manifest_path = args.manifest or os.path.join(args.out_dir, "manifest.json")
@@ -282,10 +290,13 @@ def cmd_replay(args: argparse.Namespace) -> int:
         raise ValueError(f"manifest does not name a replayable command: {command!r}")
     config = dict(manifest["config"])
     subcommands = next(a for a in build_parser()._actions if a.dest == "command")
-    missing = [repr(action.dest) for action in subcommands.choices[command]._actions
-               if action.dest not in config and action.dest != "help"]
-    if missing:  # a run records every option of its command
-        raise ValueError(f"manifest config for {command} lacks {', '.join(missing)}")
+    options = {action.dest: action for action in subcommands.choices[command]._actions
+               if action.dest != "help"}
+    missing = [dest for dest in options if dest not in config]
+    unknown = [key for key in config if key not in options]
+    if missing or unknown:  # a run records every option of its command, no other
+        raise ValueError(f"manifest config for {command} does not hold exactly its "
+                         f"options: missing {missing}, unknown {unknown}")
     for override in args.set or []:
         key, _, value = override.partition("=")
         if key not in config:
@@ -299,6 +310,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
             config[key] = float(value)
         else:
             config[key] = value
+    for key, value in config.items():
+        choices = options[key].choices
+        if choices is not None and value not in choices:
+            raise ValueError(f"{key} {value!r} is not one of {list(choices)}")
     replay_args = argparse.Namespace(command=command, **config)
     return _DISPATCH[command](replay_args)
 

@@ -1,10 +1,10 @@
 """Fetching, filtering, decoding and windowing of ERC-20 Transfer logs.
 
-The pipeline entry point: raw logs come either from an Ethereum JSON-RPC
-endpoint (``fetch_logs``, one list per block chunk) or from a local
-tab-separated fixture file (``read_fixture``, a stream of decoded
-:class:`TransferEvent`), and leave as one :class:`WindowBatch` of interned
-columns per fixed-width block window.
+The pipeline entry point: transfers come either from an Ethereum JSON-RPC
+endpoint (``fetch_logs``, which decodes eth_getLogs entries into one list of
+:class:`TransferEvent` per block chunk) or from a local tab-separated fixture
+file (``read_fixture``, a stream of the same events), and leave as one
+:class:`WindowBatch` of interned columns per fixed-width block window.
 """
 
 from __future__ import annotations
@@ -74,29 +74,6 @@ class RangeTooDenseError(FetchError):
     """A single block still exceeds the provider's result limit."""
 
 
-@dataclass(frozen=True)
-class RawLog:
-    """One undecoded log entry as returned by eth_getLogs."""
-
-    address: str
-    topics: tuple[str, ...]
-    data: str
-    block_number: int
-    tx_hash: str
-    log_index: int
-
-    @classmethod
-    def from_rpc(cls, entry: dict) -> "RawLog":
-        return cls(
-            address=entry["address"].lower(),
-            topics=tuple(t.lower() for t in entry["topics"]),
-            data=entry["data"].lower(),
-            block_number=_hex_quantity(entry["blockNumber"]),
-            tx_hash=entry["transactionHash"].lower(),
-            log_index=_hex_quantity(entry["logIndex"]),
-        )
-
-
 class TransferEvent(NamedTuple):
     """One decoded ERC-20 transfer.
 
@@ -129,61 +106,54 @@ class BlockWindow(NamedTuple):
 
 DEFAULT_WINDOW_WIDTH = 100_000
 
-def _hex_quantity(value: str | int) -> int:
-    if isinstance(value, int):
-        return value
-    return int(value, 16)
+def is_erc20_transfer(entry: dict) -> bool:
+    """Shape filter on an eth_getLogs entry: Transfer topic, exactly 3 topics,
+    exactly 32 data bytes.  The 3-topic check is what separates ERC-20 from
+    ERC-721, whose Transfer event indexes the token id as a fourth topic and
+    carries no data."""
+    topics, data = entry["topics"], entry["data"].lower()
+    return (len(topics) == 3 and topics[0].lower() == TRANSFER_TOPIC
+            and data.startswith("0x") and len(data) == 2 + 64)
 
 
-def is_erc20_transfer(entry: RawLog) -> bool:
-    """Shape filter: Transfer topic, exactly 3 topics, exactly 32 data bytes.
-
-    The 3-topic check is what separates ERC-20 from ERC-721, whose Transfer
-    event indexes the token id as a fourth topic and carries no data.
-    """
-    if len(entry.topics) != 3 or entry.topics[0] != TRANSFER_TOPIC:
-        return False
-    data = entry.data
-    return data.startswith("0x") and len(data) == 2 + 64
-
-
-def _topic_to_address(topic: str) -> str:
-    # indexed address arguments are left-padded to 32 bytes; anything in the
-    # high 12 bytes means the topic is not a plain address argument
-    if len(topic) != 2 + 64 or topic[2:26] != "0" * 24:
-        raise DecodeError(f"topic is not a padded address: {topic}")
-    return "0x" + topic[26:]
-
-
-def decode_transfer(entry: RawLog) -> TransferEvent:
-    """Decode a filtered log into a TransferEvent.
-
-    Raises :class:`DecodeError` when called on a log that does not satisfy
-    :func:`is_erc20_transfer` or whose address topics are not zero-padded.
-    """
+def _decode(entry: dict) -> TransferEvent | None:
+    """The transfer in an eth_getLogs entry, or None for another shape.  Every
+    field is read, in entry order, before the shape is looked at, so a
+    malformed entry raises whatever its shape; quantities are hex strings."""
+    token = entry["address"].lower()
+    topics = [topic.lower() for topic in entry["topics"]]
+    data = entry["data"].lower()
+    block = int(entry["blockNumber"], 16)
+    tx_hash = entry["transactionHash"].lower()
+    log_index = int(entry["logIndex"], 16)
     if not is_erc20_transfer(entry):
+        return None
+    # indexed addresses are left-padded to 32 bytes; high bytes mean no address
+    if any(len(topic) != 2 + 64 or topic[2:26] != "0" * 24 for topic in topics[1:]):
+        raise DecodeError(f"log {tx_hash}/{log_index}: an address topic is not padded")
+    return TransferEvent(token, "0x" + topics[1][26:], "0x" + topics[2][26:],
+                         int(data[2:], 16), block, log_index, tx_hash)
+
+
+def decode_transfer(entry: dict) -> TransferEvent:
+    """Decode one eth_getLogs entry; :class:`DecodeError` if it fails
+    :func:`is_erc20_transfer` or its address topics are not zero-padded."""
+    event = _decode(entry)
+    if event is None:
         raise DecodeError("log does not have the ERC-20 Transfer shape")
-    return TransferEvent(
-        token=entry.address.lower(),
-        from_addr=_topic_to_address(entry.topics[1]),
-        to_addr=_topic_to_address(entry.topics[2]),
-        value=int(entry.data[2:], 16),
-        block=entry.block_number,
-        log_index=entry.log_index,
-        tx_hash=entry.tx_hash,
-    )
+    return event
 
 
-def decode_logs(entries: Iterable[RawLog]) -> Iterator[TransferEvent]:
-    """Filter and decode a raw log stream, silently dropping non-transfers."""
+def decode_logs(entries: Iterable[dict]) -> Iterator[TransferEvent]:
+    """Decode eth_getLogs entries, silently dropping non-transfers."""
     for entry in entries:
-        if not is_erc20_transfer(entry):
-            continue
         try:
-            yield decode_transfer(entry)
-        except DecodeError:
-            log.debug("dropping malformed transfer log %s/%s",
-                      entry.tx_hash, entry.log_index)
+            event = _decode(entry)
+        except DecodeError as exc:
+            log.debug("dropping malformed transfer %s", exc)
+            continue
+        if event is not None:
+            yield event
 
 
 def _requests_transport(endpoint: str, payload: dict, timeout: float) -> dict:
@@ -209,17 +179,18 @@ def fetch_logs(
     timeout: float = 30.0,
     retries: int = 3,
     backoff_base: float = 0.5,
-) -> Iterator[tuple[int, list[RawLog]]]:
-    """Fetch Transfer-topic logs over ``window`` in ``chunk``-block slices.
+) -> Iterator[tuple[int, list[TransferEvent]]]:
+    """Fetch and decode the transfers over ``window`` in ``chunk``-block slices.
 
-    Yields ``(chunk_end, logs)`` for every slice in block order, empty slices
-    included, so a caller can record its progress after each one; ``logs``
-    are ordered by (block, logIndex).  When the provider rejects a slice as
-    too large, the slice is halved and re-requested; a slice that cannot go
-    below one block raises :class:`RangeTooDenseError`.  Duplicate logs (same
-    block, txHash, logIndex) from provider retries are dropped; slices share
-    no block, so duplicates are looked for within each slice only.  The
-    arguments are checked on the call, before any request is made.
+    Yields ``(chunk_end, transfers)`` for every slice in block order, empty
+    slices included, so a caller can record its progress after each one;
+    ``transfers`` are decoded as by :func:`decode_logs` and ordered by
+    (block, log_index).  When the provider rejects a slice as too large, the
+    slice is halved and re-requested; a slice that cannot go below one block
+    raises :class:`RangeTooDenseError`.  Duplicates (same block, tx_hash,
+    log_index) from provider retries are dropped; slices share no block, so
+    duplicates are looked for within each slice only.  The arguments are
+    checked on the call, before any request is made.
     """
     if chunk < 1:
         raise ValueError("chunk must be >= 1 block")
@@ -272,7 +243,7 @@ def fetch_logs(
             f"eth_getLogs failed after {retries + 1} attempts: {last_error}"
         ) from last_error
 
-    def fetch_span(span_start: int, span_end: int) -> list[RawLog]:
+    def fetch_span(span_start: int, span_end: int) -> list[TransferEvent]:
         # spans are half-open; eth_getLogs takes inclusive bounds
         try:
             raw = get_logs(span_start, span_end - 1)
@@ -284,17 +255,16 @@ def fetch_logs(
             mid = (span_start + span_end) // 2
             return fetch_span(span_start, mid) + fetch_span(mid, span_end)
         try:
-            return [RawLog.from_rpc(entry) for entry in raw]
+            return list(decode_logs(raw))
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise FetchError(f"malformed log entry from provider: {exc!r}") from exc
 
-    def fetch_chunk(start: int) -> tuple[int, list[RawLog]]:
+    def fetch_chunk(start: int) -> tuple[int, list[TransferEvent]]:
         end = min(start + chunk, window.end)
-        unique: dict[tuple[int, str, int], RawLog] = {}
-        for entry in sorted(fetch_span(start, end),
-                            key=lambda e: (e.block_number, e.log_index)):
-            unique.setdefault((entry.block_number, entry.tx_hash, entry.log_index),
-                              entry)
+        unique: dict[tuple[int, str, int], TransferEvent] = {}
+        for event in sorted(fetch_span(start, end),
+                            key=lambda e: (e.block, e.log_index)):
+            unique.setdefault((event.block, event.tx_hash, event.log_index), event)
         return end, list(unique.values())
 
     return map(fetch_chunk, range(window.start, window.end, chunk))
@@ -335,13 +305,11 @@ def read_fixture(path: str | os.PathLike) -> Iterator[TransferEvent]:
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             m = match(line)
-            if m is None:
+            if m is None:  # $ matches before a final "\n": the line is blank or bad
                 stripped = line.rstrip("\n")
                 if not stripped:
                     continue
-                m = match(stripped)
-                if m is None:
-                    raise _diagnose_fixture_line(line_no, stripped)
+                raise _diagnose_fixture_line(line_no, stripped)
             token, from_addr, to_addr, value, block, log_index, tx_hash = m.groups()
             value, block, log_index = int(value), int(block), int(log_index)
             if value > UINT256_MAX:

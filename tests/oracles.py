@@ -294,3 +294,37 @@ def summarize(datasets: Iterable) -> CorpusSummary:
         unique_tokens=len(token_flag),
         unique_suspicious=sum(token_flag.values()),
     )
+
+
+# keccak-256 of "Transfer(address,address,uint256)", written out here so the
+# oracle does not take it from the code under test
+_TRANSFER_TOPIC = "0xddf252ad1be2c89b69c2b068fc378daa952ba7f163c4a11628f55a4df523b3ef"
+
+
+def straight_fetch_lines(entries: list[dict]) -> list[str]:
+    """The fixture lines a fetch writes for eth_getLogs ``entries``, step by
+    step: lowercase every hex field, sort by (block, logIndex) keeping the
+    entries' order within a tie, keep the first of each (block, txHash,
+    logIndex), keep the ERC-20 Transfer shape (the Transfer topic, 3 topics,
+    32 data bytes), skip logs whose address topics are not zero-padded and
+    write the rest as token, from, to, value, block, logIndex, txHash."""
+    logs = [(int(e["blockNumber"], 16), int(e["logIndex"], 16),
+             e["transactionHash"].lower(), e["address"].lower(),
+             [topic.lower() for topic in e["topics"]], e["data"].lower())
+            for e in entries]
+    logs.sort(key=lambda log: (log[0], log[1]))
+    seen: set[tuple[int, str, int]] = set()
+    lines = []
+    for block, index, tx_hash, address, topics, data in logs:
+        if (block, tx_hash, index) in seen:
+            continue
+        seen.add((block, tx_hash, index))
+        if (len(topics) != 3 or topics[0] != _TRANSFER_TOPIC
+                or len(data) != 66 or data[:2] != "0x"):
+            continue
+        if any(len(topic) != 66 or topic[2:26] != "0" * 24 for topic in topics[1:]):
+            continue
+        sender, recipient = ("0x" + topic[-40:] for topic in topics[1:])
+        lines.append("\t".join([address, sender, recipient, str(int(data[2:], 16)),
+                                str(block), str(index), tx_hash]))
+    return lines

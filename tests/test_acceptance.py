@@ -25,7 +25,7 @@ from tokengraphs.evaluation import (ConfusionCounts, kfold_cv, metrics,
                                     roc_auc, cross_window_eval, unlabeled_scan)
 from tokengraphs.features import extract_features
 from tokengraphs.graphs import build_graphs, weak_components
-from tokengraphs.ingest import (BlockWindow, RawLog, decode_logs,
+from tokengraphs.ingest import (BlockWindow, decode_logs,
                                 is_erc20_transfer, iter_window_groups,
                                 read_fixture)
 from tokengraphs.model import loss_and_gradient, train
@@ -90,7 +90,7 @@ def cv_accuracy_full(tmp_factory) -> float:
 def test_criterion_1_parsing_golden_suite():
     with criterion(1, "parsing golden suite (decoys rejected)", 1.0):
         with open(os.path.join(HERE, "data", "raw_logs_golden.jsonl")) as fh:
-            logs = [RawLog.from_rpc(json.loads(line)) for line in fh]
+            logs = [json.loads(line) for line in fh]
         expected = sorted(read_fixture(
             os.path.join(HERE, "data", "raw_logs_golden_expected.tsv")))
         decoded = sorted(decode_logs(logs))

@@ -4,7 +4,9 @@ import json
 import logging
 import os
 import pathlib
+import random
 import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from tokengraphs.model import load_model
 from tokengraphs.synth import CorpusProfile, gen_corpus
 
 from conftest import make_event
-from test_ingest import FakeProvider, rpc_entry
+from oracles import straight_fetch_lines
+from test_ingest import TOPIC, FakeProvider, rpc_entry
 
 
 @pytest.fixture
@@ -68,6 +71,15 @@ def test_synth_without_windows_exits_2(tmp_path, capsys):
                  "--n-tokens", "3", "--n-windows", "0"]) == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: at least one window is required"]
+    assert not out.exists()
+
+
+def test_synth_scan_with_more_than_one_window_exits_2(tmp_path, capsys):
+    out = tmp_path / "scan"
+    assert main(["synth", "--out-dir", str(out), "--kind", "scan",
+                 "--n-tokens", "3", "--n-windows", "2"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: a scan corpus has one window: pass --n-windows 1"]
     assert not out.exists()
 
 
@@ -643,6 +655,40 @@ def test_fetch_resume_refuses_a_manifest_of_another_command(tmp_path, monkeypatc
     assert provider.calls == []
 
 
+@pytest.mark.parametrize("state", [
+    [1],
+    {"completed_through": None},
+    {"completed_through": True},
+    {"completed_through": "105"},
+    {"completed_through": 95},
+    {"completed_through": 115},
+    {"completed_through": 105, "committed_bytes": -1},
+    {"completed_through": 105, "committed_bytes": "10"},
+    {"completed_through": 105, "committed_bytes": 1.5},
+    {"completed_through": 105, "committed_bytes": True},
+])
+def test_fetch_resume_refuses_a_state_of_the_wrong_shape(tmp_path, monkeypatch, capsys,
+                                                         state):
+    import tokengraphs.ingest as ingest_mod
+
+    provider = FakeProvider([rpc_entry(100, 0), rpc_entry(106, 0)])
+    monkeypatch.setattr(ingest_mod, "_requests_transport", provider)
+    out = tmp_path / "f.tsv"
+    args = ["fetch", "--start", "100", "--end", "110", "--chunk", "5",
+            "--out", str(out), "--endpoint", "http://fake", "--rpc-backoff", "0"]
+    assert main(args) == 0
+    manifest = pathlib.Path(str(out) + ".manifest.json")
+    manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "state": state}))
+    before = out.read_bytes(), manifest.read_bytes()
+    calls = len(provider.calls)
+    capsys.readouterr()
+    assert main(args + ["--resume"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert (out.read_bytes(), manifest.read_bytes()) == before
+    assert len(provider.calls) == calls
+
+
 class ReplyProvider(FakeProvider):
     """Answers every call with one canned reply, whatever its shape."""
 
@@ -718,6 +764,76 @@ def test_fetch_malformed_log_entry_exits_3(tmp_path, monkeypatch, capsys, entry,
     assert err[0].startswith(f"error: malformed log entry from provider: {cause}")
 
 
+class NarrowProvider(FakeProvider):
+    """Refuses as over its limit every request wider than ``max_span`` blocks."""
+
+    def __init__(self, logs, max_span):
+        super().__init__(logs)
+        self.max_span = max_span
+
+    def __call__(self, endpoint, payload, timeout):
+        params = payload["params"][0]
+        span = int(params["fromBlock"], 16), int(params["toBlock"], 16)
+        if span[1] - span[0] >= self.max_span:
+            self.over_limit_spans.add(span)
+        return super().__call__(endpoint, payload, timeout)
+
+
+@st.composite
+def provider_logs(draw):
+    """A shuffled eth_getLogs reply over blocks 100..100+width: transfers,
+    NFT-shaped, foreign-topic and dirty-padding logs, repeated copies, and hex
+    in mixed case."""
+    width = draw(st.integers(1, 40))
+    kinds = draw(st.lists(st.sampled_from(["transfer", "nft", "foreign", "dirty"]),
+                          min_size=1, max_size=30))
+    rnd = random.Random(draw(st.integers(0, 2**32)))  # hex is too bulky to draw
+    hex_digits = lambda bits: format(rnd.getrandbits(bits), f"0{bits // 4}x")
+    entries = []
+    for n, kind in enumerate(kinds):
+        topics = [TOPIC] + ["0x" + "0" * 24 + hex_digits(160) for _ in range(2)]
+        data = "0x" + format(rnd.getrandbits(rnd.choice([8, 64, 128, 256])), "064x")
+        if kind == "nft":
+            topics, data = topics + ["0x" + hex_digits(256)], "0x"
+        elif kind == "foreign":
+            topics[0] = "0x" + hex_digits(256)
+        elif kind == "dirty":
+            topics[rnd.choice([1, 2])] = ("0x" + format(rnd.getrandbits(96) | 1, "024x")
+                                          + hex_digits(160))
+        entries.append({
+            "address": "0x" + hex_digits(160), "topics": topics, "data": data,
+            "blockNumber": hex(100 + rnd.randrange(width)),
+            "transactionHash": "0x" + hex_digits(224) + format(n, "08x"),
+            "logIndex": hex(rnd.randrange(4))})
+    entries += [json.loads(json.dumps(rnd.choice(entries)))
+                for _ in range(rnd.randrange(11))]
+    rnd.shuffle(entries)
+    mixed = lambda text: "".join(c.upper() if rnd.random() < 0.3 else c for c in text)
+    for entry in entries:
+        for key in ("address", "data", "blockNumber", "transactionHash", "logIndex"):
+            entry[key] = mixed(entry[key])
+        entry["topics"] = [mixed(topic) for topic in entry["topics"]]
+    return width, entries
+
+
+@settings(max_examples=60, deadline=None)
+@given(provider_logs(), st.integers(1, 45), st.integers(1, 10))
+def test_fetch_fixture_matches_the_straight_oracle(logs, chunk, max_span):
+    import tokengraphs.ingest as ingest_mod
+
+    width, entries = logs
+    provider = NarrowProvider(entries, max_span)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(ingest_mod, "_requests_transport", provider):
+        out = pathlib.Path(tmp) / "f.tsv"
+        assert main(["fetch", "--start", "100", "--end", str(100 + width),
+                     "--chunk", str(chunk), "--out", str(out),
+                     "--endpoint", "http://fake", "--rpc-backoff", "0"]) == 0
+        fixture = out.read_bytes()
+    assert fixture == "".join(line + "\n"
+                              for line in straight_fetch_lines(entries)).encode()
+
+
 # --- replay -----------------------------------------------------------------------------
 
 def test_replay_reproduces_synth_byte_identically(tmp_path):
@@ -748,15 +864,39 @@ def test_replay_rejects_unknown_override(corpus):
                  "--set", "bogus=1"]) == 2
 
 
+def _synth_manifest(**changes) -> dict:
+    """A synth manifest as a run writes it, out dir under "@tmp", with ``changes``
+    made to its config."""
+    args = cli_mod.build_parser().parse_args(["synth", "--out-dir", "@tmp/out",
+                                              "--n-tokens", "3"])
+    return {"format": 1, "command": "synth",
+            "config": {**cli_mod._config_from_args(args), **changes}}
+
+
 @pytest.mark.parametrize("manifest, named", [
     ({"command": "train", "config": {}}, "'features'"),
     ({"command": "train"}, "'config'"),
     ([1], "'config'"),
     ({"command": "cv", "config": ["features"]}, "'config'"),
+    (_synth_manifest(command="features"), "'command'"),
+    (_synth_manifest(bogus=1), "'bogus'"),
+    (_synth_manifest(kind="bogus"), "'bogus'"),
 ])
 def test_replay_of_a_malformed_manifest_exits_2(tmp_path, capsys, manifest, named):
     path = tmp_path / "bad.manifest.json"
-    path.write_text(json.dumps(manifest))
+    path.write_text(json.dumps(manifest).replace("@tmp", str(tmp_path)))
     assert main(["replay", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_replay_set_outside_an_options_choices_exits_2(tmp_path, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["synth", "--out-dir", str(first), "--n-tokens", "3"]) == 0
+    capsys.readouterr()
+    assert main(["replay", str(first / "manifest.json"), "--set", "kind=bogus",
+                 "--set", f"out_dir={second}"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "'bogus'" in err[0]
+    assert not second.exists()

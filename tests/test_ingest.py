@@ -16,7 +16,6 @@ from tokengraphs.ingest import (
     FixtureValueError,
     INT64_MAX,
     RangeTooDenseError,
-    RawLog,
     TransferEvent,
     UINT256_MAX,
     decode_logs,
@@ -36,9 +35,9 @@ TOPIC = "0xddf252ad1be2c89b69c2b068fc378daa952ba7f163c4a11628f55a4df523b3ef"
 
 
 def raw_log(topics, data, block=18_000_000, index=0, address="0x" + "a" * 40, tx=1):
-    return RawLog(address=address, topics=tuple(topics), data=data,
-                  block_number=block, tx_hash="0x" + format(tx, "064x"),
-                  log_index=index)
+    return {"address": address, "topics": list(topics), "data": data,
+            "blockNumber": hex(block), "transactionHash": "0x" + format(tx, "064x"),
+            "logIndex": hex(index)}
 
 
 def padded_topic(suffix: str) -> str:
@@ -100,7 +99,7 @@ def test_decode_copies_ordering_fields():
     event = decode_transfer(log)
     assert (event.block, event.log_index) == (18_000_123, 9)
     assert event.tx_hash == "0x" + format(55, "064x")
-    assert event.token == log.address
+    assert event.token == log["address"]
 
 
 def test_decode_rejects_unfiltered_log():
@@ -261,7 +260,7 @@ class FakeProvider:
     """Canned eth_getLogs endpoint with scriptable failures."""
 
     def __init__(self, logs, over_limit_spans=(), fail_first=0):
-        self.logs = logs  # list of dicts with int blockNumber/logIndex
+        self.logs = logs  # eth_getLogs entry dicts, hex blockNumber/logIndex
         self.over_limit_spans = set(over_limit_spans)
         self.fail_first = fail_first
         self.calls: list[tuple[int, int]] = []
@@ -303,7 +302,7 @@ def test_fetch_chunks_cover_range_in_order():
     provider = FakeProvider(logs)
     out = flat(fetch_logs("http://fake", BlockWindow(100, 200), chunk=50,
                           transport=provider, backoff_base=0.0))
-    assert [(e.block_number, e.log_index) for e in out] == [(100, 0), (150, 1), (199, 0)]
+    assert [(e.block, e.log_index) for e in out] == [(100, 0), (150, 1), (199, 0)]
     assert provider.calls[0] == (100, 149)
     assert provider.calls[1] == (150, 199)
 
@@ -319,7 +318,7 @@ def test_fetch_yields_every_chunk_end_with_its_logs_empty_chunks_included():
     logs = [rpc_entry(151, 0), rpc_entry(100, 1), rpc_entry(100, 0)]
     chunks = list(fetch_logs("http://fake", BlockWindow(100, 190), chunk=25,
                              transport=FakeProvider(logs), backoff_base=0.0))
-    assert [(end, [(e.block_number, e.log_index) for e in found])
+    assert [(end, [(e.block, e.log_index) for e in found])
             for end, found in chunks] == [
         (125, [(100, 0), (100, 1)]), (150, []), (175, [(151, 0)]), (190, [])]
 
@@ -334,6 +333,13 @@ def test_fetch_arguments_are_checked_on_the_call_before_any_request(bad):
         fetch_logs("http://fake", BlockWindow(100, 110), transport=provider,
                    **{"chunk": 5, **bad})
     assert provider.calls == []
+
+
+def test_an_int_quantity_is_a_malformed_entry():
+    provider = FakeProvider([{**rpc_entry(100, 0), "logIndex": 0}])
+    with pytest.raises(FetchError, match="malformed log entry from provider: TypeError"):
+        flat(fetch_logs("http://fake", BlockWindow(100, 101), chunk=1,
+                        transport=provider, backoff_base=0.0))
 
 
 def test_over_limit_chunk_is_split_in_half():
@@ -397,7 +403,7 @@ def test_fetch_order_is_independent_of_chunk_size():
     for chunk in (1, 7, 1000):
         provider = FakeProvider(logs)
         streams.append([
-            (e.block_number, e.log_index)
+            (e.block, e.log_index)
             for e in flat(fetch_logs("http://fake", BlockWindow(100, 200), chunk=chunk,
                                      transport=provider, backoff_base=0.0))
         ])
@@ -410,7 +416,7 @@ def test_fetch_order_is_independent_of_chunk_size():
 def _load_golden_logs():
     here = os.path.dirname(__file__)
     with open(os.path.join(here, "data", "raw_logs_golden.jsonl")) as fh:
-        return [RawLog.from_rpc(json.loads(line)) for line in fh]
+        return [json.loads(line) for line in fh]
 
 
 def test_golden_corpus_decodes_to_expected_set():
