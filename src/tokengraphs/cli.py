@@ -283,6 +283,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+_BOOL_WORDS = dict.fromkeys(("1", "true", "yes"), True) | dict.fromkeys(("0", "false", "no"), False)
+
+# what an option's parser makes, by nargs (store_true, --eval) or else by type
+_KINDS = {
+    0: ("a bool", lambda value: type(value) is bool),
+    2: ("a list of [FEATURES, LABELS] pairs", lambda value: type(value) is list and value != []
+        and all(type(pair) is list and list(map(type, pair)) == [str, str] for pair in value)),
+    int: ("an int", lambda value: type(value) is int),
+    float: ("a number", lambda value: type(value) is float
+            or type(value) is int and abs(value) <= sys.float_info.max),
+    None: ("a string", lambda value: type(value) is str),
+}
+
+
 def cmd_replay(args: argparse.Namespace) -> int:
     manifest = _read_manifest(args.manifest)
     command = manifest.get("command")
@@ -298,22 +312,23 @@ def cmd_replay(args: argparse.Namespace) -> int:
         raise ValueError(f"manifest config for {command} does not hold exactly its "
                          f"options: missing {missing}, unknown {unknown}")
     for override in args.set or []:
-        key, _, value = override.partition("=")
+        key, _, text = override.partition("=")
         if key not in config:
             raise ValueError(f"unknown config key in --set: {key!r}")
-        current = config[key]
-        if isinstance(current, bool):
-            config[key] = value.lower() in ("1", "true", "yes")
-        elif isinstance(current, int):
-            config[key] = int(value)
-        elif isinstance(current, float):
-            config[key] = float(value)
-        else:
-            config[key] = value
+        try:  # a word the option does not take stays a string, refused below
+            config[key] = (_BOOL_WORDS.get(text.lower(), text) if options[key].nargs == 0
+                           else (options[key].type or str)(text))
+        except ValueError:
+            config[key] = text
     for key, value in config.items():
-        choices = options[key].choices
-        if choices is not None and value not in choices:
-            raise ValueError(f"{key} {value!r} is not one of {list(choices)}")
+        action = options[key]
+        kind, fits = _KINDS[action.nargs if action.nargs in (0, 2) else action.type]
+        # only an optional option without a default is ever left unset
+        unset = value is None and not action.required and action.default is None
+        if not (fits(value) or unset):
+            raise ValueError(f"{key} {value!r} is not {kind}")
+        if action.choices is not None and value not in action.choices:
+            raise ValueError(f"{key} {value!r} is not one of {list(action.choices)}")
     replay_args = argparse.Namespace(command=command, **config)
     return _DISPATCH[command](replay_args)
 

@@ -16,7 +16,7 @@ import time
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import count, groupby, islice
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -34,6 +34,7 @@ INT64_MAX = (1 << 63) - 1  # blocks and log indexes become int64 columns
 
 _ADDRESS_RE = re.compile(r"^0x[0-9a-f]{40}$")
 _TXHASH_RE = re.compile(r"^0x[0-9a-f]{64}$")
+_QUANTITY_RE = re.compile(r"0x[0-9a-f]+")
 
 # one anchored pattern for the hot path; failures get a slow, precise diagnosis
 _FIXTURE_LINE_RE = re.compile(
@@ -118,30 +119,30 @@ def is_erc20_transfer(entry: dict) -> bool:
 
 def _decode(entry: dict) -> TransferEvent | None:
     """The transfer in an eth_getLogs entry, or None for another shape.  Every
-    field is read, in entry order, before the shape is looked at, so a
-    malformed entry raises whatever its shape; quantities are hex strings."""
+    field is read, in entry order, before the shape is looked at, so a missing
+    or non-string field raises whatever its shape; a transfer's hex field that
+    the fixture reader would refuse raises ValueError."""
     token = entry["address"].lower()
     topics = [topic.lower() for topic in entry["topics"]]
     data = entry["data"].lower()
-    block = int(entry["blockNumber"], 16)
+    block = str.lower(entry["blockNumber"])  # a quantity given as an int: TypeError
     tx_hash = entry["transactionHash"].lower()
-    log_index = int(entry["logIndex"], 16)
+    log_index = str.lower(entry["logIndex"])
     if not is_erc20_transfer(entry):
         return None
     # indexed addresses are left-padded to 32 bytes; high bytes mean no address
     if any(len(topic) != 2 + 64 or topic[2:26] != "0" * 24 for topic in topics[1:]):
         raise DecodeError(f"log {tx_hash}/{log_index}: an address topic is not padded")
-    return TransferEvent(token, "0x" + topics[1][26:], "0x" + topics[2][26:],
-                         int(data[2:], 16), block, log_index, tx_hash)
-
-
-def decode_transfer(entry: dict) -> TransferEvent:
-    """Decode one eth_getLogs entry; :class:`DecodeError` if it fails
-    :func:`is_erc20_transfer` or its address topics are not zero-padded."""
-    event = _decode(entry)
-    if event is None:
-        raise DecodeError("log does not have the ERC-20 Transfer shape")
-    return event
+    from_addr, to_addr = ("0x" + topic[26:] for topic in topics[1:])
+    for name, text, pattern in (
+            ("address", token, _ADDRESS_RE), ("from", from_addr, _ADDRESS_RE),
+            ("to", to_addr, _ADDRESS_RE), ("data", data, _TXHASH_RE),  # one 32-byte word
+            ("blockNumber", block, _QUANTITY_RE), ("transactionHash", tx_hash, _TXHASH_RE),
+            ("logIndex", log_index, _QUANTITY_RE)):
+        if not pattern.fullmatch(text) or pattern is _QUANTITY_RE and int(text, 16) > INT64_MAX:
+            raise ValueError(f"bad {name}: {text!r}")
+    return TransferEvent(token, from_addr, to_addr, int(data, 16), int(block, 16),
+                         int(log_index, 16), tx_hash)
 
 
 def decode_logs(entries: Iterable[dict]) -> Iterator[TransferEvent]:
@@ -416,39 +417,29 @@ def _interner() -> defaultdict[str, int]:
     return index
 
 
-class _BatchBuilder:
-    """Interns one window's events, chunk by chunk, into WindowBatch columns.
+def _intern_window(events: Iterator[TransferEvent]) -> WindowBatch:
+    """One window's events as a WindowBatch, interned ``_CHUNK`` events at a time.
 
     Each token has its own small address table, which stays in cache however
-    many addresses the window holds.
+    many addresses the window holds; the tables go when the batch is made.
     """
-
-    def __init__(self):
-        self.token_ids = _interner()
-        self.node_ids: list[defaultdict[str, int]] = []  # by token id
-        self.columns = [array(np.dtype(dtype).char) for dtype in _DTYPES]
-        self.wide: dict[int, int] = {}
-
-    def add(self, events: list[TransferEvent], blocks: np.ndarray) -> None:
-        ids = list(map(self.token_ids.__getitem__, map(_TOKEN, events)))
-        self.node_ids += (_interner() for _ in range(len(self.token_ids)
-                                                     - len(self.node_ids)))
-        tables = list(map(self.node_ids.__getitem__, ids))
-        token, src, dst, block, log_index, lo, hi = self.columns
+    token_ids = _interner()
+    node_ids: list[defaultdict[str, int]] = []  # by token id
+    columns = [array(np.dtype(dtype).char) for dtype in _DTYPES]
+    token, src, dst, block, log_index, lo, hi = columns
+    wide: dict[int, int] = {}
+    while chunk := list(islice(events, _CHUNK)):
+        ids = list(map(token_ids.__getitem__, map(_TOKEN, chunk)))
+        node_ids += (_interner() for _ in range(len(token_ids) - len(node_ids)))
+        tables = list(map(node_ids.__getitem__, ids))
         token.fromlist(ids)
-        src.fromlist(list(map(dict.__getitem__, tables, map(_FROM, events))))
-        dst.fromlist(list(map(dict.__getitem__, tables, map(_TO, events))))
-        block.frombytes(blocks.tobytes())
-        log_index.fromlist(list(map(_LOG_INDEX, events)))
-        append_values(lo, hi, self.wide, list(map(_VALUE, events)))
-
-    def finish(self) -> WindowBatch:
-        """The window's batch.  The builder lets go of its columns and interning
-        dicts, so each column lives exactly as long as the batch holds it."""
-        batch = WindowBatch(list(self.token_ids), list(map(list, self.node_ids)),
-                            *map(np.frombuffer, self.columns, _DTYPES), self.wide)
-        del self.columns, self.token_ids, self.node_ids, self.wide
-        return batch
+        src.fromlist(list(map(dict.__getitem__, tables, map(_FROM, chunk))))
+        dst.fromlist(list(map(dict.__getitem__, tables, map(_TO, chunk))))
+        block.fromlist(list(map(_BLOCK, chunk)))
+        log_index.fromlist(list(map(_LOG_INDEX, chunk)))
+        append_values(lo, hi, wide, list(map(_VALUE, chunk)))
+    return WindowBatch(list(token_ids), list(map(list, node_ids)),
+                       *map(np.frombuffer, columns, _DTYPES), wide)
 
 
 def partition_windows(
@@ -457,8 +448,7 @@ def partition_windows(
     """Group events of any order into fixed-width windows, keeping input order in each."""
     if width < 1:
         raise ValueError("window width must be >= 1 block")
-    return dict(iter_window_groups(sorted(events, key=lambda e: e.block // width),
-                                   width))
+    return dict(iter_window_groups(sorted(events, key=lambda e: e.block // width), width))
 
 
 def iter_window_groups(
@@ -472,25 +462,9 @@ def iter_window_groups(
     """
     if width < 1:
         raise ValueError("window width must be >= 1 block")
-    builder: _BatchBuilder | None = None
-    current_start = None
     done: set[int] = set()
-    events = iter(events)
-    while chunk := list(islice(events, _CHUNK)):
-        blocks = np.fromiter(map(_BLOCK, chunk), np.int64, len(chunk))
-        # blocks fit in int64, so a wider window starts every block at 0
-        starts = blocks // width * width if width < 1 << 63 else np.zeros_like(blocks)
-        cuts = (np.flatnonzero(starts[1:] != starts[:-1]) + 1).tolist()
-        for lo, hi in zip([0, *cuts], [*cuts, len(blocks)]):
-            start = int(starts[lo])
-            if start != current_start:
-                if builder is not None:
-                    yield BlockWindow(current_start, current_start + width), builder.finish()
-                    done.add(current_start)
-                if start in done:
-                    raise ValueError(
-                        "fixture windows are interleaved; sort the fixture by block")
-                builder, current_start = _BatchBuilder(), start
-            builder.add(chunk[lo:hi], blocks[lo:hi])
-    if builder is not None:
-        yield BlockWindow(current_start, current_start + width), builder.finish()
+    for index, run in groupby(events, key=lambda event: event[4] // width):
+        if index in done:
+            raise ValueError("fixture windows are interleaved; sort the fixture by block")
+        done.add(index)
+        yield BlockWindow(index * width, (index + 1) * width), _intern_window(run)

@@ -129,9 +129,16 @@ class Model:
 def _objective(matrix: np.ndarray, labels: np.ndarray, lam: float):
     """The loss-and-gradient step for one fit, checked and allocated once.
 
-    Returns ``step(params) -> (loss, grad)``.  ``grad`` is a buffer the next
-    call overwrites; every expression and its order match the plain form in
-    ``loss_and_gradient``'s docstring, so results are bit-identical to it.
+    Returns ``step(params) -> (loss, grad)``: the mean negative log-likelihood
+    plus ``lam/(2k) * beta@beta`` over the k feature weights ``beta =
+    params[1:]`` (the intercept ``params[0]`` is not penalized, and dividing
+    by k keeps the objective invariant under row replication), and its exact
+    gradient.  In plain form, with ``z = params[0] + matrix @ beta`` and
+    ``r = sigmoid(z) - labels``: ``loss = mean(logaddexp(0, z) - labels*z) +
+    lam/(2k) * beta@beta`` and ``grad = [mean(r), matrix.T @ r / n + lam/k *
+    beta]``; log-sum-exp keeps both finite for any z.  Every expression and
+    its order match that plain form, so results are bit-identical to it.
+    ``grad`` is a buffer the next call overwrites.
     """
     n_rows, n_feat = matrix.shape
     if labels.shape != (n_rows,):
@@ -174,27 +181,6 @@ def _objective(matrix: np.ndarray, labels: np.ndarray, lam: float):
         return loss, grad
 
     return step
-
-
-def loss_and_gradient(
-    params: np.ndarray,
-    matrix: np.ndarray,
-    labels: np.ndarray,
-    lam: float,
-) -> tuple[float, np.ndarray]:
-    """Mean negative log-likelihood plus an L2 term on the non-intercept weights.
-
-    ``params[0]`` is the intercept and is not penalized.  The penalty is
-    ``lam/(2k) * sum(beta^2)`` over the k feature weights, which keeps the
-    objective invariant under row replication.  The gradient is the exact
-    derivative; log-sum-exp keeps both pieces finite for any z.  In plain form,
-    with ``z = beta0 + matrix @ beta`` and ``r = sigmoid(z) - labels``:
-    ``loss = mean(logaddexp(0, z) - labels*z) + lam/(2k) * beta@beta`` and
-    ``grad = [mean(r), matrix.T @ r / n + lam/k * beta]``.
-    """
-    if params.shape != (matrix.shape[1] + 1,):
-        raise ValueError("parameter/label dimensions do not match the matrix")
-    return _objective(matrix, labels, lam)(params)
 
 
 def train_matrix(

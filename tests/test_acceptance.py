@@ -28,7 +28,7 @@ from tokengraphs.graphs import build_graphs, weak_components
 from tokengraphs.ingest import (BlockWindow, decode_logs,
                                 is_erc20_transfer, iter_window_groups,
                                 read_fixture)
-from tokengraphs.model import loss_and_gradient, train
+from tokengraphs.model import _objective, train
 from tokengraphs.synth import gen_corpus, gen_scan_corpus
 
 from conftest import batch_of, make_event
@@ -170,9 +170,9 @@ def test_criterion_4_gradient_check():
             labels = (rng.random(50) < rng.uniform(0.2, 0.8)).astype(float)
             params = rng.normal(size=9)
             lam = float(rng.uniform(0.0, 3.0))
-            _, grad = loss_and_gradient(params, matrix, labels, lam)
+            _, grad = _objective(matrix, labels, lam)(params)
             numeric = finite_diff_gradient(
-                lambda p: loss_and_gradient(p, matrix, labels, lam)[0],
+                lambda p: _objective(matrix, labels, lam)(p)[0],
                 params, h=1e-6)
             rel = float(np.max(np.abs(grad - numeric)
                                / np.maximum(np.abs(numeric), 1e-10)))

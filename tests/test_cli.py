@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import tokengraphs.cli as cli_mod
 from tokengraphs.cli import main
 from tokengraphs.features import read_feature_table
-from tokengraphs.ingest import ENDPOINT_ENV_VAR, BlockWindow, format_fixture_line
+from tokengraphs.ingest import (ENDPOINT_ENV_VAR, BlockWindow, format_fixture_line,
+                                read_fixture)
 from tokengraphs.model import load_model
 from tokengraphs.synth import CorpusProfile, gen_corpus
 
@@ -96,6 +97,20 @@ def test_synth_writes_its_manifest_where_asked(tmp_path):
 def test_features_writes_one_row_per_token_window(corpus):
     rows = read_feature_table(corpus["features"])
     assert len(rows) == 40
+
+
+@pytest.mark.parametrize("width", [2**63, 2**64])
+def test_a_window_of_2_to_the_63_blocks_or_more_holds_the_whole_fixture(corpus, width):
+    tables = {}
+    for w in (2**62, width):
+        out = corpus["tmp"] / f"features_{w}.csv"
+        assert main(["features", "--fixture", str(corpus["fixture"]), "--out", str(out),
+                     "--window-width", str(w)]) == 0
+        tables[w] = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(tables[width]) == 40
+    assert {(row[1], row[2]) for row in tables[width]} == {("0", str(width))}
+    assert ([row[:2] + row[3:] for row in tables[width]]
+            == [row[:2] + row[3:] for row in tables[2**62]])
 
 
 def test_features_empty_fixture_gives_header_only(tmp_path):
@@ -764,6 +779,81 @@ def test_fetch_malformed_log_entry_exits_3(tmp_path, monkeypatch, capsys, entry,
     assert err[0].startswith(f"error: malformed log entry from provider: {cause}")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("address", "0x" + "zz" * 20),
+    ("data", "0x" + "0" * 62 + "_1"),               # int(..., 16) takes the "_"
+    ("topics", [TOPIC, "0x" + "0" * 24 + "gg" * 20, "0x" + "0" * 64]),
+    ("transactionHash", "0xq"),
+    ("transactionHash", "0x" + "0" * 64 + "\n"),    # "$" matches before a "\n"
+    ("blockNumber", "0x_1"),
+    ("blockNumber", hex(1 << 63)),
+    ("logIndex", hex(1 << 63)),
+])
+def test_fetch_of_a_field_the_fixture_reader_refuses_exits_3(tmp_path, monkeypatch,
+                                                            capsys, field, value):
+    import tokengraphs.ingest as ingest_mod
+
+    entry = {**rpc_entry(100, 0), field: value}
+    monkeypatch.setattr(ingest_mod, "_requests_transport",
+                        ReplyProvider({"jsonrpc": "2.0", "id": 1, "result": [entry]}))
+    out = tmp_path / "f.tsv"
+    assert main(["fetch", "--start", "100", "--end", "101", "--out", str(out),
+                 "--endpoint", "http://fake", "--rpc-backoff", "0"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: malformed log entry from provider: ValueError")
+    assert out.read_bytes() == b""
+
+
+@st.composite
+def transfer_entries(draw):
+    """1-3 Transfer-shaped eth_getLogs entries in mixed-case hex, about half
+    with one field made a near miss: a character added or swapped in, text of
+    hex-like characters, or a quantity of 2**63."""
+    hex_digits = lambda n: draw(st.text("0123456789abcdefABCDEF", min_size=n, max_size=n))
+    entries = []
+    for _ in range(draw(st.integers(1, 3))):
+        fields = {"address": "0x" + hex_digits(40),
+                  "from": "0x" + "0" * 24 + hex_digits(40),
+                  "to": "0x" + "0" * 24 + hex_digits(40),
+                  "data": "0x" + hex_digits(64),
+                  "blockNumber": hex(draw(st.integers(0, 1 << 63))),
+                  "transactionHash": "0x" + hex_digits(64),
+                  "logIndex": hex(draw(st.integers(0, 1 << 63)))}
+        if draw(st.booleans()):
+            key = draw(st.sampled_from(sorted(fields)))
+            text = fields[key]
+            at = draw(st.integers(0, len(text)))
+            stray = draw(st.sampled_from("_gZx \n"))
+            fields[key] = draw(st.sampled_from([
+                text[:at] + stray + text[at:], text[:at] + stray + text[at + 1:],
+                draw(st.text("0123456789abcdefABCDEFxX_g\n ", max_size=68))]))
+        entries.append({"address": fields["address"],
+                        "topics": [TOPIC, fields["from"], fields["to"]],
+                        "data": fields["data"], "blockNumber": fields["blockNumber"],
+                        "transactionHash": fields["transactionHash"],
+                        "logIndex": fields["logIndex"]})
+    return entries
+
+
+@settings(max_examples=150, deadline=None)
+@given(transfer_entries())
+def test_every_fixture_fetch_writes_is_read_back(entries):
+    import tokengraphs.ingest as ingest_mod
+
+    provider = ReplyProvider({"jsonrpc": "2.0", "id": 1, "result": entries})
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(ingest_mod, "_requests_transport", provider):
+        out = pathlib.Path(tmp) / "f.tsv"
+        code = main(["fetch", "--start", "100", "--end", "101", "--out", str(out),
+                     "--endpoint", "http://fake", "--rpc-backoff", "0"])
+        lines = out.read_text().splitlines()
+        events = list(read_fixture(out)) if code == 0 else []
+    assert code in (0, 3)
+    if code == 0:
+        assert [format_fixture_line(event) for event in events] == lines
+
+
 class NarrowProvider(FakeProvider):
     """Refuses as over its limit every request wider than ``max_span`` blocks."""
 
@@ -864,13 +954,21 @@ def test_replay_rejects_unknown_override(corpus):
                  "--set", "bogus=1"]) == 2
 
 
-def _synth_manifest(**changes) -> dict:
-    """A synth manifest as a run writes it, out dir under "@tmp", with ``changes``
-    made to its config."""
-    args = cli_mod.build_parser().parse_args(["synth", "--out-dir", "@tmp/out",
-                                              "--n-tokens", "3"])
-    return {"format": 1, "command": "synth",
+def _manifest(argv, **changes) -> dict:
+    """The manifest a run of ``argv`` writes, paths under "@tmp", with
+    ``changes`` made to its config."""
+    args = cli_mod.build_parser().parse_args(argv)
+    return {"format": 1, "command": args.command,
             "config": {**cli_mod._config_from_args(args), **changes}}
+
+
+def _synth_manifest(**changes) -> dict:
+    return _manifest(["synth", "--out-dir", "@tmp/out", "--n-tokens", "3"], **changes)
+
+
+_CROSSEVAL = ["crosseval", "--train-features", "@tmp/f", "--train-labels", "@tmp/l",
+              "--eval", "@tmp/f", "@tmp/l", "--out", "@tmp/report.csv"]
+_TRAIN = ["train", "--features", "@tmp/f", "--labels", "@tmp/l", "--model-out", "@tmp/m"]
 
 
 @pytest.mark.parametrize("manifest, named", [
@@ -881,6 +979,20 @@ def _synth_manifest(**changes) -> dict:
     (_synth_manifest(command="features"), "'command'"),
     (_synth_manifest(bogus=1), "'bogus'"),
     (_synth_manifest(kind="bogus"), "'bogus'"),
+    (_synth_manifest(n_tokens="3"), "n_tokens '3' is not an int"),
+    (_synth_manifest(n_tokens=3.0), "n_tokens 3.0 is not an int"),
+    (_synth_manifest(n_tokens=True), "n_tokens True is not an int"),
+    (_synth_manifest(window_width=None), "window_width None is not an int"),
+    (_synth_manifest(scam_fraction=True), "scam_fraction True is not a number"),
+    (_synth_manifest(scam_fraction="0.5"), "scam_fraction '0.5' is not a number"),
+    (_synth_manifest(out_dir=None), "out_dir None is not a string"),
+    (_synth_manifest(manifest=1), "manifest 1 is not a string"),
+    (_manifest(_TRAIN, lam=10**400), "lam 1000000000"),      # no float64 holds it
+    (_manifest(_TRAIN, log_amount=0), "log_amount 0 is not a bool"),
+    (_manifest(_TRAIN, log_amount=None), "log_amount None is not a bool"),
+    (_manifest(_CROSSEVAL, eval=["@tmp/f", "@tmp/l"]), "eval ["),
+    (_manifest(_CROSSEVAL, eval=[]), "eval [] is not"),
+    (_manifest(_CROSSEVAL, eval=[["@tmp/f"]]), "eval [["),
 ])
 def test_replay_of_a_malformed_manifest_exits_2(tmp_path, capsys, manifest, named):
     path = tmp_path / "bad.manifest.json"
@@ -889,6 +1001,33 @@ def test_replay_of_a_malformed_manifest_exits_2(tmp_path, capsys, manifest, name
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
     assert list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("override, named", [
+    ("log_amount=maybe", "log_amount 'maybe' is not a bool"),
+    ("log_amount=", "log_amount '' is not a bool"),
+    ("max_iters=1.5", "max_iters '1.5' is not an int"),
+    ("lam=x", "lam 'x' is not a number"),
+])
+def test_replay_set_of_a_word_its_option_does_not_take_exits_2(tmp_path, capsys,
+                                                               override, named):
+    path = tmp_path / "m.manifest.json"
+    path.write_text(json.dumps(_manifest(_TRAIN)).replace("@tmp", str(tmp_path)))
+    assert main(["replay", str(path), "--set", override]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {named}")
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_replay_set_parses_each_word_as_its_option_does(corpus):
+    first, second = corpus["tmp"] / "first.txt", corpus["tmp"] / "second.txt"
+    assert main(["train", "--features", str(corpus["features"]),
+                 "--labels", str(corpus["labels"]), "--model-out", str(first)]) == 0
+    assert main(["replay", str(first) + ".manifest.json", "--set", "log_amount=Yes",
+                 "--set", "max_iters=7", "--set", "lam=0.25",
+                 "--set", f"model_out={second}"]) == 0
+    config = json.loads(open(str(second) + ".manifest.json").read())["config"]
+    assert (config["log_amount"], config["max_iters"], config["lam"]) == (True, 7, 0.25)
 
 
 def test_replay_set_outside_an_options_choices_exits_2(tmp_path, capsys):

@@ -18,8 +18,8 @@ from tokengraphs.ingest import (
     RangeTooDenseError,
     TransferEvent,
     UINT256_MAX,
+    _decode,
     decode_logs,
-    decode_transfer,
     fetch_logs,
     format_fixture_line,
     is_erc20_transfer,
@@ -79,24 +79,24 @@ def test_rejects_wrong_signature_and_no_topics():
 
 def test_decode_zero_value():
     log = raw_log([TOPIC, padded_topic("b1"), padded_topic("c1")], "0x" + "0" * 64)
-    assert decode_transfer(log).value == 0
+    assert _decode(log).value == 0
 
 
 def test_decode_value_one():
     log = raw_log([TOPIC, padded_topic("b1"), padded_topic("c1")],
                   "0x" + "0" * 63 + "1")
-    assert decode_transfer(log).value == 1
+    assert _decode(log).value == 1
 
 
 def test_decode_mint_from_null_address():
     log = raw_log([TOPIC, "0x" + "0" * 64, padded_topic("c1")], "0x" + "0" * 64)
-    assert decode_transfer(log).from_addr == "0x" + "0" * 40
+    assert _decode(log).from_addr == "0x" + "0" * 40
 
 
 def test_decode_copies_ordering_fields():
     log = raw_log([TOPIC, padded_topic("b1"), padded_topic("c1")],
                   "0x" + format(77, "064x"), block=18_000_123, index=9, tx=55)
-    event = decode_transfer(log)
+    event = _decode(log)
     assert (event.block, event.log_index) == (18_000_123, 9)
     assert event.tx_hash == "0x" + format(55, "064x")
     assert event.token == log["address"]
@@ -104,15 +104,14 @@ def test_decode_copies_ordering_fields():
 
 def test_decode_rejects_unfiltered_log():
     log = raw_log([TOPIC, padded_topic("b1"), padded_topic("c1")], "0x")
-    with pytest.raises(DecodeError):
-        decode_transfer(log)
+    assert _decode(log) is None
 
 
 def test_decode_rejects_dirty_topic_padding():
     dirty = "0x" + "11" * 12 + "b1".rjust(40, "0")
     log = raw_log([TOPIC, dirty, padded_topic("c1")], "0x" + "0" * 64)
     with pytest.raises(DecodeError):
-        decode_transfer(log)
+        _decode(log)
 
 
 def test_stream_decoding_drops_nft_salt():

@@ -19,7 +19,6 @@ from tokengraphs.model import (
     TrainingError,
     _objective,
     load_model,
-    loss_and_gradient,
     predict_proba,
     save_model,
     sigmoid,
@@ -119,7 +118,7 @@ def test_empty_matrix_rejected():
 def test_zero_params_balanced_labels_gives_log_two():
     matrix = np.random.default_rng(0).normal(size=(10, 4))
     labels = np.array([0, 1] * 5, dtype=float)
-    loss, _ = loss_and_gradient(np.zeros(5), matrix, labels, lam=0.0)
+    loss, _ = _objective(matrix, labels, 0.0)(np.zeros(5))
     assert loss == pytest.approx(math.log(2.0), rel=1e-12)
 
 
@@ -131,9 +130,9 @@ def test_gradient_matches_central_differences():
         labels = (rng.random(50) < 0.4).astype(float)
         params = rng.normal(size=9)
         lam = float(rng.uniform(0.0, 2.0))
-        _, grad = loss_and_gradient(params, matrix, labels, lam)
+        _, grad = _objective(matrix, labels, lam)(params)
         numeric = finite_diff_gradient(
-            lambda p: loss_and_gradient(p, matrix, labels, lam)[0], params)
+            lambda p: _objective(matrix, labels, lam)(p)[0], params)
         rel = np.max(np.abs(grad - numeric) / np.maximum(np.abs(numeric), 1e-8))
         worst = max(worst, float(rel))
     assert worst < 1e-6
@@ -155,11 +154,11 @@ def test_huge_regularization_collapses_to_base_rate():
 
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
-        loss_and_gradient(np.zeros(3), np.zeros((5, 3)), np.zeros(5), 0.1)
+        _objective(np.zeros((5, 3)), np.zeros(5), 0.1)(np.zeros(3))
     with pytest.raises(ValueError):
-        loss_and_gradient(np.zeros(4), np.zeros((5, 3)), np.zeros(4), 0.1)
+        _objective(np.zeros((5, 3)), np.zeros(4), 0.1)(np.zeros(4))
     with pytest.raises(ValueError, match="nonnegative"):
-        loss_and_gradient(np.zeros(4), np.zeros((5, 3)), np.zeros(5), -0.1)
+        _objective(np.zeros((5, 3)), np.zeros(5), -0.1)(np.zeros(4))
 
 
 @st.composite
@@ -192,7 +191,7 @@ def test_kernel_equals_the_straight_oracle_bitwise(case):
         want_loss, want_grad = straight_loss_and_gradient(p, matrix, labels, lam)
         assert loss == want_loss
         assert np.array_equal(grad, want_grad)
-        fresh_loss, fresh_grad = loss_and_gradient(p, matrix, labels, lam)
+        fresh_loss, fresh_grad = _objective(matrix, labels, lam)(p)
         assert fresh_loss == want_loss
         assert np.array_equal(fresh_grad, want_grad)
 
@@ -201,9 +200,9 @@ def test_returned_gradient_is_not_overwritten_by_a_later_call():
     rng = np.random.default_rng(4)
     matrix = rng.normal(size=(20, 3))
     labels = (rng.random(20) < 0.5).astype(float)
-    _, first = loss_and_gradient(np.zeros(4), matrix, labels, 0.5)
+    _, first = _objective(matrix, labels, 0.5)(np.zeros(4))
     kept = first.copy()
-    _, second = loss_and_gradient(np.ones(4), matrix, labels, 0.5)
+    _, second = _objective(matrix, labels, 0.5)(np.ones(4))
     assert second is not first
     assert np.array_equal(first, kept)
 
