@@ -24,11 +24,11 @@ from .features import (VARIANTS, extract_features, histogram_bins,
                        read_feature_table, write_feature_table,
                        write_histograms)
 from .graphs import build_graphs, export_graphs
-from .ingest import (DEFAULT_WINDOW_WIDTH, ENDPOINT_ENV_VAR, BlockWindow,
-                     FetchError, fetch_logs, format_fixture_line,
+from .ingest import (DEFAULT_WINDOW_WIDTH, ENDPOINT_ENV_VAR, INT64_MAX,
+                     BlockWindow, FetchError, fetch_logs, format_fixture_line,
                      iter_window_groups, read_fixture)
 from .model import TrainConfig, TrainingError, load_model, save_model, train
-from .synth import CorpusProfile, ScanProfile, gen_corpus, gen_scan_corpus
+from .synth import gen_corpus, gen_scan_corpus
 
 MANIFEST_FORMAT = 1
 
@@ -258,6 +258,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    for option, value in (("--n-tokens", args.n_tokens), ("--seed", args.seed),
+                          ("--window-start", args.window_start)):
+        if value < 0:
+            raise ValueError(f"{option} must be >= 0, not {value}")
     windows = [BlockWindow(args.window_start + i * args.window_width,
                            args.window_start + (i + 1) * args.window_width)
                for i in range(args.n_windows)]
@@ -265,17 +269,25 @@ def cmd_synth(args: argparse.Namespace) -> int:
         raise ValueError("at least one window is required")
     if args.kind == "scan" and len(windows) > 1:
         raise ValueError("a scan corpus has one window: pass --n-windows 1")
+    if windows[-1].end > INT64_MAX:
+        raise ValueError(f"--window-start {args.window_start} puts the last window's "
+                         f"end at block {windows[-1].end}, past {INT64_MAX}")
     os.makedirs(args.out_dir, exist_ok=True)
     fixture = os.path.join(args.out_dir, "fixture.tsv")
+    labels = os.path.join(args.out_dir, "labels.csv")
     manifest_path = args.manifest or os.path.join(args.out_dir, "manifest.json")
-    if args.kind == "training":
-        labels = os.path.join(args.out_dir, "labels.csv")
-        corpus = gen_corpus(args.n_tokens, args.scam_fraction, windows,
-                            fixture, labels, profile=CorpusProfile(),
-                            seed=args.seed)
-    else:
-        corpus = gen_scan_corpus(args.n_tokens, windows[0], fixture,
-                                 profile=ScanProfile(), seed=args.seed)
+    try:  # each file is written whole or not at all: a failure leaves the old one
+        if args.kind == "training":
+            corpus = gen_corpus(args.n_tokens, args.scam_fraction, windows,
+                                fixture + ".tmp", labels + ".tmp", seed=args.seed)
+            os.replace(labels + ".tmp", labels)
+        else:
+            corpus = gen_scan_corpus(args.n_tokens, windows[0], fixture + ".tmp", seed=args.seed)
+        os.replace(fixture + ".tmp", fixture)
+    finally:
+        for temp in (fixture + ".tmp", labels + ".tmp"):
+            if os.path.exists(temp):
+                os.remove(temp)
     _write_manifest(manifest_path, "synth", _config_from_args(args),
                     corpus=corpus)
     print(f"generated {corpus['total_events']} events for {args.n_tokens} tokens "

@@ -16,6 +16,7 @@ import math
 import os
 from array import array
 from bisect import bisect_right
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from itertools import chain, repeat
 from typing import Sequence
@@ -132,27 +133,58 @@ def _fixture_lines(batch: WindowBatch) -> list[str]:
     return list(map(FIXTURE_LINE.__mod__, rows))
 
 
+@contextmanager
+def _scalar_draws(rng: np.random.Generator):
+    """numpy's scalar ``rng.integers(n)`` (1 <= n <= 2**32) and ``rng.random()``,
+    replayed from raw PCG64 words at a fraction of a call's cost, leaving
+    ``rng`` as those calls would.  ``integers`` is Lemire's method
+    (arXiv:1805.10941) on the buffered high half-word (``has_uint32``/
+    ``uinteger``) or else a fresh word's low half, buffering its high half;
+    it redraws on rejection and draws nothing for n == 1.  ``random`` is a
+    word's top 53 bits * 2**-53."""
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    has_half, half = state["has_uint32"], state["uinteger"]
+    words: list[int] = []  # drawn and not yet used, next one last
+
+    def refill() -> int:
+        words.extend(bitgen.random_raw(256)[::-1].tolist())
+        return words.pop()
+
+    def integers(n: int) -> int:
+        nonlocal has_half, half
+        while n > 1:
+            if has_half:
+                has_half, scaled = 0, half * n
+            else:
+                raw = words.pop() if words else refill()
+                has_half, half, scaled = 1, raw >> 32, (raw & 0xFFFFFFFF) * n
+            if scaled & 0xFFFFFFFF >= (1 << 32) % n:
+                return scaled >> 32
+        return 0
+
+    yield integers, lambda: ((words.pop() if words else refill()) >> 11) * 2.0 ** -53
+    bitgen.advance(-len(words))  # this clears the buffer, so set it after
+    bitgen.state = {**bitgen.state, "has_uint32": has_half, "uinteger": half}
+
+
 def _wire_legitimate(cfg: ArchetypeConfig, rng: np.random.Generator) -> Edges:
     """Giant preferential-attachment component plus 2-5 node satellites."""
     budget = cfg.node_budget
     sat_budget = int(0.18 * budget)
     sat_sizes: list[int] = []
     used = 0
-    while True:
-        size = int(rng.integers(2, 6))
-        if used + size > sat_budget:
-            break
-        sat_sizes.append(size)
-        used += size
-    giant = budget - used
-
     edges: Edges = []
     attach_pool = [0]
-    for node in range(1, giant):
-        target = attach_pool[int(rng.integers(len(attach_pool)))]
-        edges.append((node, target) if rng.random() < 0.5 else (target, node))
-        attach_pool.append(node)
-        attach_pool.append(target)
+    with _scalar_draws(rng) as (integers, random):
+        while used + (size := 2 + integers(4)) <= sat_budget:  # rng.integers(2, 6)
+            sat_sizes.append(size)
+            used += size
+        giant = budget - used
+        for node in range(1, giant):
+            target = attach_pool[integers(len(attach_pool))]
+            edges.append((node, target) if random() < 0.5 else (target, node))
+            attach_pool += (node, target)
 
     multiplier = cfg.edge_multiplier
     if multiplier is None:
@@ -165,12 +197,13 @@ def _wire_legitimate(cfg: ArchetypeConfig, rng: np.random.Generator) -> Edges:
         edges.extend(zip(src.tolist(), dst.tolist()))
 
     center = giant
-    for size in sat_sizes:
-        for member in range(center + 1, center + size):
-            edges.append((center, member) if rng.random() < 0.5 else (member, center))
-        if size >= 3 and rng.random() < 0.4:
-            edges.append((center + 1, center + 2))
-        center += size
+    with _scalar_draws(rng) as (integers, random):
+        for size in sat_sizes:
+            for member in range(center + 1, center + size):
+                edges.append((center, member) if random() < 0.5 else (member, center))
+            if size >= 3 and random() < 0.4:
+                edges.append((center + 1, center + 2))
+            center += size
     return edges
 
 
@@ -187,24 +220,15 @@ def _wire_honeypot_star(cfg: ArchetypeConfig, rng: np.random.Generator) -> Edges
     multiplier = cfg.edge_multiplier
     if multiplier is None:
         multiplier = float(rng.uniform(1.0, 1.6))
-    target_edges = max(int(multiplier * budget), n_users + mints)
-    for user_id in range(2, budget):
-        edges.append((pool_id, user_id) if rng.random() < 0.65 else (user_id, pool_id))
-    extra = target_edges - len(edges)
+    users = list(range(2, budget))
+    coins = (rng.random(n_users) < 0.65).tolist()
+    # extras go to users in a random order, at most two each, so every
+    # user's degree stays <= 3
+    extra = min(int(multiplier * budget) - mints - n_users, 2 * n_users)
     if extra > 0:
-        # spread extras while honoring the degree <= 3 cap on users
-        capacity = np.full(n_users, 2, dtype=np.int64)
-        candidates = rng.permutation(n_users)
-        added = 0
-        for user in candidates.tolist():
-            if added >= extra:
-                break
-            take = min(int(capacity[user]), extra - added)
-            user_id = user + 2
-            for _ in range(take):
-                edges.append((pool_id, user_id) if rng.random() < 0.5 else (user_id, pool_id))
-            capacity[user] -= take
-            added += take
+        users += np.repeat(rng.permutation(n_users) + 2, 2)[:extra].tolist()
+        coins += (rng.random(extra) < 0.5).tolist()
+    edges += [(pool_id, user) if coin else (user, pool_id) for user, coin in zip(users, coins)]
     return edges
 
 
@@ -220,23 +244,19 @@ _SCRAP_CDF = tuple((_SCRAP_CUMSUM / _SCRAP_CUMSUM[-1]).tolist())
 def _wire_counterfeit_poisoning(cfg: ArchetypeConfig, rng: np.random.Generator) -> Edges:
     """Many scraps of 2-4 nodes: a fresh spoof address dusting one or two victims."""
     budget = cfg.node_budget
-    sizes: list[int] = []
-    remaining = budget
-    while remaining > 0:
-        if remaining <= 4:
-            size = remaining
-        elif remaining == 5:
-            size = 3
-        else:
-            size = _SCRAP_SIZES[bisect_right(_SCRAP_CDF, rng.random())]
-        sizes.append(size)
-        remaining -= size
-
     edges: Edges = []
     scammer = 0
-    for size in sizes:
-        edges.extend((scammer, victim) for victim in range(scammer + 1, scammer + size))
-        scammer += size
+    with _scalar_draws(rng) as (_integers, random):
+        while scammer < budget:
+            remaining = budget - scammer
+            if remaining <= 4:
+                size = remaining
+            elif remaining == 5:
+                size = 3
+            else:
+                size = _SCRAP_SIZES[bisect_right(_SCRAP_CDF, random())]
+            edges.extend((scammer, victim) for victim in range(scammer + 1, scammer + size))
+            scammer += size
 
     # repeat dustings of the same victims: parallel edges, no new nodes
     multiplier = cfg.edge_multiplier
@@ -248,6 +268,10 @@ def _wire_counterfeit_poisoning(cfg: ArchetypeConfig, rng: np.random.Generator) 
     return edges
 
 
+_WIRINGS = {LEGITIMATE: _wire_legitimate, HONEYPOT_STAR: _wire_honeypot_star,
+            COUNTERFEIT_POISONING: _wire_counterfeit_poisoning}
+
+
 def generate(cfg: ArchetypeConfig) -> WindowBatch:
     """One token's transfers, drawn from ``cfg.seed``: the kind's wiring,
     then blocks, then values.  The batch is in log order (by block, ties in
@@ -255,12 +279,7 @@ def generate(cfg: ArchetypeConfig) -> WindowBatch:
     addresses, each an endpoint of some edge; a star's node 0 is the null
     address."""
     rng = np.random.default_rng(cfg.seed)
-    if cfg.kind == LEGITIMATE:
-        edges = _wire_legitimate(cfg, rng)
-    elif cfg.kind == HONEYPOT_STAR:
-        edges = _wire_honeypot_star(cfg, rng)
-    else:
-        edges = _wire_counterfeit_poisoning(cfg, rng)
+    edges = _WIRINGS[cfg.kind](cfg, rng)
     namespace = (cfg.seed % (1 << 48)) << 30 | (cfg.node_budget % (1 << 20)) | 1 << 78
     addresses = _addresses(namespace, 1, cfg.node_budget)
     if cfg.kind == HONEYPOT_STAR:

@@ -328,3 +328,109 @@ def straight_fetch_lines(entries: list[dict]) -> list[str]:
         lines.append("\t".join([address, sender, recipient, str(int(data[2:], 16)),
                                 str(block), str(index), tx_hash]))
     return lines
+
+
+# The token wirings as numpy's scalar calls draw them, one call per node: the
+# references for synth's wirings, which replay the same draws from raw words.
+# Each takes the config's ``node_budget`` and ``edge_multiplier`` and returns
+# (from, to) node ids in wiring order.
+
+def scalar_wire_legitimate(cfg, rng: np.random.Generator) -> list[tuple[int, int]]:
+    budget = cfg.node_budget
+    sat_budget = int(0.18 * budget)
+    sat_sizes: list[int] = []
+    used = 0
+    while True:
+        size = int(rng.integers(2, 6))
+        if used + size > sat_budget:
+            break
+        sat_sizes.append(size)
+        used += size
+    giant = budget - used
+
+    edges = []
+    attach_pool = [0]
+    for node in range(1, giant):
+        target = attach_pool[int(rng.integers(len(attach_pool)))]
+        edges.append((node, target) if rng.random() < 0.5 else (target, node))
+        attach_pool.append(node)
+        attach_pool.append(target)
+
+    multiplier = cfg.edge_multiplier
+    if multiplier is None:
+        multiplier = float(rng.uniform(1.05, 1.7))
+    extra = max(int((multiplier - 1.0) * giant), 0)
+    if extra:
+        pool_arr = np.asarray(attach_pool)
+        src = pool_arr[rng.integers(len(pool_arr), size=extra)]
+        dst = pool_arr[rng.integers(len(pool_arr), size=extra)]
+        edges.extend(zip(src.tolist(), dst.tolist()))
+
+    center = giant
+    for size in sat_sizes:
+        for member in range(center + 1, center + size):
+            edges.append((center, member) if rng.random() < 0.5 else (member, center))
+        if size >= 3 and rng.random() < 0.4:
+            edges.append((center + 1, center + 2))
+        center += size
+    return edges
+
+
+def scalar_wire_honeypot_star(cfg, rng: np.random.Generator) -> list[tuple[int, int]]:
+    budget = cfg.node_budget
+    n_users = budget - 2
+    null_id, pool_id = 0, 1
+
+    mints = 4 + int(rng.integers(0, 4))
+    edges = [(null_id, pool_id)] * mints
+
+    multiplier = cfg.edge_multiplier
+    if multiplier is None:
+        multiplier = float(rng.uniform(1.0, 1.6))
+    target_edges = max(int(multiplier * budget), n_users + mints)
+    for user_id in range(2, budget):
+        edges.append((pool_id, user_id) if rng.random() < 0.65 else (user_id, pool_id))
+    extra = target_edges - len(edges)
+    if extra > 0:
+        capacity = np.full(n_users, 2, dtype=np.int64)
+        candidates = rng.permutation(n_users)
+        added = 0
+        for user in candidates.tolist():
+            if added >= extra:
+                break
+            take = min(int(capacity[user]), extra - added)
+            user_id = user + 2
+            for _ in range(take):
+                edges.append((pool_id, user_id) if rng.random() < 0.5 else (user_id, pool_id))
+            capacity[user] -= take
+            added += take
+    return edges
+
+
+def scalar_wire_counterfeit_poisoning(cfg, rng: np.random.Generator) -> list[tuple[int, int]]:
+    budget = cfg.node_budget
+    sizes: list[int] = []
+    remaining = budget
+    while remaining > 0:
+        if remaining <= 4:
+            size = remaining
+        elif remaining == 5:
+            size = 3
+        else:
+            size = int(rng.choice((2, 3, 4), p=(0.5, 0.35, 0.15)))
+        sizes.append(size)
+        remaining -= size
+
+    edges = []
+    scammer = 0
+    for size in sizes:
+        edges.extend((scammer, victim) for victim in range(scammer + 1, scammer + size))
+        scammer += size
+
+    multiplier = cfg.edge_multiplier
+    if multiplier is None:
+        multiplier = float(rng.uniform(0.85, 1.45))
+    repeats = int(multiplier * budget) - len(edges)
+    if repeats > 0:
+        edges += [edges[idx] for idx in rng.integers(0, len(edges), size=repeats).tolist()]
+    return edges

@@ -84,6 +84,26 @@ def test_synth_scan_with_more_than_one_window_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, option", [
+    (["--n-tokens", "-3"], "--n-tokens"),
+    (["--seed", "-1"], "--seed"),
+    (["--window-start", "-100000"], "--window-start"),
+    (["--window-start", "9223372036854700000"], "--window-start"),
+    (["--window-width", "5000"], None),  # too narrow for the profile's lifetimes
+], ids=["negative-tokens", "negative-seed", "negative-start", "end-past-int64",
+        "narrow-width"])
+def test_synth_input_error_exits_2_and_leaves_the_corpus(tmp_path, capsys, args, option):
+    out = tmp_path / "corpus"
+    assert main(["synth", "--out-dir", str(out), "--n-tokens", "3"]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    assert main(["synth", "--out-dir", str(out), "--n-tokens", "3", *args]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert option is None or option in err[0]
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
 def test_synth_writes_its_manifest_where_asked(tmp_path):
     out, manifest = tmp_path / "corpus", tmp_path / "elsewhere.json"
     assert main(["synth", "--out-dir", str(out), "--n-tokens", "3",
