@@ -8,7 +8,9 @@ digests pin each generator on its own, including the paths no CLI run takes:
 the budget floors, the default token address and an explicit edge multiplier.
 The model digests pin the train-eval half (gradient descent, cv folds,
 cross-window reports and the scan report); they were recorded before the
-gradient-descent step became one preallocated kernel per fit.
+gradient-descent step became one preallocated kernel per fit.  The
+``--histogram-out`` and ``--roc-out`` files were pinned before every CSV output
+moved onto one writer.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ EXPECTED = {
         "8b59523b35e1fe2ab7bd4aae8b75539b0938d38833ab5a5946b4c05dd8aa1592",
     "graphs":
         "181d8b407424b2971bc80c061185a62262ce4e486a238d2e7f3072522f55fc28",
+    "histogram.csv":
+        "05d555ed6f93b978226a9f667c14843fd184837d00716dfeae4a5142809ce91d",
 }
 
 
@@ -67,7 +71,8 @@ def outputs(tmp_path_factory):
                  "--n-tokens", "8", "--seed", "11"]) == 0
     assert main(["features", "--fixture", str(root / "training" / "fixture.tsv"),
                  "--out", str(root / "training.csv"),
-                 "--export-graphs", str(root / "graphs")]) == 0
+                 "--export-graphs", str(root / "graphs"),
+                 "--histogram-out", str(root / "histogram.csv")]) == 0
     assert main(["features", "--fixture", str(root / "scan" / "fixture.tsv"),
                  "--out", str(root / "scan.csv"),
                  "--export-graphs", str(root / "graphs")]) == 0
@@ -136,6 +141,20 @@ MODEL_EXPECTED = {
         "024c0d3d7cc025bb0d7170d58fde5e66274c10ec49f3b617c22a21b77e907602",
     "scan_report.csv":
         "5d85f99c2b5e45570c3ea50e9c682491a89fb99c7af6bd91d305574f83d15d7c",
+    "cv_roc_fold-1.csv":
+        "a1df6a0baa719bd91535607654b3f6b7cbe19bfaae43339b6ae5303a8abf2058",
+    "cv_roc_fold-2.csv":
+        "a1df6a0baa719bd91535607654b3f6b7cbe19bfaae43339b6ae5303a8abf2058",
+    "cv_roc_fold-3.csv":
+        "a1df6a0baa719bd91535607654b3f6b7cbe19bfaae43339b6ae5303a8abf2058",
+    "cv_roc_fold-4.csv":
+        "280d3c424753deaa83e4ef906e90da145ad15891f8a1909e583ced6ffe75bf4a",
+    "cv_roc_fold-5.csv":
+        "a769ccf60ac4b51227fc95606982e4c705f4a5483d76071c86a094ca46c19728",
+    "crosseval_roc_w2.csv.csv":
+        "1b81b8ea925bbb563e25d2e0dee5a07874a3565566758af5f34e1935992fb8ea",
+    "crosseval_roc_w3.csv.csv":
+        "1b81b8ea925bbb563e25d2e0dee5a07874a3565566758af5f34e1935992fb8ea",
 }
 
 
@@ -159,12 +178,14 @@ def model_outputs(tmp_path_factory):
     assert main(["train", *w1, "--model-out", str(root / "full.txt")]) == 0
     assert main(["train", *w1, "--variant", "reduced",
                  "--model-out", str(root / "reduced.txt")]) == 0
-    assert main(["cv", *w1, "--out", str(root / "cv.csv")]) == 0
+    assert main(["cv", *w1, "--out", str(root / "cv.csv"),
+                 "--roc-out", str(root / "cv_roc")]) == 0
     assert main(["crosseval", "--train-features", str(root / "w1.csv"),
                  "--train-labels", str(root / "w1" / "labels.csv"), "--min-nodes", "0",
                  "--eval", str(root / "w2.csv"), str(root / "w2" / "labels.csv"),
                  "--eval", str(root / "w3.csv"), str(root / "w3" / "labels.csv"),
-                 "--out", str(root / "crosseval.csv")]) == 0
+                 "--out", str(root / "crosseval.csv"),
+                 "--roc-out", str(root / "crosseval_roc")]) == 0
     assert main(["scan", "--model", str(root / "reduced.txt"),
                  "--features", str(root / "scan.csv"),
                  "--out", str(root / "scan_report.csv")]) == 0
