@@ -184,8 +184,9 @@ def cmd_features(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    config = _train_config(args)
     dataset = _labeled(args.features, args.labels, args.min_nodes)
-    model = train(dataset, _train_config(args), args.variant)
+    model = train(dataset, config, args.variant)
     save_model(model, args.model_out)
     _write_manifest(_manifest_path(args, args.model_out), "train",
                     _config_from_args(args))
@@ -199,9 +200,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_cv(args: argparse.Namespace) -> int:
+    config = _train_config(args)
     dataset = _labeled(args.features, args.labels, args.min_nodes)
-    report = kfold_cv(dataset, k=args.k, seed=args.seed,
-                      config=_train_config(args), variant=args.variant)
+    report = kfold_cv(dataset, k=args.k, seed=args.seed, config=config, variant=args.variant)
     write_report(report, args.out)
     if args.roc_out:
         for fold in report.breakdown:
@@ -215,6 +216,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 
 def cmd_crosseval(args: argparse.Namespace) -> int:
+    config = _train_config(args)
     train_set = _labeled(args.train_features, args.train_labels, args.min_nodes)
 
     names, eval_sets = [], []
@@ -228,8 +230,7 @@ def cmd_crosseval(args: argparse.Namespace) -> int:
         else:
             names.append(name)
             eval_sets.append(eval_set)
-    model, reports = cross_window_eval(train_set, eval_sets, _train_config(args),
-                                       args.variant, labels=names)
+    model, reports = cross_window_eval(train_set, eval_sets, config, args.variant, labels=names)
     write_window_reports(reports, args.out)
     if args.roc_out:
         for report in reports:
@@ -258,10 +259,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    for option, value in (("--n-tokens", args.n_tokens), ("--seed", args.seed),
-                          ("--window-start", args.window_start)):
-        if value < 0:
-            raise ValueError(f"{option} must be >= 0, not {value}")
+    for option, value, least in (("--n-tokens", args.n_tokens, 0), ("--seed", args.seed, 0),
+                                 ("--window-start", args.window_start, 0),
+                                 ("--window-width", args.window_width, 1)):
+        if value < least:
+            raise ValueError(f"{option} must be >= {least}, not {value}")
+    if args.window_start % args.window_width:  # features cuts windows at block // width
+        raise ValueError(f"--window-start {args.window_start} is not a multiple of "
+                         f"--window-width {args.window_width}")
+    if not 0 <= args.scam_fraction <= 1:
+        raise ValueError(f"--scam-fraction must be within [0, 1], not {args.scam_fraction}")
     windows = [BlockWindow(args.window_start + i * args.window_width,
                            args.window_start + (i + 1) * args.window_width)
                for i in range(args.n_windows)]

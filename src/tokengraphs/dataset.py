@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .features import FeatureVector
+from .features import FeatureVector, read_rows, write_rows
 
 LABEL_HEADER = "token,suspicious"
 
@@ -54,35 +54,25 @@ class LabeledDataset:
 def load_labels(path: str | os.PathLike) -> dict[str, int]:
     """Read a label file into {token: 0/1}; conflicting duplicates are an error."""
     labels: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n")
-        if header != LABEL_HEADER:
-            raise LabelParseError(f"unrecognized label header: {header!r}")
-        for line_no, line in enumerate(handle, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 2:
-                raise LabelParseError(f"line {line_no}: expected 2 columns")
-            token, flag = fields
-            if not _ADDRESS_RE.match(token):
-                raise LabelParseError(f"line {line_no}: bad token address {token!r}")
-            if flag not in ("0", "1"):
-                raise LabelParseError(f"line {line_no}: suspicious must be 0 or 1")
-            token = token.lower()
-            value = int(flag)
-            if token in labels and labels[token] != value:
-                raise LabelConflictError(f"conflicting labels for {token}")
-            labels[token] = value
+    for line_no, line in read_rows(path, LABEL_HEADER, "label", LabelParseError):
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise LabelParseError(f"line {line_no}: expected 2 columns")
+        token, flag = fields
+        if not _ADDRESS_RE.match(token):
+            raise LabelParseError(f"line {line_no}: bad token address {token!r}")
+        if flag not in ("0", "1"):
+            raise LabelParseError(f"line {line_no}: suspicious must be 0 or 1")
+        token = token.lower()
+        value = int(flag)
+        if token in labels and labels[token] != value:
+            raise LabelConflictError(f"conflicting labels for {token}")
+        labels[token] = value
     return labels
 
 
 def write_labels(labels: dict[str, int], path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(LABEL_HEADER + "\n")
-        for token, flag in labels.items():
-            handle.write(f"{token},{flag}\n")
+    write_rows(path, LABEL_HEADER, labels.items())
 
 
 def join(

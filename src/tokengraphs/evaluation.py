@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import LabeledDataset
-from .features import FeatureVector, format_real
+from .features import FeatureVector, format_real, write_rows
 from .model import SCAM_THRESHOLD, Model, TrainConfig, predict_proba, train
 
 
@@ -269,30 +269,21 @@ def write_report(report: EvalReport, path: str | os.PathLike) -> None:
 
 def write_window_reports(reports: Sequence[EvalReport], path: str | os.PathLike) -> None:
     """One comma-separated row per report, in the order given."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("label,tp,fp,fn,tn,accuracy,precision,recall,f1,auc\n")
-        for row in reports:
-            c = row.counts
-            handle.write(",".join((
-                row.label, str(c.tp), str(c.fp), str(c.fn), str(c.tn),
-                *map(format_real, (row.accuracy, row.precision, row.recall,
-                                   row.f1, row.auc)),
-            )) + "\n")
+    write_rows(path, "label,tp,fp,fn,tn,accuracy,precision,recall,f1,auc", (
+        (row.label, row.counts.tp, row.counts.fp, row.counts.fn, row.counts.tn,
+         *map(format_real, (row.accuracy, row.precision, row.recall, row.f1, row.auc)))
+        for row in reports))
 
 
 def write_roc(points: Sequence[tuple[float, float]], path: str | os.PathLike) -> None:
     """Two-column ROC point file for external plotting."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("fpr,tpr\n")
-        for fpr, tpr in points:
-            handle.write(f"{format_real(fpr)},{format_real(tpr)}\n")
+    write_rows(path, "fpr,tpr", (map(format_real, point) for point in points))
 
 
 def write_scan_report(report: ScanReport, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("metric,value\n")
-        handle.write(f"total_scanned,{report.total}\n")
-        handle.write(f"predicted_scam,{report.predicted_scam}\n")
-        handle.write(f"predicted_scam_share,{format_real(report.scam_share)}\n")
-        handle.write(f"share_over_100_nodes,{format_real(report.share_over_100_nodes)}\n")
-        handle.write(f"share_lifetime_under_1000,{format_real(report.share_lifetime_under_1000)}\n")
+    write_rows(path, "metric,value", (
+        ("total_scanned", report.total),
+        ("predicted_scam", report.predicted_scam),
+        ("predicted_scam_share", format_real(report.scam_share)),
+        ("share_over_100_nodes", format_real(report.share_over_100_nodes)),
+        ("share_lifetime_under_1000", format_real(report.share_lifetime_under_1000))))

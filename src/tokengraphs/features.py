@@ -7,7 +7,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -133,17 +133,33 @@ def format_real(x: float) -> str:
     return text
 
 
-def write_feature_table(vectors: Iterable[FeatureVector], path: str | os.PathLike) -> int:
-    count = 0
+def write_rows(path: str | os.PathLike, header: str, rows: Iterable[Iterable]) -> int:
+    """The one CSV writer: the header line, then each row's cells joined by
+    commas (reals already formatted by ``format_real``); returns the row count."""
+    lines = [header, *(",".join(map(str, row)) for row in rows)]
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write(TABLE_HEADER + "\n")
-        for fv in vectors:
-            handle.write(f"{fv.token},{fv.window.start},{fv.window.end},{fv.num_nodes},"
-                         f"{fv.num_edges},{format_real(fv.density)},{fv.num_components},"
-                         f"{format_real(fv.avg_comp_size)},{fv.lifetime},"
-                         f"{format_real(fv.transfer_std_dev)},{fv.amount}\n")
-            count += 1
-    return count
+        handle.write("\n".join(lines) + "\n")
+    return len(lines) - 1
+
+
+def read_rows(path: str | os.PathLike, header: str, kind: str,
+              error: type[ValueError] = ValueError) -> Iterator[tuple[int, str]]:
+    """The one CSV header loop: ``(line_no, line)`` for each non-blank line
+    under a header equal to ``header``; any other header raises ``error``."""
+    with open(path, "r", encoding="utf-8") as handle:
+        first = handle.readline().rstrip("\n")
+        if first != header:
+            raise error(f"unrecognized {kind} header: {first!r}")
+        for line_no, line in enumerate(handle, start=2):
+            if line != "\n":
+                yield line_no, line.rstrip("\n")
+
+
+def write_feature_table(vectors: Iterable[FeatureVector], path: str | os.PathLike) -> int:
+    return write_rows(path, TABLE_HEADER, (
+        (fv.token, fv.window.start, fv.window.end, fv.num_nodes, fv.num_edges,
+         format_real(fv.density), fv.num_components, format_real(fv.avg_comp_size),
+         fv.lifetime, format_real(fv.transfer_std_dev), fv.amount) for fv in vectors))
 
 
 def _diagnose_table_row(line_no: int, line: str) -> ValueError:
@@ -164,34 +180,27 @@ def _diagnose_table_row(line_no: int, line: str) -> ValueError:
 def read_feature_table(path: str | os.PathLike) -> list[FeatureVector]:
     vectors: list[FeatureVector] = []
     match = _TABLE_ROW_RE.fullmatch
-    with open(path, "r", encoding="utf-8") as handle:
-        header = handle.readline().rstrip("\n")
-        if header != TABLE_HEADER:
-            raise ValueError(f"unrecognized feature table header: {header!r}")
-        for line_no, line in enumerate(handle, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            m = match(line)
-            if m is None:
-                raise _diagnose_table_row(line_no, line)
-            (token, start, end, num_nodes, num_edges, density, num_components,
-             avg_comp_size, lifetime, std_dev, amount) = m.groups()
-            try:
-                fv = FeatureVector(token, BlockWindow(int(start), int(end)), int(num_nodes),
-                                   int(num_edges), float(density), int(num_components),
-                                   float(avg_comp_size), int(lifetime), float(std_dev),
-                                   int(amount))
-            except ValueError as exc:  # an integer past Python's digit limit
-                raise ValueError(f"line {line_no}: {exc}") from None
-            # a nan or inf would reach the model matrix and every score
-            if not all(map(math.isfinite, (fv.density, fv.avg_comp_size,
-                                           fv.transfer_std_dev))):
-                raise ValueError(f"line {line_no}: density, avg_comp_size and "
-                                 f"transfer_std_dev must be finite")
-            if abs(fv.amount) > sys.float_info.max:  # the model matrix is float64
-                raise ValueError(f"line {line_no}: amount beyond the float64 range")
-            vectors.append(fv)
+    for line_no, line in read_rows(path, TABLE_HEADER, "feature table"):
+        m = match(line)
+        if m is None:
+            raise _diagnose_table_row(line_no, line)
+        (token, start, end, num_nodes, num_edges, density, num_components,
+         avg_comp_size, lifetime, std_dev, amount) = m.groups()
+        try:
+            fv = FeatureVector(token, BlockWindow(int(start), int(end)), int(num_nodes),
+                               int(num_edges), float(density), int(num_components),
+                               float(avg_comp_size), int(lifetime), float(std_dev),
+                               int(amount))
+        except ValueError as exc:  # an integer past Python's digit limit
+            raise ValueError(f"line {line_no}: {exc}") from None
+        # a nan or inf would reach the model matrix and every score
+        if not all(map(math.isfinite, (fv.density, fv.avg_comp_size,
+                                       fv.transfer_std_dev))):
+            raise ValueError(f"line {line_no}: density, avg_comp_size and "
+                             f"transfer_std_dev must be finite")
+        if abs(fv.amount) > sys.float_info.max:  # the model matrix is float64
+            raise ValueError(f"line {line_no}: amount beyond the float64 range")
+        vectors.append(fv)
     return vectors
 
 
@@ -218,8 +227,6 @@ def histogram_bins(
 def write_histograms(
     histograms: dict[str, list[tuple[float, float, int]]], path: str | os.PathLike,
 ) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("feature,bin_start,bin_end,count\n")
-        for name, rows in histograms.items():
-            for lo, hi, count in rows:
-                handle.write(f"{name},{format_real(lo)},{format_real(hi)},{count}\n")
+    write_rows(path, "feature,bin_start,bin_end,count", (
+        (name, format_real(lo), format_real(hi), count)
+        for name, rows in histograms.items() for lo, hi, count in rows))

@@ -8,6 +8,7 @@ numerically hopeless.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -92,6 +93,15 @@ class TrainConfig:
     tolerance: float = 1e-7
     seed: int = 0
     log_amount: bool = False  # model amount as log10(1 + x) instead of raw
+
+    def __post_init__(self):
+        # each setting is named as the model file and the command line name it
+        for name, value in (("lambda", self.lam), ("max_iters", self.max_iters),
+                            ("tolerance", self.tolerance)):
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, not {value}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, not {self.learning_rate}")
 
 
 @dataclass
@@ -212,7 +222,7 @@ def train_matrix(
             break
         params = params - config.learning_rate * grad
         loss, grad = step(params)
-        if loss > history[-1] + 1e-12 * max(1.0, abs(history[-1])):
+        if not loss <= history[-1] + 1e-12 * max(1.0, abs(history[-1])):  # nan too
             raise TrainingError(
                 f"loss increased at iteration {iterations}; lower the learning rate"
             )
@@ -253,82 +263,76 @@ def predict_proba(model: Model, vectors: Sequence[FeatureVector]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# model file format: "key: value" lines, floats with 17 significant digits
+# model file format: one "key: value" line per key of ``_MODEL_KEYS``, in its
+# order, floats with 17 significant digits
 
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
+_f17 = "{:.17g}".format
+
+# how a value is written and read back, by kind: (what it must be, write, read)
+_INT = ("an integer", str, int)
+_REAL = ("a real", _f17, float)
+_REALS = ("comma-separated reals", lambda values: ",".join(map(_f17, values)),
+          lambda text: np.array([float(v) for v in text.split(",")]))
+_NAMES = ("comma-separated names", ",".join, lambda text: tuple(text.split(",")))
+_FLAG = ("0 or 1", lambda flag: str(int(flag)), {"0": False, "1": True}.__getitem__)
+
+# every key of a model file, in file order: its value in a Model, and its kind
+_MODEL_KEYS = (
+    ("format_version", lambda m: MODEL_FORMAT_VERSION, _INT),
+    ("feature_names", lambda m: m.feature_names, _NAMES),
+    ("intercept", lambda m: m.intercept, _REAL),
+    ("coefficients", lambda m: m.coefficients, _REALS),
+    ("means", lambda m: m.standardizer.means, _REALS),
+    ("stds", lambda m: m.standardizer.stds, _REALS),
+    ("lambda", lambda m: m.config.lam, _REAL),
+    ("learning_rate", lambda m: m.config.learning_rate, _REAL),
+    ("max_iters", lambda m: m.config.max_iters, _INT),
+    ("tolerance", lambda m: m.config.tolerance, _REAL),
+    ("seed", lambda m: m.config.seed, _INT),
+    ("log_amount", lambda m: m.config.log_amount, _FLAG),
+    ("iterations", lambda m: m.iterations, _INT),
+    ("final_loss", lambda m: m.final_loss, _REAL),
+)
 
 
 def save_model(model: Model, path: str | os.PathLike) -> None:
-    lines = [
-        f"format_version: {MODEL_FORMAT_VERSION}",
-        f"feature_names: {','.join(model.feature_names)}",
-        f"intercept: {_f17(model.intercept)}",
-        f"coefficients: {','.join(_f17(c) for c in model.coefficients)}",
-        f"means: {','.join(_f17(m) for m in model.standardizer.means)}",
-        f"stds: {','.join(_f17(s) for s in model.standardizer.stds)}",
-        f"lambda: {_f17(model.config.lam)}",
-        f"learning_rate: {_f17(model.config.learning_rate)}",
-        f"max_iters: {model.config.max_iters}",
-        f"tolerance: {_f17(model.config.tolerance)}",
-        f"seed: {model.config.seed}",
-        f"log_amount: {int(model.config.log_amount)}",
-        f"iterations: {model.iterations}",
-        f"final_loss: {_f17(model.final_loss)}",
-    ]
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
-
-
-_REQUIRED_KEYS = (
-    "format_version", "feature_names", "intercept", "coefficients", "means",
-    "stds", "lambda", "learning_rate", "max_iters", "tolerance", "seed",
-    "log_amount", "iterations", "final_loss",
-)
+        handle.writelines(f"{key}: {kind[1](value(model))}\n"
+                          for key, value, kind in _MODEL_KEYS)
 
 
 def load_model(path: str | os.PathLike) -> Model:
     entries: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if ": " not in line:
-                raise ModelFormatError(f"malformed model line: {line!r}")
-            key, value = line.split(": ", 1)
+            key, colon, value = line.rstrip("\n").partition(": ")
+            if key and not colon:  # a blank line lands on the unused key ""
+                raise ModelFormatError(f"malformed model line: {key!r}")
             entries[key] = value
-    missing = [k for k in _REQUIRED_KEYS if k not in entries]
+    missing = [key for key, _, _ in _MODEL_KEYS if key not in entries]
     if missing:
         raise ModelFormatError(f"model file truncated; missing {missing}")
-    version = int(entries["format_version"])
-    if version != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported model format version {version}")
+    values = {}
+    for key, _, (form, _, read) in _MODEL_KEYS:
+        try:
+            values[key] = read(entries[key])
+        except (KeyError, ValueError):  # the flag's lookup raises KeyError
+            raise ModelFormatError(f"{key} {entries[key]!r} is not {form}") from None
+    if values["format_version"] != MODEL_FORMAT_VERSION:
+        raise ModelFormatError(f"unsupported model format version {values['format_version']}")
 
-    names = tuple(entries["feature_names"].split(","))
-    coefficients = np.array([float(v) for v in entries["coefficients"].split(",")])
-    means = np.array([float(v) for v in entries["means"].split(",")])
-    stds = np.array([float(v) for v in entries["stds"].split(",")])
+    names, intercept, coefficients, means, stds = (values[key] for key in (
+        "feature_names", "intercept", "coefficients", "means", "stds"))
     if not (len(names) == coefficients.size == means.size == stds.size):
         raise ModelFormatError("inconsistent feature/coefficient counts")
-    intercept = float(entries["intercept"])
     # a nan or inf here would turn every score into nan, and nan flags nothing
     if not np.isfinite([intercept, *coefficients, *means, *stds]).all():
         raise ModelFormatError("intercept, coefficients, means and stds must be finite")
-    config = TrainConfig(
-        lam=float(entries["lambda"]),
-        learning_rate=float(entries["learning_rate"]),
-        max_iters=int(entries["max_iters"]),
-        tolerance=float(entries["tolerance"]),
-        seed=int(entries["seed"]),
-        log_amount=bool(int(entries["log_amount"])),
-    )
-    return Model(
-        feature_names=names,
-        intercept=intercept,
-        coefficients=coefficients,
-        standardizer=Standardizer(means=means, stds=stds),
-        config=config,
-        iterations=int(entries["iterations"]),
-        final_loss=float(entries["final_loss"]),
-    )
+    try:
+        config = TrainConfig(values["lambda"], values["learning_rate"], values["max_iters"],
+                             values["tolerance"], values["seed"], values["log_amount"])
+    except ValueError as exc:
+        raise ModelFormatError(str(exc)) from None
+    return Model(feature_names=names, intercept=intercept, coefficients=coefficients,
+                 standardizer=Standardizer(means=means, stds=stds), config=config,
+                 iterations=values["iterations"], final_loss=values["final_loss"])

@@ -17,7 +17,7 @@ from tokengraphs.cli import main
 from tokengraphs.features import read_feature_table
 from tokengraphs.ingest import (ENDPOINT_ENV_VAR, BlockWindow, format_fixture_line,
                                 read_fixture)
-from tokengraphs.model import load_model
+from tokengraphs.model import ModelFormatError, load_model
 from tokengraphs.synth import CorpusProfile, gen_corpus
 
 from conftest import make_event
@@ -84,14 +84,26 @@ def test_synth_scan_with_more_than_one_window_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+# each refused before the out-dir is touched: features cuts windows at
+# multiples of the width, so a start off that grid straddles two windows
+_BAD_SYNTH_WINDOWS = {
+    "start-off-the-width-grid": (["--window-start", "18000001"], "--window-start"),
+    "zero-width": (["--window-width", "0"], "--window-width"),
+    "fraction-above-1": (["--scam-fraction", "1.5"], "--scam-fraction"),
+    "negative-fraction": (["--scam-fraction", "-0.1"], "--scam-fraction"),
+    "nan-fraction": (["--scam-fraction", "nan"], "--scam-fraction"),
+}
+
+
 @pytest.mark.parametrize("args, option", [
     (["--n-tokens", "-3"], "--n-tokens"),
     (["--seed", "-1"], "--seed"),
     (["--window-start", "-100000"], "--window-start"),
     (["--window-start", "9223372036854700000"], "--window-start"),
     (["--window-width", "5000"], None),  # too narrow for the profile's lifetimes
+    *_BAD_SYNTH_WINDOWS.values(),
 ], ids=["negative-tokens", "negative-seed", "negative-start", "end-past-int64",
-        "narrow-width"])
+        "narrow-width", *_BAD_SYNTH_WINDOWS])
 def test_synth_input_error_exits_2_and_leaves_the_corpus(tmp_path, capsys, args, option):
     out = tmp_path / "corpus"
     assert main(["synth", "--out-dir", str(out), "--n-tokens", "3"]) == 0
@@ -102,6 +114,16 @@ def test_synth_input_error_exits_2_and_leaves_the_corpus(tmp_path, capsys, args,
     assert len(err) == 1 and err[0].startswith("error: ")
     assert option is None or option in err[0]
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("args, option", _BAD_SYNTH_WINDOWS.values(),
+                         ids=list(_BAD_SYNTH_WINDOWS))
+def test_synth_bad_window_or_fraction_creates_no_out_dir(tmp_path, capsys, args, option):
+    out = tmp_path / "fresh"
+    assert main(["synth", "--out-dir", str(out), "--n-tokens", "3", *args]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and option in err[0]
+    assert not out.exists()
 
 
 def test_synth_writes_its_manifest_where_asked(tmp_path):
@@ -339,6 +361,69 @@ def test_train_with_a_diverging_learning_rate_exits_2(corpus, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: loss increased at iteration 1; lower the learning rate"]
     assert not model_out.exists()
+
+
+@pytest.fixture(scope="module")
+def tables(tmp_path_factory):
+    """A 40-token table with its labels, and a reduced model trained on it."""
+    root = tmp_path_factory.mktemp("tables")
+    assert main(["synth", "--out-dir", str(root), "--n-tokens", "40", "--seed", "1"]) == 0
+    features = root / "features.csv"
+    assert main(["features", "--fixture", str(root / "fixture.tsv"),
+                 "--out", str(features)]) == 0
+    model = root / "reduced.txt"
+    assert main(["train", "--features", str(features), "--labels", str(root / "labels.csv"),
+                 "--min-nodes", "0", "--variant", "reduced", "--model-out", str(model)]) == 0
+    return {"features": features, "labels": root / "labels.csv", "model": model}
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+@pytest.mark.parametrize("command", ["train", "cv", "crosseval"])
+@pytest.mark.parametrize("option, value", [
+    ("--learning-rate", "nan"), ("--learning-rate", "inf"), ("--learning-rate", "0"),
+    ("--lambda", "nan"), ("--lambda", "inf"), ("--lambda", "-1"),
+    ("--tolerance", "nan"), ("--max-iters", "-1"),
+])
+def test_a_descent_setting_out_of_range_exits_2_before_reading(tables, tmp_path, capsys,
+                                                               command, option, value):
+    features, labels = str(tables["features"]), str(tables["labels"])
+    out = tmp_path / "out"
+    args = {"train": ["train", "--features", features, "--labels", labels,
+                      "--model-out", str(out)],
+            "cv": ["cv", "--features", features, "--labels", labels, "--out", str(out)],
+            "crosseval": ["crosseval", "--train-features", features, "--train-labels",
+                          labels, "--eval", features, labels, "--out", str(out)]}[command]
+    capsys.readouterr()
+    with mock.patch.object(cli_mod, "read_feature_table") as read:
+        assert main([*args, "--min-nodes", "0", option, value]) == 2
+    read.assert_not_called()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert option.lstrip("-").replace("-", "_") in err[0]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("format_version", "x"), ("coefficients", "a"), ("max_iters", "1.5"),
+    ("log_amount", "2"), ("lambda", "nan"),
+])
+def test_scan_names_the_key_of_a_bad_model_value(tables, tmp_path, capsys, key, bad):
+    model = tmp_path / "model.txt"
+    lines = tables["model"].read_text().splitlines()
+    for i, line in enumerate(lines):
+        name, value = line.split(": ", 1)
+        if name == key:  # a list keeps its other entries
+            lines[i] = f"{name}: " + ",".join([bad, *value.split(",")[1:]])
+    model.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "report.csv"
+    capsys.readouterr()
+    assert main(["scan", "--model", str(model), "--features", str(tables["features"]),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+    assert not out.exists()
+    with pytest.raises(ModelFormatError, match=key):
+        load_model(model)
 
 
 def test_train_on_a_table_with_a_nan_cell_exits_2(corpus, capsys):

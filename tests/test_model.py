@@ -271,6 +271,12 @@ def test_a_diverging_learning_rate_is_a_training_error():
         train(toy_dataset(10), TrainConfig(learning_rate=1000.0))
 
 
+def test_a_loss_that_is_not_finite_is_a_training_error():
+    # one step of 1e308 overflows the parameters, and the loss turns nan
+    with np.errstate(all="ignore"), pytest.raises(TrainingError, match="^loss increased"):
+        train(toy_dataset(10), TrainConfig(learning_rate=1e308))
+
+
 def test_two_seeds_reach_the_same_optimum():
     dataset = toy_dataset(30)
     m1 = train(dataset, TrainConfig(seed=1, tolerance=1e-9))
