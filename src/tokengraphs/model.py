@@ -95,9 +95,9 @@ class TrainConfig:
     log_amount: bool = False  # model amount as log10(1 + x) instead of raw
 
     def __post_init__(self):
-        # each setting is named as the model file and the command line name it
+        # a setting is named by its model-file key, as its option is (--lambda: lam)
         for name, value in (("lambda", self.lam), ("max_iters", self.max_iters),
-                            ("tolerance", self.tolerance)):
+                            ("tolerance", self.tolerance), ("seed", self.seed)):
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and >= 0, not {value}")
         if not 0 < self.learning_rate < math.inf:
@@ -321,8 +321,8 @@ def load_model(path: str | os.PathLike) -> Model:
     if values["format_version"] != MODEL_FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version {values['format_version']}")
 
-    names, intercept, coefficients, means, stds = (values[key] for key in (
-        "feature_names", "intercept", "coefficients", "means", "stds"))
+    names, coefficients = values["feature_names"], values["coefficients"]
+    means, stds, intercept = values["means"], values["stds"], values["intercept"]
     if not (len(names) == coefficients.size == means.size == stds.size):
         raise ModelFormatError("inconsistent feature/coefficient counts")
     # a nan or inf here would turn every score into nan, and nan flags nothing

@@ -382,7 +382,7 @@ def tables(tmp_path_factory):
 @pytest.mark.parametrize("option, value", [
     ("--learning-rate", "nan"), ("--learning-rate", "inf"), ("--learning-rate", "0"),
     ("--lambda", "nan"), ("--lambda", "inf"), ("--lambda", "-1"),
-    ("--tolerance", "nan"), ("--max-iters", "-1"),
+    ("--tolerance", "nan"), ("--max-iters", "-1"), ("--seed", "-1"),
 ])
 def test_a_descent_setting_out_of_range_exits_2_before_reading(tables, tmp_path, capsys,
                                                                command, option, value):
