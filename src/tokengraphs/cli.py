@@ -4,8 +4,8 @@ Every subcommand resolves its full configuration, writes it to a JSON
 manifest next to its primary output, and is deterministic given that
 manifest: ``tokengraphs replay MANIFEST`` reproduces the run byte for byte.
 
-Exit codes: 0 success, 2 input/configuration errors, 3 operational failures
-(unreachable endpoints and the like).
+Exit codes: 0 success, 2 input/configuration errors (bad paths included), 3
+operational failures (unreachable endpoints, a full disk, any other OS error).
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ from .synth import gen_corpus, gen_scan_corpus
 
 MANIFEST_FORMAT = 1
 
-_INPUT_ERRORS = (ValueError, TrainingError, FileNotFoundError, IsADirectoryError)
-_RUNTIME_ERRORS = (FetchError,)
+_INPUT_ERRORS = (ValueError, TrainingError, FileNotFoundError, IsADirectoryError,
+                 NotADirectoryError, FileExistsError, PermissionError)
+_RUNTIME_ERRORS = (FetchError, OSError)  # after _INPUT_ERRORS, which takes the path errors
 
 
 def _write_manifest(path: str, command: str, config: dict, **extra) -> None:
@@ -170,6 +171,14 @@ def _feature_rows(fixture: str, width: int, export_dir: str | None = None):
 
 
 def cmd_features(args: argparse.Namespace) -> int:
+    # outputs are settled before the fixture is read; --export-graphs first, as
+    # the directories it makes may hold --out
+    if args.export_graphs:
+        os.makedirs(args.export_graphs, exist_ok=True)
+    for option, path in (("--out", args.out), ("--histogram-out", args.histogram_out)):
+        directory = os.path.dirname(path or ".")
+        if directory and not os.path.isdir(directory):
+            raise ValueError(f"{option} {path}: {directory} is not a directory")
     rows, exported = _feature_rows(args.fixture, args.window_width,
                                    args.export_graphs)
     count = write_feature_table(rows, args.out)
@@ -234,7 +243,7 @@ def cmd_crosseval(args: argparse.Namespace) -> int:
     write_window_reports(reports, args.out)
     if args.roc_out:
         for report in reports:
-            write_roc(report.roc, f"{args.roc_out}_{report.label}.csv")
+            write_roc(report.roc, f"{args.roc_out}_{os.path.splitext(report.label)[0]}.csv")
     _write_manifest(_manifest_path(args, args.out), "crosseval",
                     _config_from_args(args))
     for report in reports:
@@ -469,12 +478,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except _RUNTIME_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _RUNTIME_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

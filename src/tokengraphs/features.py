@@ -87,9 +87,7 @@ def extract_features(graph: TokenGraph) -> FeatureVector:
     n = graph.num_nodes
     e = graph.num_edges
     density = e / (n * (n - 1)) if n >= 2 else 0.0
-    blocks = graph.blocks
-    first = int(blocks.min())
-    last = int(blocks.max())
+    blocks = graph.blocks  # in (block, logIndex) order
     return FeatureVector(
         token=graph.token,
         window=graph.window,
@@ -98,7 +96,7 @@ def extract_features(graph: TokenGraph) -> FeatureVector:
         density=density,
         num_components=components.count,
         avg_comp_size=n / components.count,
-        lifetime=last - first,
+        lifetime=int(blocks[-1] - blocks[0]),
         transfer_std_dev=float(np.std(blocks)),  # population form
         amount=graph.amount,
     )

@@ -104,7 +104,8 @@ def weak_components(graph: TokenGraph) -> ComponentSummary:
 
     Each pass hooks both endpoint roots of every edge onto the smaller one and
     jumps pointers to a fixed point, until every edge's ends share a root.
-    Pointers only decrease, so ``sizes`` come ordered by smallest node id.
+    Pointers only decrease, so each root is its component's smallest node id,
+    and ``bincount`` of the roots, zeros dropped, gives ``sizes`` in that order.
     """
     n = graph.num_nodes
     if n == 0:
@@ -112,15 +113,16 @@ def weak_components(graph: TokenGraph) -> ComponentSummary:
     src, dst = graph.edge_from, graph.edge_to
     parent = np.arange(n)
     root_src, root_dst = parent[src], parent[dst]
-    while not np.array_equal(root_src, root_dst):
+    while (root_src != root_dst).any():
         low = np.minimum(root_src, root_dst)
         np.minimum.at(parent, root_src, low)
         np.minimum.at(parent, root_dst, low)
         jumped = parent[parent]
-        while not np.array_equal(jumped, parent):
+        while (jumped != parent).any():
             parent, jumped = jumped, jumped[jumped]
         root_src, root_dst = parent[src], parent[dst]
-    sizes = np.bincount(np.unique(parent, return_inverse=True)[1])
+    sizes = np.bincount(parent)
+    sizes = sizes[sizes > 0]
     return ComponentSummary(count=len(sizes), sizes=sizes.tolist())
 
 

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import os
+import random
+
 import pytest
 
-from tokengraphs.ingest import BlockWindow, TransferEvent, WindowBatch, iter_window_groups
+from tokengraphs.ingest import (BlockWindow, TransferEvent, WindowBatch, iter_window_groups,
+                                write_fixture)
 
 WINDOW = BlockWindow(18_000_000, 18_100_000)
 
@@ -44,6 +48,26 @@ def batch_rows(batch: WindowBatch) -> list[tuple[str, str, str, int, int, int]]:
                     map(lambda t, i: batch.nodes[t][i], token, batch.dst.tolist()),
                     batch.values, batch.block.tolist(),
                     batch.log_index.tolist()))
+
+
+def write_tiny_corpus(path: str | os.PathLike, n_tokens: int,
+                      seed: int = 0) -> list[TransferEvent]:
+    """The many-small-token shape of a real window: ``n_tokens`` tokens of 3
+    transfers each among at most 5 addresses of their own, interleaved over
+    ``WINDOW`` and written to ``path`` as one fixture sorted by block; returns
+    the transfers in file order."""
+    rng = random.Random(seed)
+    address = lambda: "0x" + format(rng.getrandbits(160), "040x")
+    drawn = []
+    for _ in range(n_tokens):
+        token, pool = address(), [address() for _ in range(5)]
+        drawn += [(rng.randrange(WINDOW.start, WINDOW.end), token, rng.choice(pool),
+                   rng.choice(pool), rng.randrange(1, 10**21)) for _ in range(3)]
+    drawn.sort(key=lambda row: row[0])
+    events = [TransferEvent(token, src, dst, value, block, i, "0x" + format(i + 1, "064x"))
+              for i, (block, token, src, dst, value) in enumerate(drawn)]
+    write_fixture(events, path)
+    return events
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import json
 import logging
 import os
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tokengraphs.cli as cli_mod
+import tokengraphs.features as features_mod
 from tokengraphs.cli import main
 from tokengraphs.features import read_feature_table
 from tokengraphs.ingest import (ENDPOINT_ENV_VAR, BlockWindow, format_fixture_line,
@@ -36,6 +38,15 @@ def corpus(tmp_path):
     return {"dir": out, "fixture": out / "fixture.tsv",
             "labels": out / "labels.csv", "features": features,
             "tmp": tmp_path}
+
+
+def one_error_line(capsys) -> str:
+    """The run's one ``error:`` line; stderr holds nothing else, no traceback."""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
 
 
 # --- synth ----------------------------------------------------------------------
@@ -134,6 +145,15 @@ def test_synth_writes_its_manifest_where_asked(tmp_path):
     assert not (out / "manifest.json").exists()
 
 
+def test_synth_out_dir_that_is_a_file_exits_2_and_writes_nothing(tmp_path, capsys):
+    target = tmp_path / "F"
+    target.write_text("kept\n")
+    assert main(["synth", "--out-dir", str(target), "--n-tokens", "3"]) == 2
+    assert "File exists" in one_error_line(capsys)
+    assert target.read_text() == "kept\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["F"]
+
+
 # --- features --------------------------------------------------------------------
 
 def test_features_writes_one_row_per_token_window(corpus):
@@ -193,6 +213,53 @@ def test_features_bad_line_reads_the_fixture_once(tmp_path, monkeypatch, capsys)
     assert capsys.readouterr().err.startswith("error: line 1001:")
     assert len(calls) == 1
     assert not out.exists()
+
+
+def test_features_fixture_below_a_file_exits_2(tmp_path, capsys):
+    (tmp_path / "F").write_text("")
+    out = tmp_path / "f.csv"
+    assert main(["features", "--fixture", str(tmp_path / "F" / "x"), "--out", str(out)]) == 2
+    assert "Not a directory" in one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", ["--out", "--histogram-out"])
+@pytest.mark.parametrize("directory", ["F", "missing"], ids=["below-a-file", "no-directory"])
+def test_features_unusable_output_exits_2_before_the_fixture_is_read(tmp_path, capsys,
+                                                                       option, directory):
+    fixture = tmp_path / "bad2.tsv"
+    fixture.write_text(format_fixture_line(make_event()) + "\nnot a fixture line\n")
+    (tmp_path / "F").write_text("")
+    outputs = {"--out": str(tmp_path / "f.csv"), "--histogram-out": str(tmp_path / "h.csv"),
+               option: str(tmp_path / directory / "x.csv")}
+    assert main(["features", "--fixture", str(fixture), *(cell for pair in outputs.items()
+                                                         for cell in pair)]) == 2
+    assert one_error_line(capsys).startswith(f"error: {option} {outputs[option]}: ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["F", "bad2.tsv"]
+
+
+def test_features_export_dir_below_a_file_exits_2_before_the_fixture_is_read(tmp_path,
+                                                                             capsys):
+    fixture = tmp_path / "bad2.tsv"
+    fixture.write_text(format_fixture_line(make_event()) + "\nnot a fixture line\n")
+    (tmp_path / "F").write_text("")
+    assert main(["features", "--fixture", str(fixture), "--out", str(tmp_path / "f.csv"),
+                 "--export-graphs", str(tmp_path / "F" / "graphs")]) == 2
+    assert "Not a directory" in one_error_line(capsys)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["F", "bad2.tsv"]
+
+
+def test_features_device_error_exits_3(tmp_path, monkeypatch, capsys):
+    fixture = tmp_path / "one.tsv"
+    fixture.write_text(format_fixture_line(make_event()) + "\n")
+
+    def disk_full(*_args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(features_mod, "write_rows", disk_full)
+    assert main(["features", "--fixture", str(fixture),
+                 "--out", str(tmp_path / "f.csv")]) == 3
+    assert one_error_line(capsys) == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
 
 
 def test_features_block_beyond_int64_is_an_input_error(tmp_path, capsys):

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokengraphs.cli import main
 from tokengraphs.features import (
     FULL_FEATURES,
     REDUCED_FEATURES,
@@ -23,8 +25,8 @@ from tokengraphs.features import (
 from tokengraphs.graphs import build_graphs
 from tokengraphs.ingest import BlockWindow
 
-from conftest import WINDOW, batch_of, make_event
-from oracles import straight_line_features
+from conftest import WINDOW, batch_of, make_event, write_tiny_corpus
+from oracles import bfs_components, straight_line_features
 
 
 def features_of(tuples, window=WINDOW, token="0x01"):
@@ -88,6 +90,29 @@ def test_matches_straight_line_oracle_on_seeded_random_graphs():
         assert fv.avg_comp_size == pytest.approx(expected["avg_comp_size"], abs=1e-10)
         assert fv.transfer_std_dev == pytest.approx(
             expected["transfer_std_dev"], abs=1e-10, rel=1e-10)
+
+
+def test_many_small_tokens_in_one_window_match_the_oracles(tmp_path):
+    fixture, out = tmp_path / "tiny.tsv", tmp_path / "features.csv"
+    by_token = defaultdict(list)
+    for event in write_tiny_corpus(fixture, 2_000, seed=16):
+        by_token[event.token].append(event)
+    assert main(["features", "--fixture", str(fixture), "--out", str(out)]) == 0
+    rows = read_feature_table(out)
+    assert [(fv.token, fv.window) for fv in rows] == [(token, WINDOW) for token in sorted(by_token)]
+    for fv in rows:
+        events = by_token[fv.token]
+        oracle = straight_line_features([(e.from_addr, e.to_addr, e.value, e.block)
+                                         for e in events])
+        for name in ("num_nodes", "num_edges", "num_components", "lifetime", "amount"):
+            assert getattr(fv, name) == oracle[name]
+        for name in ("density", "avg_comp_size", "transfer_std_dev"):  # 10 digits as written
+            assert fv.value(name) == pytest.approx(oracle[name], rel=1e-9, abs=1e-9)
+        ids = {address: i for i, address in enumerate(
+            dict.fromkeys(a for e in events for a in (e.from_addr, e.to_addr)))}
+        count, _sizes = bfs_components(len(ids), [(ids[e.from_addr], ids[e.to_addr])
+                                                  for e in events])
+        assert fv.num_components == count
 
 
 def test_amount_is_exact_at_uint256_scale():

@@ -151,9 +151,9 @@ MODEL_EXPECTED = {
         "280d3c424753deaa83e4ef906e90da145ad15891f8a1909e583ced6ffe75bf4a",
     "cv_roc_fold-5.csv":
         "a769ccf60ac4b51227fc95606982e4c705f4a5483d76071c86a094ca46c19728",
-    "crosseval_roc_w2.csv.csv":
+    "crosseval_roc_w2.csv":
         "1b81b8ea925bbb563e25d2e0dee5a07874a3565566758af5f34e1935992fb8ea",
-    "crosseval_roc_w3.csv.csv":
+    "crosseval_roc_w3.csv":
         "1b81b8ea925bbb563e25d2e0dee5a07874a3565566758af5f34e1935992fb8ea",
 }
 
