@@ -14,7 +14,7 @@ from tokengraphs.dataset import join, load_labels
 from tokengraphs.evaluation import cross_window_eval, kfold_cv
 from tokengraphs.features import extract_features
 from tokengraphs.graphs import build_graphs
-from tokengraphs.ingest import BlockWindow, iter_window_groups, read_fixture
+from tokengraphs.ingest import BlockWindow, iter_window_groups
 from tokengraphs.synth import gen_corpus
 
 workdir = Path(tempfile.mkdtemp(prefix="tokengraphs_demo_"))
@@ -28,7 +28,7 @@ print(f"corpus: {corpus['total_events']:,} transfers, "
 
 labels = load_labels(workdir / "labels.csv")
 datasets = []
-for window, batch in iter_window_groups(read_fixture(workdir / "fixture.tsv")):
+for window, batch in iter_window_groups(workdir / "fixture.tsv"):
     vectors = [extract_features(g) for g in build_graphs(batch, window).values()]
     datasets.append(join(vectors, labels, min_nodes=500))
 

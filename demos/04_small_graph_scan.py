@@ -16,7 +16,7 @@ from tokengraphs.dataset import join, load_labels
 from tokengraphs.evaluation import unlabeled_scan
 from tokengraphs.features import extract_features
 from tokengraphs.graphs import build_graphs
-from tokengraphs.ingest import BlockWindow, iter_window_groups, read_fixture
+from tokengraphs.ingest import BlockWindow, iter_window_groups
 from tokengraphs.model import train
 from tokengraphs.synth import gen_corpus, gen_scan_corpus
 
@@ -27,7 +27,7 @@ window = BlockWindow(18_000_000, 18_100_000)
 gen_corpus(300, 0.353, [window], workdir / "train.tsv", workdir / "labels.csv",
            seed=21)
 labels = load_labels(workdir / "labels.csv")
-(win, batch), = iter_window_groups(read_fixture(workdir / "train.tsv"))
+(win, batch), = iter_window_groups(workdir / "train.tsv")
 vectors = [extract_features(g) for g in build_graphs(batch, win).values()]
 dataset = join(vectors, labels, min_nodes=500)
 print(f"training rows: {len(dataset)} ({sum(dataset.labels)} suspicious)")
@@ -35,7 +35,7 @@ print(f"training rows: {len(dataset)} ({sum(dataset.labels)} suspicious)")
 # unlabeled small graphs: young tokens, small veterans, small scams
 gen_scan_corpus(300, window, workdir / "scan.tsv", seed=22)
 small = []
-for win, batch in iter_window_groups(read_fixture(workdir / "scan.tsv")):
+for win, batch in iter_window_groups(workdir / "scan.tsv"):
     small.extend(extract_features(g) for g in build_graphs(batch, win).values())
 print(f"scan corpus: {len(small)} graphs, all at or under 500 nodes\n")
 

@@ -26,7 +26,7 @@ from .features import (VARIANTS, extract_features, histogram_bins,
 from .graphs import build_graphs, export_graphs
 from .ingest import (DEFAULT_WINDOW_WIDTH, ENDPOINT_ENV_VAR, INT64_MAX,
                      BlockWindow, FetchError, fetch_logs, format_fixture_line,
-                     iter_window_groups, read_fixture)
+                     iter_window_groups)
 from .model import TrainConfig, TrainingError, load_model, save_model, train
 from .synth import gen_corpus, gen_scan_corpus
 
@@ -161,7 +161,7 @@ def _feature_rows(fixture: str, width: int, export_dir: str | None = None):
     """One feature row per (token, window); graphs are released as windows close."""
     rows = []
     exported = 0
-    for window, batch in iter_window_groups(read_fixture(fixture), width):
+    for window, batch in iter_window_groups(fixture, width):
         graphs = build_graphs(batch, window)
         rows.extend(extract_features(g) for g in graphs.values())
         if export_dir:
@@ -228,7 +228,7 @@ def cmd_crosseval(args: argparse.Namespace) -> int:
     config = _train_config(args)
     train_set = _labeled(args.train_features, args.train_labels, args.min_nodes)
 
-    names, eval_sets = [], []
+    paths, eval_sets = {}, []  # paths by basename, which labels a report row and ROC file
     for features_path, labels_path in args.eval:
         name = os.path.basename(features_path)
         eval_set = _labeled(features_path, labels_path, args.min_nodes)
@@ -236,10 +236,13 @@ def cmd_crosseval(args: argparse.Namespace) -> int:
             print(f"warning: {name} has no labeled rows, skipped", file=sys.stderr)
         elif len(set(eval_set.labels)) < 2:
             print(f"warning: {name} has a single class, skipped", file=sys.stderr)
+        elif name in paths:
+            raise ValueError(f"--eval tables {paths[name]} and {features_path} share the "
+                             f"name {name}, which labels their report rows and ROC files")
         else:
-            names.append(name)
+            paths[name] = features_path
             eval_sets.append(eval_set)
-    model, reports = cross_window_eval(train_set, eval_sets, config, args.variant, labels=names)
+    model, reports = cross_window_eval(train_set, eval_sets, config, args.variant, labels=[*paths])
     write_window_reports(reports, args.out)
     if args.roc_out:
         for report in reports:

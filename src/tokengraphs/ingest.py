@@ -36,11 +36,10 @@ _ADDRESS_RE = re.compile(r"^0x[0-9a-f]{40}$")
 _TXHASH_RE = re.compile(r"^0x[0-9a-f]{64}$")
 _QUANTITY_RE = re.compile(r"0x[0-9a-f]+")
 
-# one anchored pattern for the hot path; failures get a slow, precise diagnosis
-_FIXTURE_LINE_RE = re.compile(
-    r"(0x[0-9a-f]{40})\t(0x[0-9a-f]{40})\t(0x[0-9a-f]{40})"
-    r"\t([0-9]+)\t([0-9]+)\t([0-9]+)\t(0x[0-9a-f]{64})$"
-)
+# a block of fixture lines, blank ones included; a failing block is diagnosed per line
+_FIXTURE_LINE = (r"0x[0-9a-f]{40}\t0x[0-9a-f]{40}\t0x[0-9a-f]{40}"
+                 r"\t[0-9]+\t[0-9]+\t[0-9]+\t0x[0-9a-f]{64}")
+_FIXTURE_LINES_RE = re.compile(f"(?:{_FIXTURE_LINE})?+(?:\n(?:{_FIXTURE_LINE})?+)*+")
 
 # provider messages that mean "narrow the block range", collected from the
 # common public endpoints (infura / alchemy / erigon / nethermind wording)
@@ -296,29 +295,45 @@ def _diagnose_fixture_line(line_no: int, line: str) -> FixtureParseError:
     for name, field in (("value", value_s), ("block", block_s), ("logIndex", index_s)):
         if not (field.isascii() and field.isdigit()):
             return FixtureParseError(line_no, f"non-decimal {name}: {field!r}")
-    return FixtureParseError(line_no, "malformed record")
+    if int(value_s) > UINT256_MAX:
+        return FixtureValueError(line_no, "value out of uint256 range")
+    return FixtureValueError(line_no, "block or logIndex out of int64 range")
+
+
+def _columns(text: str) -> list[list] | None:
+    """The token, from, to, value, block, logIndex and txHash columns of
+    fixture lines ``text``, blank ones allowed; None unless all are valid."""
+    if not _FIXTURE_LINES_RE.fullmatch(text):
+        return None
+    cells = text.split()
+    try:
+        value, block, log_index = (list(map(int, cells[field::7])) for field in (3, 4, 5))
+    except ValueError:  # more digits than int() converts
+        return None
+    if max(value, default=0) <= UINT256_MAX and max(block + log_index, default=0) <= INT64_MAX:
+        return [cells[0::7], cells[1::7], cells[2::7], value, block, log_index, cells[6::7]]
+    return None
+
+
+def _fixture_columns(path: str | os.PathLike) -> Iterator[list[list]]:
+    """A fixture file's lines as column blocks of about 12K characters, in
+    file order (16K left more of the C heap fragmented, a higher peak RSS)."""
+    with open(path, "r", encoding="utf-8") as handle:
+        line_no = 1
+        while lines := handle.read(12_288) + handle.readline():  # whole lines
+            columns = _columns(lines)
+            if columns is None:  # read again line by line, for the first bad line's error
+                for line_no, line in enumerate(lines.split("\n"), line_no):
+                    if _columns(line) is None:
+                        raise _diagnose_fixture_line(line_no, line)
+            yield columns
+            line_no += lines.count("\n")
 
 
 def read_fixture(path: str | os.PathLike) -> Iterator[TransferEvent]:
     """Yield transfers from a fixture file in file order, validating each line."""
-    match = _FIXTURE_LINE_RE.match
-    new_event = tuple.__new__  # skips the NamedTuple constructor's argument handling
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            m = match(line)
-            if m is None:  # $ matches before a final "\n": the line is blank or bad
-                stripped = line.rstrip("\n")
-                if not stripped:
-                    continue
-                raise _diagnose_fixture_line(line_no, stripped)
-            token, from_addr, to_addr, value, block, log_index, tx_hash = m.groups()
-            value, block, log_index = int(value), int(block), int(log_index)
-            if value > UINT256_MAX:
-                raise FixtureValueError(line_no, "value out of uint256 range")
-            if block > INT64_MAX or log_index > INT64_MAX:
-                raise FixtureValueError(line_no, "block or logIndex out of int64 range")
-            yield new_event(TransferEvent, (token, from_addr, to_addr, value,
-                                            block, log_index, tx_hash))
+    for columns in _fixture_columns(path):
+        yield from map(TransferEvent._make, zip(*columns))
 
 
 def write_fixture(events: Iterable[TransferEvent], path: str | os.PathLike) -> int:
@@ -400,11 +415,8 @@ class WindowBatch(LimbValues):
         return len(self.token)
 
 
-# events interned at a time: small enough that a chunk's event objects are
-# still in cache when their fields are read, and few are alive at once
+# events transposed to a column block at a time
 _CHUNK = 1 << 8
-
-_TOKEN, _FROM, _TO, _VALUE, _BLOCK, _LOG_INDEX = map(itemgetter, range(6))
 
 # the dtypes of a WindowBatch's columns, token to value_hi, grown in place
 _DTYPES = (np.int32,) * 3 + (np.int64,) * 2 + (np.uint64,) * 2
@@ -417,8 +429,8 @@ def _interner() -> defaultdict[str, int]:
     return index
 
 
-def _intern_window(events: Iterator[TransferEvent]) -> WindowBatch:
-    """One window's events as a WindowBatch, interned ``_CHUNK`` events at a time.
+def _intern_window(runs: Iterable[tuple[int, list[list]]]) -> WindowBatch:
+    """One window's (window index, column block) runs as a WindowBatch.
 
     Each token has its own small address table, which stays in cache however
     many addresses the window holds; the tables go when the batch is made.
@@ -428,16 +440,16 @@ def _intern_window(events: Iterator[TransferEvent]) -> WindowBatch:
     columns = [array(np.dtype(dtype).char) for dtype in _DTYPES]
     token, src, dst, block, log_index, lo, hi = columns
     wide: dict[int, int] = {}
-    while chunk := list(islice(events, _CHUNK)):
-        ids = list(map(token_ids.__getitem__, map(_TOKEN, chunk)))
+    for _index, (tokens, froms, tos, values, blocks, log_indexes, _tx_hashes) in runs:
+        ids = list(map(token_ids.__getitem__, tokens))
         node_ids += (_interner() for _ in range(len(token_ids) - len(node_ids)))
         tables = list(map(node_ids.__getitem__, ids))
         token.fromlist(ids)
-        src.fromlist(list(map(dict.__getitem__, tables, map(_FROM, chunk))))
-        dst.fromlist(list(map(dict.__getitem__, tables, map(_TO, chunk))))
-        block.fromlist(list(map(_BLOCK, chunk)))
-        log_index.fromlist(list(map(_LOG_INDEX, chunk)))
-        append_values(lo, hi, wide, list(map(_VALUE, chunk)))
+        src.fromlist(list(map(dict.__getitem__, tables, froms)))
+        dst.fromlist(list(map(dict.__getitem__, tables, tos)))
+        block.fromlist(blocks)
+        log_index.fromlist(log_indexes)
+        append_values(lo, hi, wide, values)
     return WindowBatch(list(token_ids), list(map(list, node_ids)),
                        *map(np.frombuffer, columns, _DTYPES), wide)
 
@@ -451,20 +463,38 @@ def partition_windows(
     return dict(iter_window_groups(sorted(events, key=lambda e: e.block // width), width))
 
 
-def iter_window_groups(
-    events: Iterable[TransferEvent], width: int = DEFAULT_WINDOW_WIDTH,
-) -> Iterator[tuple[BlockWindow, WindowBatch]]:
-    """Stream (window, batch) pairs, interning one window's events at a time.
+def _window_runs(blocks: Iterable[list[list]], width: int) -> Iterator[tuple[int, list[list]]]:
+    """Each column block's runs of rows in one window, as (window index, run)."""
+    for columns in blocks:
+        block = columns[4]
+        if block and min(block) // width == max(block) // width:  # most blocks
+            yield block[0] // width, columns
+            continue
+        start = 0
+        for index, run in groupby(map(width.__rfloordiv__, block)):
+            end = start + len(list(run))
+            yield index, [column[start:end] for column in columns]
+            start = end
 
-    Windowing only groups: a batch keeps its events' input order, and
+
+def iter_window_groups(
+    source: str | os.PathLike | Iterable[TransferEvent], width: int = DEFAULT_WINDOW_WIDTH,
+) -> Iterator[tuple[BlockWindow, WindowBatch]]:
+    """Stream (window, batch) pairs from a fixture path, parsed a block of
+    lines at a time, or from events, interning one window at a time.
+
+    Windowing only groups: a batch keeps its transfers' input order, and
     ``build_graphs`` orders edges.  Windows must be contiguous, as every
     fetched or generated fixture's are; interleaved windows raise ValueError.
     """
     if width < 1:
         raise ValueError("window width must be >= 1 block")
+    events = None if isinstance(source, (str, os.PathLike)) else iter(source)
+    blocks = _fixture_columns(source) if events is None else (
+        list(map(list, zip(*chunk))) for chunk in iter(lambda: list(islice(events, _CHUNK)), []))
     done: set[int] = set()
-    for index, run in groupby(events, key=lambda event: event[4] // width):
+    for index, runs in groupby(_window_runs(blocks, width), key=itemgetter(0)):
         if index in done:
             raise ValueError("fixture windows are interleaved; sort the fixture by block")
         done.add(index)
-        yield BlockWindow(index * width, (index + 1) * width), _intern_window(run)
+        yield BlockWindow(index * width, (index + 1) * width), _intern_window(runs)

@@ -18,7 +18,7 @@ from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -120,17 +120,21 @@ def _values(rng: np.random.Generator, n: int, cfg: ArchetypeConfig) -> list[int]
     return list(map(int, (cfg.value_scale * token_level * draws).tolist()))
 
 
-def _fixture_lines(batch: WindowBatch) -> list[str]:
-    """The fixture lines of a one-token batch.  Transaction hashes are the
-    token address (unique per corpus) followed by the log index."""
+def _fixture_text(batch: WindowBatch) -> str:
+    """The fixture lines of a one-token batch: one ``%`` over ``FIXTURE_LINE``
+    with the token and the tx-hash prefix written in.  A tx hash is the token
+    address (unique per corpus), then the log index."""
     token, = batch.tokens
     addresses, = batch.nodes
+    line = (FIXTURE_LINE.replace("%s", token, 1).removesuffix("%s")
+            + f"0x{int(token[2:], 16) % (1 << 128):032x}%032x\n")
     log_index = batch.log_index.tolist()
-    tx_hashes = map(f"0x{int(token[2:], 16) % (1 << 128):032x}%032x".__mod__, log_index)
-    rows = zip(repeat(token), map(addresses.__getitem__, batch.src.tolist()),
-               map(addresses.__getitem__, batch.dst.tolist()), batch.values,
-               batch.block.tolist(), log_index, tx_hashes)
-    return list(map(FIXTURE_LINE.__mod__, rows))
+    cells = [0] * (6 * len(log_index))
+    cells[0::6], cells[1::6] = (map(addresses.__getitem__, ends.tolist())
+                                for ends in (batch.src, batch.dst))
+    cells[2::6], cells[3::6] = batch.values, batch.block.tolist()
+    cells[4::6] = cells[5::6] = log_index
+    return line * len(log_index) % tuple(cells)
 
 
 @contextmanager
@@ -381,8 +385,7 @@ def gen_corpus(
                                     *_token_rng(seed, window_idx, token_idx))
                 batch = generate(cfg)
                 labels[token] = cfg.label
-                handle.write("\n".join(_fixture_lines(batch)))
-                handle.write("\n")
+                handle.write(_fixture_text(batch))
                 total_events += len(batch)
 
     write_labels(labels, labels_path)
@@ -463,7 +466,7 @@ def gen_scan_corpus(
             cfg = _token_config(kind, window, token, veterans, child_seed, rng,
                                 value_sigma=profile.value_sigma)
         batch = generate(cfg)
-        lines += _fixture_lines(batch)
+        lines += _fixture_text(batch).splitlines(keepends=True)
         blocks.append(batch.block)
         log_indexes.append(batch.log_index)
 
@@ -471,7 +474,7 @@ def gen_scan_corpus(
     order = np.lexsort((np.concatenate(log_indexes),
                         np.concatenate(blocks))).tolist() if lines else []
     with open(fixture_path, "w", encoding="utf-8") as handle:
-        handle.writelines(map("%s\n".__mod__, map(lines.__getitem__, order)))
+        handle.writelines(map(lines.__getitem__, order))
     return {
         "format": 1,
         "kind": "scan-corpus",

@@ -59,7 +59,7 @@ def criterion(number: int, description: str, budget_seconds: float | None):
 
 def pipeline_features(fixture_path):
     vectors = []
-    for window, events in iter_window_groups(read_fixture(fixture_path), 100_000):
+    for window, events in iter_window_groups(fixture_path, 100_000):
         vectors.append((window, [extract_features(g)
                                  for g in build_graphs(events, window).values()]))
     return vectors

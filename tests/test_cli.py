@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import builtins
 import errno
 import json
 import logging
@@ -190,28 +191,32 @@ def test_features_parse_error_exit_code(tmp_path):
                  "--out", str(tmp_path / "f.csv")]) == 2
 
 
-def _count_fixture_reads(monkeypatch) -> list[str]:
-    calls = []
-    original = cli_mod.read_fixture
+def _record_opens(monkeypatch) -> list[tuple[str, str]]:
+    """(file, mode) of every ``open()`` from now on, by any module."""
+    opened = []
+    original = builtins.open
 
-    def counting(path):
-        calls.append(path)
-        return original(path)
+    def recording(file, mode="r", *args, **kwargs):
+        opened.append((str(file), mode))
+        return original(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(cli_mod, "read_fixture", counting)
-    return calls
+    monkeypatch.setattr(builtins, "open", recording)
+    return opened
 
 
 def test_features_bad_line_reads_the_fixture_once(tmp_path, monkeypatch, capsys):
-    lines = [format_fixture_line(make_event(block=18_000_000 + i, log_index=0))
-             for i in range(1000)]
-    fixture = tmp_path / "bad1001.tsv"
-    fixture.write_text("\n".join(lines) + "\nnot a fixture line\n")
-    calls = _count_fixture_reads(monkeypatch)
+    good = [format_fixture_line(make_event(block=18_000_000 + i, log_index=0))
+            for i in range(1000)]
     out = tmp_path / "f.csv"
-    assert main(["features", "--fixture", str(fixture), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: line 1001:")
-    assert len(calls) == 1
+    opened = _record_opens(monkeypatch)
+    for bad_line in (2, 1000, 1001):  # in the first block, the last one, and a line past it
+        lines = good[:bad_line - 1] + ["not a fixture line"] + good[bad_line - 1:]
+        fixture = tmp_path / f"bad{bad_line}.tsv"
+        fixture.write_text("\n".join(lines) + "\n")
+        assert main(["features", "--fixture", str(fixture), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: line {bad_line}: expected 7 fields, "
+                                           f"got 1\n")
+        assert [mode for file, mode in opened if file == str(fixture)] == ["r"]
     assert not out.exists()
 
 
@@ -280,12 +285,12 @@ def test_features_interleaved_windows_are_an_input_error(tmp_path, monkeypatch,
               make_event(block=18_000_002, log_index=1)]
     fixture = tmp_path / "interleaved.tsv"
     fixture.write_text("".join(format_fixture_line(e) + "\n" for e in events))
-    calls = _count_fixture_reads(monkeypatch)
+    opened = _record_opens(monkeypatch)
     out = tmp_path / "f.csv"
     assert main(["features", "--fixture", str(fixture), "--out", str(out)]) == 2
     assert ("fixture windows are interleaved; sort the fixture by block"
             in capsys.readouterr().err)
-    assert len(calls) == 1
+    assert [mode for file, mode in opened if file == str(fixture)] == ["r"]
     assert not out.exists()
 
 
@@ -580,6 +585,26 @@ def test_crosseval_self_and_skip(corpus, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "warning: features.csv has no labeled rows, skipped" in err
     assert "warning: single.csv has a single class, skipped" in err
+
+
+def test_crosseval_eval_tables_sharing_a_name_exit_2(corpus, tmp_path, capsys, monkeypatch):
+    other = tmp_path / "other" / "features.csv"
+    other.parent.mkdir()
+    other.write_bytes(corpus["features"].read_bytes())
+    trained = []
+    monkeypatch.setattr(cli_mod, "cross_window_eval",
+                        lambda *args, **kwargs: trained.append(args))
+    report, prefix = tmp_path / "cross.csv", tmp_path / "roc"
+    assert main(["crosseval", "--train-features", str(corpus["features"]),
+                 "--train-labels", str(corpus["labels"]),
+                 "--eval", str(corpus["features"]), str(corpus["labels"]),
+                 "--eval", str(other), str(corpus["labels"]),
+                 "--out", str(report), "--roc-out", str(prefix)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --eval tables {corpus['features']} and {other} share the name "
+        f"features.csv, which labels their report rows and ROC files\n")
+    assert trained == []
+    assert not report.exists() and not any(tmp_path.glob("roc*"))
 
 
 # --- scan ------------------------------------------------------------------------------

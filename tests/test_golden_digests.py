@@ -27,7 +27,7 @@ from tokengraphs.synth import (
     HONEYPOT_STAR,
     LEGITIMATE,
     ArchetypeConfig,
-    _fixture_lines,
+    _fixture_text,
     generate,
 )
 
@@ -126,7 +126,7 @@ def test_archetype_digest_is_pinned(name):
     for seed in range(10):
         cfg = ArchetypeConfig(window=BlockWindow(18_000_000, 18_100_000), seed=seed,
                               **fields)
-        digest.update("".join(map("%s\n".__mod__, _fixture_lines(generate(cfg)))).encode())
+        digest.update(_fixture_text(generate(cfg)).encode())
     assert digest.hexdigest() == expected
 
 
