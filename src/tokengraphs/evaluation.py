@@ -18,7 +18,7 @@ class UndefinedAUCError(ValueError):
 
 
 class LeakageError(AssertionError):
-    """A model was evaluated on rows it was standardized/trained on."""
+    """A model was evaluated on rows it was z-scored and trained on."""
 
 
 class VariantMismatchError(ValueError):
@@ -110,24 +110,18 @@ class EvalReport:
     converged: bool = True  # every model behind the report converged
 
 
-def _evaluate(label: str, scores: np.ndarray, truth: Sequence[int]) -> EvalReport:
-    counts = confusion(scores >= SCAM_THRESHOLD, truth)
-    accuracy, precision, recall, f1 = metrics(counts)
-    roc, auc = roc_auc(scores, truth)
-    return EvalReport(label=label, counts=counts, accuracy=accuracy,
-                      precision=precision, recall=recall, f1=f1,
-                      auc=auc, roc=roc)
-
-
 def evaluate_model(model: Model, dataset: LabeledDataset, label: str = "eval",
                    check_leakage: bool = False) -> EvalReport:
     if check_leakage and model.train_row_ids is not None:
         overlap = model.train_row_ids.intersection(dataset.row_ids())
         if overlap:
             raise LeakageError(f"{len(overlap)} evaluation rows were used in training")
-    report = _evaluate(label, predict_proba(model, dataset.vectors), dataset.labels)
-    report.converged = model.converged
-    return report
+    scores, truth = predict_proba(model, dataset.vectors), dataset.labels
+    counts = confusion(scores >= SCAM_THRESHOLD, truth)
+    accuracy, precision, recall, f1 = metrics(counts)
+    roc, auc = roc_auc(scores, truth)
+    return EvalReport(label=label, counts=counts, accuracy=accuracy, precision=precision,
+                      recall=recall, f1=f1, auc=auc, roc=roc, converged=model.converged)
 
 
 def stratified_folds(labels: Sequence[int], k: int, seed: int) -> list[int]:
@@ -167,7 +161,7 @@ def kfold_cv(
 ) -> EvalReport:
     """Stratified k-fold cross-validation; metrics averaged over folds.
 
-    For every fold the standardizer and coefficients are fitted on the other
+    For every fold the z-scoring statistics and coefficients are fitted on the other
     k-1 folds only; scoring a fold any model has seen raises LeakageError.
     """
     assignment = np.array(stratified_folds(dataset.labels, k, seed))
@@ -204,7 +198,7 @@ def cross_window_eval(
 ) -> tuple[Model, list[EvalReport]]:
     """Train once on one window, apply the frozen model to other windows.
 
-    The standardizer is fitted on the training window only and reused
+    The z-scoring statistics are fitted on the training window only and reused
     unchanged everywhere, so later windows are scored exactly as production
     scoring would.
     """

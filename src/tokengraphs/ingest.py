@@ -282,6 +282,12 @@ def format_fixture_line(event: TransferEvent) -> str:
     return FIXTURE_LINE % event
 
 
+def _decimal(digits: str) -> int:
+    """A decimal field's value, read from at most 79 significant digits: a
+    longer value is out of range anyway, and ``int()`` refuses 4,300 digits."""
+    return int(digits.lstrip("0")[:79] or "0")
+
+
 def _diagnose_fixture_line(line_no: int, line: str) -> FixtureParseError:
     fields = line.split("\t")
     if len(fields) != 7:
@@ -295,7 +301,7 @@ def _diagnose_fixture_line(line_no: int, line: str) -> FixtureParseError:
     for name, field in (("value", value_s), ("block", block_s), ("logIndex", index_s)):
         if not (field.isascii() and field.isdigit()):
             return FixtureParseError(line_no, f"non-decimal {name}: {field!r}")
-    if int(value_s) > UINT256_MAX:
+    if _decimal(value_s) > UINT256_MAX:
         return FixtureValueError(line_no, "value out of uint256 range")
     return FixtureValueError(line_no, "block or logIndex out of int64 range")
 
@@ -309,7 +315,7 @@ def _columns(text: str) -> list[list] | None:
     try:
         value, block, log_index = (list(map(int, cells[field::7])) for field in (3, 4, 5))
     except ValueError:  # more digits than int() converts
-        return None
+        value, block, log_index = (list(map(_decimal, cells[field::7])) for field in (3, 4, 5))
     if max(value, default=0) <= UINT256_MAX and max(block + log_index, default=0) <= INT64_MAX:
         return [cells[0::7], cells[1::7], cells[2::7], value, block, log_index, cells[6::7]]
     return None
@@ -318,7 +324,8 @@ def _columns(text: str) -> list[list] | None:
 def _fixture_columns(path: str | os.PathLike) -> Iterator[list[list]]:
     """A fixture file's lines as column blocks of about 12K characters, in
     file order (16K left more of the C heap fragmented, a higher peak RSS)."""
-    with open(path, "r", encoding="utf-8") as handle:
+    # a byte that is not UTF-8 decodes to a lone surrogate, which fails its line's check
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         line_no = 1
         while lines := handle.read(12_288) + handle.readline():  # whole lines
             columns = _columns(lines)

@@ -22,10 +22,6 @@ MODEL_FORMAT_VERSION = 1
 # a scam probability at or above this is a predicted scam
 SCAM_THRESHOLD = 0.5
 
-_KNOWN_FEATURE_NAMES = frozenset(
-    name for names in VARIANTS.values() for name in names
-)
-
 
 class TrainingError(RuntimeError):
     """Degenerate training input (single class, empty matrix, divergence)."""
@@ -33,10 +29,6 @@ class TrainingError(RuntimeError):
 
 class ModelFormatError(ValueError):
     pass
-
-
-class FeatureMismatchError(ValueError):
-    """Model feature names do not match what the caller can provide."""
 
 
 def _sigmoid_into(z: np.ndarray, out: np.ndarray, scratch: np.ndarray,
@@ -65,27 +57,6 @@ def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
 
 
 @dataclass
-class Standardizer:
-    """Per-feature z-scoring statistics, fitted on training rows only."""
-
-    means: np.ndarray
-    stds: np.ndarray  # population stds; zeros are kept and applied as 1
-
-    def transform(self, matrix: np.ndarray) -> np.ndarray:
-        safe = np.where(self.stds == 0.0, 1.0, self.stds)
-        return (matrix - self.means) / safe
-
-
-def standardize_fit(matrix: np.ndarray) -> Standardizer:
-    if matrix.ndim != 2 or matrix.shape[0] < 1:
-        raise ValueError("standardizer needs at least one row")
-    return Standardizer(
-        means=matrix.mean(axis=0),
-        stds=matrix.std(axis=0),  # population (divide by n)
-    )
-
-
-@dataclass
 class TrainConfig:
     lam: float = 1.0
     learning_rate: float = 0.1
@@ -109,11 +80,11 @@ class Model:
     feature_names: tuple[str, ...]
     intercept: float
     coefficients: np.ndarray
-    standardizer: Standardizer
+    means: np.ndarray  # z-scoring statistics, fitted on the training rows only
+    stds: np.ndarray  # population stds; zeros are kept and applied as 1
     config: TrainConfig
     iterations: int = 0
     final_loss: float = float("nan")
-    loss_history: list[float] | None = field(default=None, repr=False)
     train_row_ids: frozenset | None = field(default=None, repr=False)
 
     @property
@@ -128,12 +99,9 @@ class Model:
                 return name
         return None
 
-    def decision_values(self, matrix: np.ndarray) -> np.ndarray:
-        scaled = self.standardizer.transform(matrix)
-        return self.intercept + scaled @ self.coefficients
 
-    def predict_matrix(self, matrix: np.ndarray) -> np.ndarray:
-        return sigmoid(self.decision_values(matrix))
+def _zscore(matrix: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarray:
+    return (matrix - means) / np.where(stds == 0.0, 1.0, stds)
 
 
 def _objective(matrix: np.ndarray, labels: np.ndarray, lam: float):
@@ -200,45 +168,37 @@ def train_matrix(
     config: TrainConfig | None = None,
     row_ids: Sequence | None = None,
 ) -> Model:
-    """Fit a standardizer and run gradient descent on a raw feature matrix."""
+    """Z-score a raw feature matrix and run gradient descent on it."""
     config = config or TrainConfig()
     y = np.asarray(labels, dtype=np.float64)
     if y.size == 0 or len({int(v) for v in y}) < 2:
         raise TrainingError("training data must contain both classes")
-    scaler = standardize_fit(matrix)
-    scaled = scaler.transform(matrix)
+    if matrix.ndim != 2 or matrix.shape[0] < 1:
+        raise ValueError("z-scoring needs at least one row")
+    means, stds = matrix.mean(axis=0), matrix.std(axis=0)  # population (divide by n)
 
     rng = np.random.default_rng(config.seed)
     params = rng.normal(0.0, 0.01, size=matrix.shape[1] + 1)
 
-    step = _objective(scaled, y, config.lam)
-    history: list[float] = []
+    step = _objective(_zscore(matrix, means, stds), y, config.lam)
     iterations = 0
     loss, grad = step(params)
-    history.append(loss)
     for iterations in range(1, config.max_iters + 1):
         if float(np.abs(grad).max()) < config.tolerance:
             iterations -= 1
             break
         params = params - config.learning_rate * grad
+        previous = loss
         loss, grad = step(params)
-        if not loss <= history[-1] + 1e-12 * max(1.0, abs(history[-1])):  # nan too
+        if not loss <= previous + 1e-12 * max(1.0, abs(previous)):  # nan too
             raise TrainingError(
                 f"loss increased at iteration {iterations}; lower the learning rate"
             )
-        history.append(loss)
 
-    return Model(
-        feature_names=tuple(feature_names),
-        intercept=float(params[0]),
-        coefficients=params[1:].copy(),
-        standardizer=scaler,
-        config=config,
-        iterations=iterations,
-        final_loss=history[-1],
-        loss_history=history,
-        train_row_ids=frozenset(row_ids) if row_ids is not None else None,
-    )
+    return Model(feature_names=tuple(feature_names), intercept=float(params[0]),
+                 coefficients=params[1:].copy(), means=means, stds=stds, config=config,
+                 iterations=iterations, final_loss=loss,
+                 train_row_ids=frozenset(row_ids) if row_ids is not None else None)
 
 
 def train(dataset, config: TrainConfig | None = None, variant: str = "full") -> Model:
@@ -254,12 +214,10 @@ def train(dataset, config: TrainConfig | None = None, variant: str = "full") -> 
 
 def predict_proba(model: Model, vectors: Sequence[FeatureVector]) -> np.ndarray:
     """Scam probabilities for feature vectors, using the model's own scaling."""
-    unknown = [n for n in model.feature_names if n not in _KNOWN_FEATURE_NAMES]
-    if unknown:
-        raise FeatureMismatchError(f"model uses unknown features: {unknown}")
     matrix = feature_matrix(vectors, model.feature_names,
                             log_amount=model.config.log_amount)
-    return model.predict_matrix(matrix)
+    scaled = _zscore(matrix, model.means, model.stds)
+    return sigmoid(model.intercept + scaled @ model.coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +240,8 @@ _MODEL_KEYS = (
     ("feature_names", lambda m: m.feature_names, _NAMES),
     ("intercept", lambda m: m.intercept, _REAL),
     ("coefficients", lambda m: m.coefficients, _REALS),
-    ("means", lambda m: m.standardizer.means, _REALS),
-    ("stds", lambda m: m.standardizer.stds, _REALS),
+    ("means", lambda m: m.means, _REALS),
+    ("stds", lambda m: m.stds, _REALS),
     ("lambda", lambda m: m.config.lam, _REAL),
     ("learning_rate", lambda m: m.config.learning_rate, _REAL),
     ("max_iters", lambda m: m.config.max_iters, _INT),
@@ -334,5 +292,5 @@ def load_model(path: str | os.PathLike) -> Model:
     except ValueError as exc:
         raise ModelFormatError(str(exc)) from None
     return Model(feature_names=names, intercept=intercept, coefficients=coefficients,
-                 standardizer=Standardizer(means=means, stds=stds), config=config,
+                 means=means, stds=stds, config=config,
                  iterations=values["iterations"], final_loss=values["final_loss"])

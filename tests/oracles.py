@@ -226,9 +226,10 @@ def straight_descent(
     learning_rate: float,
     max_iters: int,
     tolerance: float,
-) -> list[float]:
-    """Loss history of full-batch gradient descent over the straight objective,
-    stopping when the largest gradient component is under ``tolerance``."""
+) -> tuple[list[float], np.ndarray]:
+    """Loss history and final params of full-batch gradient descent over the
+    straight objective, stopping when the largest gradient component is under
+    ``tolerance``."""
     loss, grad = straight_loss_and_gradient(params, scaled, labels, lam)
     history = [loss]
     for _ in range(max_iters):
@@ -237,7 +238,7 @@ def straight_descent(
         params = params - learning_rate * grad
         loss, grad = straight_loss_and_gradient(params, scaled, labels, lam)
         history.append(loss)
-    return history
+    return history, params
 
 
 def degree_stats(graph) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import builtins
+import contextlib
 import errno
+import io
 import json
 import logging
 import os
@@ -496,6 +498,38 @@ def test_scan_names_the_key_of_a_bad_model_value(tables, tmp_path, capsys, key, 
     assert not out.exists()
     with pytest.raises(ModelFormatError, match=key):
         load_model(model)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spoil=st.sampled_from(("drop", "duplicate", "empty", "word", "nan", "inf", "extra",
+                              "colon", "byte")),
+       index=st.integers(0, 13), at=st.integers(0, 200), number=st.floats())
+def test_scan_of_a_model_file_with_one_spoiled_line_exits_0_or_2(tables, spoil, index, at,
+                                                                 number):
+    """One line of a saved reduced model is dropped, duplicated, given an
+    empty, non-number, nan or inf value or one entry too many, loses its
+    ``": "`` or gains a byte that is not UTF-8."""
+    lines = tables["model"].read_bytes().splitlines(keepends=True)
+    line = lines[index]
+    key, _, value = line.partition(b": ")
+    lines[index] = {
+        "drop": b"", "duplicate": line * 2, "empty": key + b": \n", "word": key + b": x\n",
+        "nan": key + b": nan\n", "inf": key + b": inf\n",
+        "extra": line[:-1] + b"," + repr(number).encode() + b"\n",
+        "colon": key + value,
+        "byte": line[:at % len(line)] + b"\xff" + line[at % len(line):],
+    }[spoil]
+    with tempfile.TemporaryDirectory() as tmp:
+        model = pathlib.Path(tmp, "model.txt")
+        model.write_bytes(b"".join(lines))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["scan", "--model", str(model), "--features", str(tables["features"]),
+                         "--out", str(pathlib.Path(tmp, "report.csv"))])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    errors = err.getvalue().splitlines()
+    assert len(errors) == (code == 2) and all(line.startswith("error: ") for line in errors)
 
 
 def test_train_on_a_table_with_a_nan_cell_exits_2(corpus, capsys):

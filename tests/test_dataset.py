@@ -69,6 +69,14 @@ def test_malformed_label_lines(tmp_path):
             load_labels(path)
 
 
+def test_a_byte_that_is_not_utf8_names_its_label_line(tmp_path):
+    path = tmp_path / "labels.csv"
+    good = f"token,suspicious\n{addr(1)},0\n{addr(2)},1\n{addr(3)},1\n".encode()
+    path.write_bytes(good + addr(4).encode()[:-1] + b"\xff,1\n")
+    with pytest.raises(LabelParseError, match=r"^line 5: bad token address '0x0*\\udcff'$"):
+        load_labels(path)
+
+
 def test_label_round_trip(tmp_path):
     path = tmp_path / "labels.csv"
     labels = {addr(5): 1, addr(6): 0}

@@ -254,6 +254,17 @@ def test_feature_table_rejects_a_bad_cell_naming_its_line(tmp_path, column, cell
         read_feature_table(path)
 
 
+def test_a_byte_that_is_not_utf8_names_its_feature_table_line(tmp_path):
+    path = tmp_path / "features.csv"
+    write_feature_table([features_of([("0xa", "0xb", 10, 18_000_100)], token=f"0x0{i}")
+                         for i in range(3)], path)
+    last = path.read_bytes().splitlines(keepends=True)[-1]
+    with open(path, "ab") as handle:
+        handle.write(last[:2] + b"\xff" + last[3:])
+    with pytest.raises(ValueError, match=r"^line 5: bad token address: '0x\\udcff"):
+        read_feature_table(path)
+
+
 TOKEN = "0x" + "ab" * 20
 
 

@@ -105,7 +105,7 @@ def spoiled(draw):
     lines, index, final = list(_GOOD), draw(st.integers(0, N_LINES - 1)), True
     fields = lines[index].split("\t")
     kind = draw(st.sampled_from(("hex", "digit", "value", "int64", "blank", "unended",
-                                 "long")))
+                                 "long", "padded", "huge", "byte")))
     if kind == "hex":
         field = draw(st.sampled_from((0, 1, 2, 6)))
         at = draw(st.integers(0, len(fields[field]) - 1))
@@ -122,6 +122,13 @@ def spoiled(draw):
     elif kind == "long":  # one line longer than a read of the fixture
         field = draw(st.integers(0, 6))
         fields[field] += ("1" if 3 <= field <= 5 else "a") * 100_000
+    elif kind in ("padded", "huge"):  # past int()'s 4,300 digits, the same number or out of range
+        field = draw(st.sampled_from((3, 4, 5)))
+        fields[field] = "0" * 5_000 + fields[field] if kind == "padded" else "7" * 5_000
+    elif kind == "byte":  # a byte that is not UTF-8, written through surrogateescape
+        field = draw(st.integers(0, 6))
+        at = draw(st.integers(0, len(fields[field]) - 1))
+        fields[field] = fields[field][:at] + "\udcff" + fields[field][at + 1:]
     if kind == "blank":
         lines.insert(index, "")
     elif kind == "unended":
@@ -145,15 +152,18 @@ def test_one_spoiled_line_gives_its_own_error(tmp_path_factory, spoil):
     lines, line_no, final = spoil
     tmp = tmp_path_factory.mktemp("spoiled")
     alone = tmp / "alone.tsv"
-    alone.write_text(_fixture_text([lines[line_no - 1]], "\n", [], final), encoding="utf-8")
+    alone.write_text(_fixture_text([lines[line_no - 1]], "\n", [], final), encoding="utf-8",
+                     errors="surrogateescape")
     fixture = tmp / "fixture.tsv"
-    fixture.write_text(_fixture_text(lines, "\n", [], final), encoding="utf-8")
+    fixture.write_text(_fixture_text(lines, "\n", [], final), encoding="utf-8",
+                       errors="surrogateescape")
     expected_code, expected_err = _features(alone, tmp / "alone.csv")
     code, err = _features(fixture, tmp / "features.csv")
     assert code == expected_code
+    assert code == 0 or expected_err.startswith("error: line 1: ")
     assert err == expected_err.replace("error: line 1:", f"error: line {line_no}:", 1)
     assert err.count("\n") == (code != 0) and "Traceback" not in err
-    if code == 0:  # a blank line or no final newline: the table of the good lines
+    if code == 0:  # a blank line, no final newline or padding: the table of the good lines
         clean = tmp / "clean.tsv"
         clean.write_text(_fixture_text(_GOOD, "\n", [], True), encoding="utf-8")
         assert _features(clean, tmp / "clean.csv") == (0, "")

@@ -161,21 +161,23 @@ def test_fixture_rejects_uppercase_address(tmp_path):
 def test_fixture_rejects_value_above_uint256(tmp_path):
     path = tmp_path / "range.tsv"
     fields = format_fixture_line(make_event()).split("\t")
-    fields[3] = str(UINT256_MAX + 1)
-    path.write_text("\t".join(fields) + "\n")
-    with pytest.raises(FixtureValueError):
-        list(read_fixture(path))
+    for too_big in (str(UINT256_MAX + 1), "7" * 5_000):  # past int()'s 4,300-digit limit
+        fields[3] = too_big
+        path.write_text("\t".join(fields) + "\n")
+        with pytest.raises(FixtureValueError, match="^line 1: value out of uint256 range$"):
+            list(read_fixture(path))
 
 
 @pytest.mark.parametrize("field", [4, 5])  # block, logIndex
 def test_fixture_rejects_block_or_log_index_beyond_int64(tmp_path, field):
     path = tmp_path / "range.tsv"
     fields = format_fixture_line(make_event()).split("\t")
-    fields[field] = str(INT64_MAX)
-    path.write_text("\t".join(fields) + "\n")
-    assert list(read_fixture(path))[0][field] == INT64_MAX
-    for too_big in (INT64_MAX + 1, 10 ** 23 - 1):
-        fields[field] = str(too_big)
+    for zeros in ("", "0" * 5_000):  # past int()'s 4,300-digit limit
+        fields[field] = zeros + str(INT64_MAX)
+        path.write_text("\t".join(fields) + "\n")
+        assert list(read_fixture(path))[0][field] == INT64_MAX
+    for too_big in (str(INT64_MAX + 1), str(10 ** 23 - 1), "7" * 5_000):
+        fields[field] = too_big
         path.write_text("\t".join(fields) + "\n")
         with pytest.raises(FixtureValueError, match="^line 1: .*int64"):
             list(read_fixture(path))
@@ -201,6 +203,14 @@ def test_fixture_rejects_wrong_field_count(tmp_path):
     with pytest.raises(FixtureParseError) as err:
         list(read_fixture(path))
     assert "3" in str(err.value)
+
+
+def test_a_byte_that_is_not_utf8_names_its_fixture_line(tmp_path):
+    path = tmp_path / "bytes.tsv"
+    good = format_fixture_line(make_event()).encode()
+    path.write_bytes(b"\n".join([good] * 3 + [good[:5] + b"\xff" + good[6:]]) + b"\n")
+    with pytest.raises(FixtureParseError, match=r"^line 4: bad token address: '0x0*\\udcff"):
+        list(read_fixture(path))
 
 
 # --- windowing --------------------------------------------------------------

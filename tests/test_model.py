@@ -11,18 +11,16 @@ from tokengraphs.dataset import LabeledDataset
 from tokengraphs.features import FeatureVector
 from tokengraphs.ingest import BlockWindow
 from tokengraphs.model import (
-    FeatureMismatchError,
     Model,
     ModelFormatError,
-    Standardizer,
     TrainConfig,
     TrainingError,
     _objective,
+    _zscore,
     load_model,
     predict_proba,
     save_model,
     sigmoid,
-    standardize_fit,
     train,
     train_matrix,
 )
@@ -85,32 +83,38 @@ def test_sigmoid_equals_the_masked_oracle_bitwise(values):
         assert got == want or (math.isnan(got) and math.isnan(want))
 
 
-# --- standardizer ---------------------------------------------------------------
+# --- z-scoring ---------------------------------------------------------------------
+
+def _fit(matrix: np.ndarray) -> Model:
+    """A model trained on ``matrix`` with alternating labels, for its z-scoring."""
+    return train_matrix(matrix, np.arange(len(matrix)) % 2,
+                        tuple(f"f{i}" for i in range(matrix.shape[1])))
+
 
 def test_two_point_column_population_std():
-    scaler = standardize_fit(np.array([[1.0], [3.0]]))
-    assert scaler.means[0] == pytest.approx(2.0)
-    assert scaler.stds[0] == pytest.approx(1.0)
+    model = _fit(np.array([[1.0], [3.0]]))
+    assert model.means[0] == pytest.approx(2.0)
+    assert model.stds[0] == pytest.approx(1.0)
 
 
 def test_constant_column_stays_at_zero():
-    scaler = standardize_fit(np.array([[5.0], [5.0], [5.0]]))
-    assert scaler.stds[0] == 0.0
-    assert scaler.transform(np.array([[5.0]]))[0, 0] == 0.0
+    model = _fit(np.array([[5.0], [5.0], [5.0]]))
+    assert model.stds[0] == 0.0
+    assert _zscore(np.array([[5.0]]), model.means, model.stds)[0, 0] == 0.0
 
 
 def test_standardized_column_is_idempotent():
     rng = np.random.default_rng(4)
     column = rng.normal(size=(200, 1))
-    once = standardize_fit(column).transform(column)
-    scaler = standardize_fit(once)
-    assert scaler.means[0] == pytest.approx(0.0, abs=1e-12)
-    assert scaler.stds[0] == pytest.approx(1.0, abs=1e-12)
+    first = _fit(column)
+    model = _fit(_zscore(column, first.means, first.stds))
+    assert model.means[0] == pytest.approx(0.0, abs=1e-12)
+    assert model.stds[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_empty_matrix_rejected():
-    with pytest.raises(ValueError):
-        standardize_fit(np.empty((0, 3)))
+    with pytest.raises(ValueError, match="at least one row"):
+        train_matrix(np.empty((0, 3)), [0, 1], ("a", "b", "c"))
 
 
 # --- loss and gradient -----------------------------------------------------------
@@ -242,12 +246,6 @@ def test_unknown_variant_rejected():
         train(toy_dataset(10), variant="bogus")
 
 
-def test_loss_history_is_monotone_nonincreasing():
-    model = train(toy_dataset(30))
-    history = np.array(model.loss_history)
-    assert np.all(np.diff(history) <= 1e-12)
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 60), st.integers(1, 8), st.integers(0, 2**32 - 1),
        st.sampled_from((0.0, 0.3, 1.0)))
@@ -257,12 +255,17 @@ def test_loss_history_equals_a_straight_oracle_loop(n_rows, n_feat, seed, lam):
     labels = np.arange(n_rows) % 2
     config = TrainConfig(lam=lam, max_iters=300, tolerance=1e-5, seed=seed % 7)
     model = train_matrix(matrix, labels, tuple(f"f{i}" for i in range(n_feat)), config)
-    scaled = standardize_fit(matrix).transform(matrix)
+    means, stds = matrix.mean(axis=0), matrix.std(axis=0)
+    assert np.array_equal(model.means, means) and np.array_equal(model.stds, stds)
+    scaled = (matrix - means) / np.where(stds == 0.0, 1.0, stds)
     start = np.random.default_rng(config.seed).normal(0.0, 0.01, size=n_feat + 1)
-    history = straight_descent(scaled, labels.astype(float), start, lam,
-                               config.learning_rate, config.max_iters, config.tolerance)
-    assert model.loss_history == history
+    history, params = straight_descent(scaled, labels.astype(float), start, lam,
+                                       config.learning_rate, config.max_iters,
+                                       config.tolerance)
+    assert model.intercept == params[0]
+    assert np.array_equal(model.coefficients, params[1:])
     assert model.iterations == len(history) - 1
+    assert model.final_loss == history[-1]
 
 
 def test_a_diverging_learning_rate_is_a_training_error():
@@ -296,25 +299,13 @@ def test_training_is_deterministic_given_config():
 
 def test_probability_at_training_means_is_intercept_sigmoid():
     model = Model(
-        feature_names=("a", "b"), intercept=-0.4,
+        feature_names=("lifetime", "amount"), intercept=-0.4,
         coefficients=np.array([0.0, 0.0]),
-        standardizer=Standardizer(means=np.array([1.0, 2.0]),
-                                  stds=np.array([1.0, 1.0])),
+        means=np.array([1.0, 2.0]), stds=np.array([1.0, 1.0]),
         config=TrainConfig(),
     )
-    probs = model.predict_matrix(np.array([[1.0, 2.0]]))
+    probs = predict_proba(model, [_vector("0x" + "0" * 40, {"lifetime": 1, "amount": 2})])
     assert probs[0] == pytest.approx(sigmoid(-0.4))
-
-
-def test_predict_proba_needs_known_feature_names():
-    model = Model(
-        feature_names=("mystery",), intercept=0.0,
-        coefficients=np.array([1.0]),
-        standardizer=Standardizer(means=np.array([0.0]), stds=np.array([1.0])),
-        config=TrainConfig(),
-    )
-    with pytest.raises(FeatureMismatchError):
-        predict_proba(model, [_vector("0x" + "0" * 40, {})])
 
 
 def test_probabilities_are_in_unit_interval():
@@ -397,10 +388,10 @@ def test_log_amount_flag_transforms_the_amount_column(tmp_path):
     dataset = toy_dataset(20)
     raw = train(dataset, TrainConfig(seed=0))
     logged = train(dataset, TrainConfig(seed=0, log_amount=True))
-    # the standardizer sees a different amount column
+    # z-scoring sees a different amount column
     amount_idx = raw.feature_names.index("amount")
-    assert raw.standardizer.means[amount_idx] > 1e15
-    assert logged.standardizer.means[amount_idx] < 25  # log10 scale
+    assert raw.means[amount_idx] > 1e15
+    assert logged.means[amount_idx] < 25  # log10 scale
 
     path = tmp_path / "logged.txt"
     save_model(logged, path)
