@@ -49,7 +49,8 @@ def _write_manifest(path: str, command: str, config: dict, **extra) -> None:
 
 def _read_manifest(path: str) -> dict:
     """A manifest as written by ``_write_manifest``: an object with a config."""
-    with open(path, "r", encoding="utf-8") as handle:
+    # a non-UTF-8 byte: a JSON error between tokens, the same byte in a string's path
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         manifest = json.load(handle)
     if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
         raise ValueError(f"manifest {path} is not a JSON object with a 'config' object")

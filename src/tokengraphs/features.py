@@ -142,9 +142,10 @@ def write_rows(path: str | os.PathLike, header: str, rows: Iterable[Iterable]) -
 
 def read_rows(path: str | os.PathLike, header: str, kind: str,
               error: type[ValueError] = ValueError) -> Iterator[tuple[int, str]]:
-    """The one CSV header loop: ``(line_no, line)`` for each non-blank line
-    under a header equal to ``header``; any other header raises ``error``.  A
-    byte that is not UTF-8 reads as a lone surrogate, which no row check passes."""
+    """The one header loop of CSV and model files: ``(line_no, line)`` for each
+    non-blank line under a header equal to ``header``; any other header raises
+    ``error``.  A byte that is not UTF-8 reads as a lone surrogate, which no
+    row check passes."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         first = handle.readline().rstrip("\n")
         if first != header:

@@ -16,7 +16,7 @@ import time
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import count, groupby, islice
+from itertools import count, groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -422,9 +422,6 @@ class WindowBatch(LimbValues):
         return len(self.token)
 
 
-# events transposed to a column block at a time
-_CHUNK = 1 << 8
-
 # the dtypes of a WindowBatch's columns, token to value_hi, grown in place
 _DTYPES = (np.int32,) * 3 + (np.int64,) * 2 + (np.uint64,) * 2
 
@@ -467,7 +464,10 @@ def partition_windows(
     """Group events of any order into fixed-width windows, keeping input order in each."""
     if width < 1:
         raise ValueError("window width must be >= 1 block")
-    return dict(iter_window_groups(sorted(events, key=lambda e: e.block // width), width))
+    window_of = lambda event: event.block // width
+    return {BlockWindow(index * width, (index + 1) * width):
+            _intern_window([(index, list(map(list, zip(*run))))])
+            for index, run in groupby(sorted(events, key=window_of), key=window_of)}
 
 
 def _window_runs(blocks: Iterable[list[list]], width: int) -> Iterator[tuple[int, list[list]]]:
@@ -485,10 +485,10 @@ def _window_runs(blocks: Iterable[list[list]], width: int) -> Iterator[tuple[int
 
 
 def iter_window_groups(
-    source: str | os.PathLike | Iterable[TransferEvent], width: int = DEFAULT_WINDOW_WIDTH,
+    path: str | os.PathLike, width: int = DEFAULT_WINDOW_WIDTH,
 ) -> Iterator[tuple[BlockWindow, WindowBatch]]:
     """Stream (window, batch) pairs from a fixture path, parsed a block of
-    lines at a time, or from events, interning one window at a time.
+    lines at a time and interned one window at a time.
 
     Windowing only groups: a batch keeps its transfers' input order, and
     ``build_graphs`` orders edges.  Windows must be contiguous, as every
@@ -496,11 +496,8 @@ def iter_window_groups(
     """
     if width < 1:
         raise ValueError("window width must be >= 1 block")
-    events = None if isinstance(source, (str, os.PathLike)) else iter(source)
-    blocks = _fixture_columns(source) if events is None else (
-        list(map(list, zip(*chunk))) for chunk in iter(lambda: list(islice(events, _CHUNK)), []))
     done: set[int] = set()
-    for index, runs in groupby(_window_runs(blocks, width), key=itemgetter(0)):
+    for index, runs in groupby(_window_runs(_fixture_columns(path), width), key=itemgetter(0)):
         if index in done:
             raise ValueError("fixture windows are interleaved; sort the fixture by block")
         done.add(index)

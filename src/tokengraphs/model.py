@@ -15,9 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import VARIANTS, FeatureVector, feature_matrix
+from .features import VARIANTS, FeatureVector, feature_matrix, read_rows
 
-MODEL_FORMAT_VERSION = 1
+MODEL_HEADER = "format_version: 1"
 
 # a scam probability at or above this is a predicted scam
 SCAM_THRESHOLD = 0.5
@@ -221,8 +221,8 @@ def predict_proba(model: Model, vectors: Sequence[FeatureVector]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# model file format: one "key: value" line per key of ``_MODEL_KEYS``, in its
-# order, floats with 17 significant digits
+# model file format: the ``MODEL_HEADER`` line, then one "key: value" line per
+# key of ``_MODEL_KEYS``, in its order, floats with 17 significant digits
 
 _f17 = "{:.17g}".format
 
@@ -236,7 +236,6 @@ _FLAG = ("0 or 1", lambda flag: str(int(flag)), {"0": False, "1": True}.__getite
 
 # every key of a model file, in file order: its value in a Model, and its kind
 _MODEL_KEYS = (
-    ("format_version", lambda m: MODEL_FORMAT_VERSION, _INT),
     ("feature_names", lambda m: m.feature_names, _NAMES),
     ("intercept", lambda m: m.intercept, _REAL),
     ("coefficients", lambda m: m.coefficients, _REALS),
@@ -255,18 +254,18 @@ _MODEL_KEYS = (
 
 def save_model(model: Model, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8") as handle:
+        handle.write(MODEL_HEADER + "\n")
         handle.writelines(f"{key}: {kind[1](value(model))}\n"
                           for key, value, kind in _MODEL_KEYS)
 
 
 def load_model(path: str | os.PathLike) -> Model:
     entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            key, colon, value = line.rstrip("\n").partition(": ")
-            if key and not colon:  # a blank line lands on the unused key ""
-                raise ModelFormatError(f"malformed model line: {key!r}")
-            entries[key] = value
+    for line_no, line in read_rows(path, MODEL_HEADER, "model", ModelFormatError):
+        key, colon, value = line.partition(": ")
+        if not colon:
+            raise ModelFormatError(f"line {line_no}: malformed model line: {key!r}")
+        entries[key] = value
     missing = [key for key, _, _ in _MODEL_KEYS if key not in entries]
     if missing:
         raise ModelFormatError(f"model file truncated; missing {missing}")
@@ -276,8 +275,6 @@ def load_model(path: str | os.PathLike) -> Model:
             values[key] = read(entries[key])
         except (KeyError, ValueError):  # the flag's lookup raises KeyError
             raise ModelFormatError(f"{key} {entries[key]!r} is not {form}") from None
-    if values["format_version"] != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported model format version {values['format_version']}")
 
     names, coefficients = values["feature_names"], values["coefficients"]
     means, stds, intercept = values["means"], values["stds"], values["intercept"]

@@ -423,7 +423,6 @@ def gen_scan_corpus(
     n_tokens: int,
     window: BlockWindow,
     fixture_path: str | os.PathLike,
-    profile: ScanProfile | None = None,
     seed: int = 0,
 ) -> dict:
     """Write a fixture of small graphs: young tokens, small veterans, small scams.
@@ -434,7 +433,7 @@ def gen_scan_corpus(
     drawn as in a training corpus, at the scan profile's budgets, scam
     timing and legitimate values.
     """
-    profile = profile or ScanProfile()
+    profile = ScanProfile()
     n_young = round(n_tokens * profile.young_fraction)
     n_long = round(n_tokens * profile.long_legit_fraction)
     veterans = CorpusProfile(legit_budget=profile.budget, scam_budget=profile.budget,

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from tokengraphs.ingest import (BlockWindow, TransferEvent, WindowBatch, iter_window_groups,
+from tokengraphs.ingest import (BlockWindow, TransferEvent, WindowBatch, partition_windows,
                                 write_fixture)
 
 WINDOW = BlockWindow(18_000_000, 18_100_000)
@@ -35,7 +35,7 @@ def make_event(
 
 def batch_of(events: list[TransferEvent]) -> WindowBatch:
     """All ``events`` as one window batch, in their order (at least one event)."""
-    (_window, batch), = iter_window_groups(events, 1 << 63)
+    (batch,) = partition_windows(events, 1 << 63).values()
     return batch
 
 

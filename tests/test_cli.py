@@ -222,6 +222,16 @@ def test_features_bad_line_reads_the_fixture_once(tmp_path, monkeypatch, capsys)
     assert not out.exists()
 
 
+def test_features_window_width_below_1_exits_2(tmp_path, capsys):
+    fixture = tmp_path / "one.tsv"
+    fixture.write_text(format_fixture_line(make_event()) + "\n")
+    out = tmp_path / "f.csv"
+    assert main(["features", "--fixture", str(fixture), "--out", str(out),
+                 "--window-width", "0"]) == 2
+    assert one_error_line(capsys) == "error: window width must be >= 1 block"
+    assert not out.exists()
+
+
 def test_features_fixture_below_a_file_exits_2(tmp_path, capsys):
     (tmp_path / "F").write_text("")
     out = tmp_path / "f.csv"
@@ -407,6 +417,17 @@ def test_cv_and_crosseval_warn_when_max_iters_is_reached(corpus, capsys, command
         "warning: gradient descent stopped at --max-iters 5 without converging") == 1
 
 
+def test_train_warns_of_over_threshold_tokens_without_a_label(corpus, capsys):
+    big = next(fv.token for fv in read_feature_table(corpus["features"]) if fv.num_nodes > 500)
+    labels = corpus["tmp"] / "labels.csv"
+    labels.write_text("".join(line for line in open(corpus["labels"]) if big not in line))
+    capsys.readouterr()
+    assert main(["train", "--features", str(corpus["features"]), "--labels", str(labels),
+                 "--model-out", str(corpus["tmp"] / "model.txt")]) == 0
+    assert capsys.readouterr().err == ("warning: 1 over-threshold tokens had no label "
+                                       "and were excluded\n")
+
+
 def test_train_reduced_variant_has_edges_per_component(corpus):
     model_path = corpus["tmp"] / "reduced.txt"
     assert main(["train", "--features", str(corpus["features"]),
@@ -500,6 +521,11 @@ def test_scan_names_the_key_of_a_bad_model_value(tables, tmp_path, capsys, key, 
         load_model(model)
 
 
+_NUMERIC_MODEL_KEYS = {"intercept", "coefficients", "means", "stds", "lambda", "learning_rate",
+                       "max_iters", "tolerance", "seed", "log_amount", "iterations",
+                       "final_loss"}
+
+
 @settings(max_examples=80, deadline=None)
 @given(spoil=st.sampled_from(("drop", "duplicate", "empty", "word", "nan", "inf", "extra",
                               "colon", "byte")),
@@ -530,6 +556,11 @@ def test_scan_of_a_model_file_with_one_spoiled_line_exits_0_or_2(tables, spoil, 
     assert "Traceback" not in err.getvalue()
     errors = err.getvalue().splitlines()
     assert len(errors) == (code == 2) and all(line.startswith("error: ") for line in errors)
+    if spoil == "byte":
+        assert "codec" not in err.getvalue()
+        if key.decode() in _NUMERIC_MODEL_KEYS:
+            assert code == 2 and (key.decode() in errors[0]
+                                  or errors[0].startswith(f"error: line {index + 1}: "))
 
 
 def test_train_on_a_table_with_a_nan_cell_exits_2(corpus, capsys):
@@ -829,7 +860,7 @@ def test_fetch_resume_refuses_a_fixture_shorter_than_its_state(tmp_path, monkeyp
 
 @pytest.mark.parametrize("bad", [
     ["--chunk", "0"], ["--rpc-retries", "-1"], ["--rpc-timeout", "0"],
-    ["--rpc-timeout", "-2"], ["--rpc-backoff", "-0.5"],
+    ["--rpc-timeout", "-2"], ["--rpc-backoff", "-0.5"], ["--start", "10", "--end", "5"],
 ])
 @pytest.mark.parametrize("resume", [[], ["--resume"]])
 def test_fetch_argument_errors_leave_fixture_and_manifest_alone(tmp_path, monkeypatch,
@@ -1224,6 +1255,7 @@ _TRAIN = ["train", "--features", "@tmp/f", "--labels", "@tmp/l", "--model-out", 
     (_manifest(_CROSSEVAL, eval=["@tmp/f", "@tmp/l"]), "eval ["),
     (_manifest(_CROSSEVAL, eval=[]), "eval [] is not"),
     (_manifest(_CROSSEVAL, eval=[["@tmp/f"]]), "eval [["),
+    ({"command": "replay", "config": {}}, "'replay'"),
 ])
 def test_replay_of_a_malformed_manifest_exits_2(tmp_path, capsys, manifest, named):
     path = tmp_path / "bad.manifest.json"
@@ -1232,6 +1264,33 @@ def test_replay_of_a_malformed_manifest_exits_2(tmp_path, capsys, manifest, name
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_replay_of_a_manifest_with_a_byte_between_json_tokens_names_its_line(tmp_path,
+                                                                             capsys):
+    path = tmp_path / "bad.manifest.json"
+    lines = json.dumps(_synth_manifest(), indent=2).replace("@tmp", str(tmp_path)).split("\n")
+    lines[2] = "\udcff" + lines[2]  # after the comma that ends line 2
+    path.write_bytes("\n".join(lines).encode("utf-8", "surrogateescape"))
+    assert main(["replay", str(path)]) == 2
+    err = one_error_line(capsys)
+    assert "codec" not in err and ": line 3 column 1 (char " in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_replay_of_a_manifest_with_a_byte_in_a_path_opens_that_path(tmp_path, capsys):
+    fixture = os.fsencode(tmp_path) + b"/fixture\xff.tsv"
+    with open(fixture, "wb") as handle:  # the file is there; its one line is spoiled
+        handle.write(b"not a fixture line\n")
+    manifest = _manifest(["features", "--fixture", "@tmp/fixture@byte.tsv",
+                          "--out", "@tmp/f.csv"])
+    path = tmp_path / "features.manifest.json"
+    path.write_bytes(json.dumps(manifest).replace("@tmp", str(tmp_path)).encode()
+                     .replace(b"@byte", b"\xff"))
+    assert main(["replay", str(path)]) == 2
+    err = one_error_line(capsys)
+    assert err == "error: line 1: expected 7 fields, got 1"  # no codec message
+    assert not (tmp_path / "f.csv").exists()
 
 
 @pytest.mark.parametrize("override, named", [

@@ -254,6 +254,17 @@ def test_feature_table_rejects_a_bad_cell_naming_its_line(tmp_path, column, cell
         read_feature_table(path)
 
 
+@pytest.mark.parametrize("width", [10, 12])
+def test_feature_table_row_of_the_wrong_width_names_its_line(tmp_path, width):
+    path = tmp_path / "features.csv"
+    write_feature_table([features_of([("0xa", "0xb", 10, 18_000_100)])], path)
+    header, row = path.read_text().splitlines()
+    cells = (row.split(",") + ["0"])[:width]
+    path.write_text(f"{header}\n{','.join(cells)}\n")
+    with pytest.raises(ValueError, match="^line 2: expected 11 columns$"):
+        read_feature_table(path)
+
+
 def test_a_byte_that_is_not_utf8_names_its_feature_table_line(tmp_path):
     path = tmp_path / "features.csv"
     write_feature_table([features_of([("0xa", "0xb", 10, 18_000_100)], token=f"0x0{i}")

@@ -2,8 +2,9 @@
 path to the per-line reading it replaced.
 
 Hypothesis tests: one spoiled cell or line anywhere in a multi-block fixture
-gives the per-line error and exit code, and any valid fixture gives the same
-window batches by path as its events do.
+gives the per-line error and exit code, and any valid fixture without
+interleaved windows gives the same window batches by path as
+``partition_windows`` makes of its events.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from tokengraphs.cli import main
 from tokengraphs.ingest import (INT64_MAX, UINT256_MAX, format_fixture_line, iter_window_groups,
-                                read_fixture)
+                                partition_windows, read_fixture)
 
 from conftest import batch_rows, make_event
 
@@ -58,11 +59,11 @@ def _fixture_text(lines: list[str], newline: str, blanks: list[int], final: bool
     return newline.join(lines) + (newline if final else "")
 
 
-def _groups(source):
+def _groups(path):
     """(window, rows) of each batch, and the ValueError that ended them, if any."""
     groups = []
     try:
-        for window, batch in iter_window_groups(source, WIDTH):
+        for window, batch in iter_window_groups(path, WIDTH):
             groups.append((window, batch_rows(batch)))
     except ValueError as exc:
         return groups, str(exc)
@@ -84,10 +85,13 @@ def test_a_path_gives_the_batches_its_events_give(tmp_path_factory, seed, n, win
         handle.write(_fixture_text(list(map(format_fixture_line, events)), newline,
                                    blanks, final))
     assert list(read_fixture(path)) == events
-    by_path, by_events = _groups(path), _groups(iter(events))
-    assert by_path == by_events
+    by_path, error = _groups(path)
     runs = [window for window, _run in groupby(event.block // WIDTH for event in events)]
-    assert by_path[1] == (INTERLEAVED if len(set(runs)) < len(runs) else None)
+    interleaved = len(set(runs)) < len(runs)
+    assert error == (INTERLEAVED if interleaved else None)
+    if not interleaved:
+        assert dict(by_path) == {window: batch_rows(batch) for window, batch
+                                 in partition_windows(events, WIDTH).items()}
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,13 @@ def test_fixture_rejects_uppercase_address(tmp_path):
         list(read_fixture(path))
 
 
+def test_fixture_rejects_a_bad_tx_hash(tmp_path):
+    path = tmp_path / "hash.tsv"
+    path.write_text(format_fixture_line(make_event())[:-1] + "\n")  # 63 hex digits
+    with pytest.raises(FixtureParseError, match="^line 1: bad txHash: '0x0"):
+        list(read_fixture(path))
+
+
 def test_fixture_rejects_value_above_uint256(tmp_path):
     path = tmp_path / "range.tsv"
     fields = format_fixture_line(make_event()).split("\t")
@@ -247,20 +254,22 @@ def test_partition_is_a_partition(points, width):
         assert all(window.start <= block < window.end for block in batch.block.tolist())
 
 
-def test_iter_window_groups_matches_partition_on_contiguous_input():
+def test_iter_window_groups_matches_partition_on_contiguous_input(tmp_path):
     events = [make_event(block=b, log_index=i, tx=i + 1)
               for i, b in enumerate((18_000_005, 18_000_001, 18_099_000,
                                      18_100_001, 18_150_000))]
-    streamed = {w: batch_rows(b) for w, b in iter_window_groups(iter(events), 100_000)}
+    write_fixture(events, tmp_path / "f.tsv")
+    streamed = {w: batch_rows(b) for w, b in iter_window_groups(tmp_path / "f.tsv", 100_000)}
     assert streamed == {w: batch_rows(b)
                         for w, b in partition_windows(events, 100_000).items()}
 
 
-def test_iter_window_groups_rejects_interleaved_windows():
+def test_iter_window_groups_rejects_interleaved_windows(tmp_path):
     events = [make_event(block=18_000_001), make_event(block=18_100_001),
               make_event(block=18_000_002)]
+    write_fixture(events, tmp_path / "f.tsv")
     with pytest.raises(ValueError, match="interleaved; sort the fixture by block"):
-        list(iter_window_groups(iter(events), 100_000))
+        list(iter_window_groups(tmp_path / "f.tsv", 100_000))
 
 
 # --- fetch ------------------------------------------------------------------

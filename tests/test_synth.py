@@ -266,7 +266,7 @@ def test_legitimate_tokens_recur_scams_do_not(tmp_path):
     gen_corpus(10, 0.4, windows, tmp_path / "f.tsv", tmp_path / "l.csv", seed=4)
     labels = load_labels(tmp_path / "l.csv")
     presence: dict[str, set] = {}
-    for window, batch in iter_window_groups(read_fixture(tmp_path / "f.tsv"), 100_000):
+    for window, batch in iter_window_groups(tmp_path / "f.tsv", 100_000):
         for token in build_graphs(batch, window):
             presence.setdefault(token, set()).add(window.start)
     for token, windows_seen in presence.items():
@@ -282,7 +282,7 @@ def test_recurring_legit_tokens_push_unique_fraction_up(tmp_path):
                profile=CorpusProfile(legit_budget=(510, 600), scam_budget=(510, 600)))
     labels = load_labels(tmp_path / "l.csv")
     datasets = []
-    for window, batch in iter_window_groups(read_fixture(tmp_path / "f.tsv"), 100_000):
+    for window, batch in iter_window_groups(tmp_path / "f.tsv", 100_000):
         vectors = [extract_features(g) for g in build_graphs(batch, window).values()]
         datasets.append(join(vectors, labels, 500))
     summary = summarize(datasets)

@@ -1,6 +1,6 @@
 """Window batches against the straight-line oracles.
 
-Fixture events go through ``iter_window_groups`` (interning into one
+Events go through ``partition_windows`` (interning into one
 ``WindowBatch`` per window), ``build_graphs`` (one lexsort per window) and
 ``extract_features``; every per-token result must equal the oracles run on
 that token's transfers alone.  Values are uint64 limbs plus a side dict for
@@ -20,12 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tokengraphs.graphs as graphs_module
-import tokengraphs.ingest as ingest
 from tokengraphs.cli import main as cli_main
 from tokengraphs.features import extract_features
 from tokengraphs.graphs import build_graphs, weak_components
 from tokengraphs.ingest import (UINT256_MAX, BlockWindow, WindowBatch, append_values,
-                                format_fixture_line, iter_window_groups)
+                                format_fixture_line, partition_windows)
 
 from conftest import batch_of, batch_rows, make_event
 from oracles import bfs_components, straight_line_features
@@ -83,10 +82,9 @@ def _expected_edges(events, window):
 
 
 @settings(max_examples=200, deadline=None)
-@given(windows(), st.sampled_from((1, 3, 16, ingest._CHUNK)))
-def test_batches_graphs_and_features_match_the_oracles(events, chunk):
-    with mock.patch.object(ingest, "_CHUNK", chunk):
-        groups = list(iter_window_groups(iter(events), WIDTH))
+@given(windows())
+def test_batches_graphs_and_features_match_the_oracles(events):
+    groups = list(partition_windows(events, WIDTH).items())
     assert [w.start for w, _ in groups] == sorted({e.block // WIDTH * WIDTH
                                                     for e in events})
     for window, batch in groups:
@@ -137,17 +135,15 @@ def test_a_shared_address_is_one_node_in_each_of_its_tokens():
 
 
 def test_no_events_make_no_windows():
-    assert list(iter_window_groups(iter([]), WIDTH)) == []
+    assert partition_windows(iter([]), WIDTH) == {}
 
 
-@pytest.mark.parametrize("chunk", [1, 2, ingest._CHUNK])
-def test_values_at_every_limb_edge_stay_exact(chunk):
+def test_values_at_every_limb_edge_stay_exact():
     values = [2**64 - 1, 2**64, 2**128 - 1, 2**128, UINT256_MAX, 0, 7, 2**64 + 5]
     events = [make_event("0xa", "0xb", value=value, block=FIRST + 10 - i, log_index=i,
                          token=f"0x{i % 3 + 1:x}", tx=i + 1)
               for i, value in enumerate(values)]
-    with mock.patch.object(ingest, "_CHUNK", chunk):
-        (window, batch), = iter_window_groups(iter(events), WIDTH)
+    (window, batch), = partition_windows(iter(events), WIDTH).items()
     assert batch_rows(batch) == [tuple(e[:6]) for e in events]
     assert sorted(batch.wide.values()) == [2**128, UINT256_MAX]
     graphs = build_graphs(batch, window)
