@@ -1,8 +1,8 @@
 """Command-line pipeline runner.
 
-Every subcommand resolves its full configuration, writes it to a JSON
-manifest next to its primary output, and is deterministic given that
-manifest: ``tokengraphs replay MANIFEST`` reproduces the run byte for byte.
+Every subcommand resolves its full configuration and is deterministic given
+it; ``main`` records it in a JSON manifest once the command returns, and
+``tokengraphs replay MANIFEST`` reruns the command byte for byte through ``main``.
 
 Exit codes: 0 success, 2 input/configuration errors (bad paths included), 3
 operational failures (unreachable endpoints, a full disk, any other OS error).
@@ -39,8 +39,7 @@ _RUNTIME_ERRORS = (FetchError, OSError)  # after _INPUT_ERRORS, which takes the 
 
 def _write_manifest(path: str, command: str, config: dict, **extra) -> None:
     """Write the manifest whole or not at all: a crash leaves the old one."""
-    payload = {"format": MANIFEST_FORMAT, "command": command, "config": config,
-               **extra}
+    payload = {"format": MANIFEST_FORMAT, "command": command, "config": config, **extra}
     with open(path + ".tmp", "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -57,8 +56,12 @@ def _read_manifest(path: str) -> dict:
     return manifest
 
 
-def _manifest_path(args: argparse.Namespace, primary_output: str) -> str:
-    return getattr(args, "manifest", None) or primary_output + ".manifest.json"
+def _manifest_path(args: argparse.Namespace) -> str:
+    """``--manifest``, else synth's ``out_dir/manifest.json``, else the primary output's."""
+    if args.command == "synth":
+        return args.manifest or os.path.join(args.out_dir, "manifest.json")
+    primary = args.model_out if args.command == "train" else args.out
+    return args.manifest or primary + ".manifest.json"
 
 
 def _config_from_args(args: argparse.Namespace) -> dict:
@@ -82,23 +85,17 @@ def _warn_unless_converged(converged: bool, max_iters: int) -> None:
               f"{max_iters} without converging", file=sys.stderr)
 
 
-def _resolve_endpoint(args: argparse.Namespace) -> str:
-    endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV_VAR)
-    if not endpoint:
-        raise ValueError(
-            f"no JSON-RPC endpoint: pass --endpoint or set {ENDPOINT_ENV_VAR}")
-    return endpoint
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_fetch(args: argparse.Namespace) -> int:
-    endpoint = _resolve_endpoint(args)
+def cmd_fetch(args: argparse.Namespace) -> dict:
+    endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV_VAR)
+    if not endpoint:
+        raise ValueError(f"no JSON-RPC endpoint: pass --endpoint or set {ENDPOINT_ENV_VAR}")
     if args.start > args.end:
         raise ValueError("fetch range start must be <= end")
     window = BlockWindow(args.start, args.end)
-    manifest_path = _manifest_path(args, args.out)
+    manifest_path = _manifest_path(args)
 
     # the state records the fixture's length after each completed chunk: a
     # resumed fetch cuts off whatever a crash left after it (a chunk whose
@@ -152,17 +149,14 @@ def cmd_fetch(args: argparse.Namespace) -> int:
             state.update(completed_through=chunk_end, committed_bytes=out.tell())
             _write_manifest(manifest_path, "fetch", config, state=state)
 
-    state["finished"] = True
-    _write_manifest(manifest_path, "fetch", config, state=state)
     print(f"wrote {count} transfers to {args.out}")
-    return 0
+    return {"state": {**state, "finished": True}}
 
 
-def _feature_rows(fixture: str, width: int, export_dir: str | None = None):
+def _feature_rows(windows, export_dir: str | None = None):
     """One feature row per (token, window); graphs are released as windows close."""
-    rows = []
-    exported = 0
-    for window, batch in iter_window_groups(fixture, width):
+    rows, exported = [], 0
+    for window, batch in windows:
         graphs = build_graphs(batch, window)
         rows.extend(extract_features(g) for g in graphs.values())
         if export_dir:
@@ -171,45 +165,41 @@ def _feature_rows(fixture: str, width: int, export_dir: str | None = None):
     return rows, exported
 
 
-def cmd_features(args: argparse.Namespace) -> int:
-    # outputs are settled before the fixture is read; --export-graphs first, as
-    # the directories it makes may hold --out
+def cmd_features(args: argparse.Namespace) -> dict:
+    # the width is checked and the fixture opened, then outputs are settled before
+    # the fixture is read; --export-graphs first, as the directories it makes may hold --out
+    windows = iter_window_groups(args.fixture, args.window_width)
     if args.export_graphs:
         os.makedirs(args.export_graphs, exist_ok=True)
     for option, path in (("--out", args.out), ("--histogram-out", args.histogram_out)):
         directory = os.path.dirname(path or ".")
         if directory and not os.path.isdir(directory):
             raise ValueError(f"{option} {path}: {directory} is not a directory")
-    rows, exported = _feature_rows(args.fixture, args.window_width,
-                                   args.export_graphs)
+    rows, exported = _feature_rows(windows, args.export_graphs)
     count = write_feature_table(rows, args.out)
     if args.export_graphs:
         print(f"exported {exported} edge lists to {args.export_graphs}")
     if args.histogram_out:
         write_histograms(histogram_bins(rows), args.histogram_out)
-    _write_manifest(_manifest_path(args, args.out), "features",
-                    _config_from_args(args))
     print(f"wrote {count} feature rows to {args.out}")
-    return 0
+    return {}
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def cmd_train(args: argparse.Namespace) -> dict:
     config = _train_config(args)
     dataset = _labeled(args.features, args.labels, args.min_nodes)
     model = train(dataset, config, args.variant)
     save_model(model, args.model_out)
-    _write_manifest(_manifest_path(args, args.model_out), "train",
-                    _config_from_args(args))
     print(f"trained {args.variant} model on {len(dataset)} rows "
           f"({model.iterations} iterations, final loss {model.final_loss:.6f})")
     _warn_unless_converged(model.converged, args.max_iters)
     if dataset.unlabeled:
         print(f"warning: {len(dataset.unlabeled)} over-threshold tokens had no "
               f"label and were excluded", file=sys.stderr)
-    return 0
+    return {}
 
 
-def cmd_cv(args: argparse.Namespace) -> int:
+def cmd_cv(args: argparse.Namespace) -> dict:
     config = _train_config(args)
     dataset = _labeled(args.features, args.labels, args.min_nodes)
     report = kfold_cv(dataset, k=args.k, seed=args.seed, config=config, variant=args.variant)
@@ -217,15 +207,14 @@ def cmd_cv(args: argparse.Namespace) -> int:
     if args.roc_out:
         for fold in report.breakdown:
             write_roc(fold.roc, f"{args.roc_out}_{fold.label}.csv")
-    _write_manifest(_manifest_path(args, args.out), "cv", _config_from_args(args))
     print(f"{args.k}-fold cv on {len(dataset)} rows: "
           f"accuracy={report.accuracy:.4f} precision={report.precision:.4f} "
           f"recall={report.recall:.4f} f1={report.f1:.4f} auc={report.auc:.4f}")
     _warn_unless_converged(report.converged, args.max_iters)
-    return 0
+    return {}
 
 
-def cmd_crosseval(args: argparse.Namespace) -> int:
+def cmd_crosseval(args: argparse.Namespace) -> dict:
     config = _train_config(args)
     train_set = _labeled(args.train_features, args.train_labels, args.min_nodes)
 
@@ -248,30 +237,27 @@ def cmd_crosseval(args: argparse.Namespace) -> int:
     if args.roc_out:
         for report in reports:
             write_roc(report.roc, f"{args.roc_out}_{os.path.splitext(report.label)[0]}.csv")
-    _write_manifest(_manifest_path(args, args.out), "crosseval",
-                    _config_from_args(args))
     for report in reports:
         print(f"{report.label}: accuracy={report.accuracy:.4f} "
               f"precision={report.precision:.4f} recall={report.recall:.4f} "
               f"f1={report.f1:.4f} auc={report.auc:.4f}")
     _warn_unless_converged(model.converged, args.max_iters)
-    return 0
+    return {}
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
+def cmd_scan(args: argparse.Namespace) -> dict:
     model = load_model(args.model)
     vectors = read_feature_table(args.features)
     report = unlabeled_scan(model, vectors, max_nodes=args.max_nodes)
     write_scan_report(report, args.out)
-    _write_manifest(_manifest_path(args, args.out), "scan", _config_from_args(args))
     print(f"scanned {report.total} small graphs: "
           f"{report.predicted_scam} predicted scams ({report.scam_share:.1%}); "
           f">100 nodes {report.share_over_100_nodes:.1%}; "
           f"lifetime<1000 {report.share_lifetime_under_1000:.1%}")
-    return 0
+    return {}
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace) -> dict:
     for option, value, least in (("--n-tokens", args.n_tokens, 0), ("--seed", args.seed, 0),
                                  ("--window-start", args.window_start, 0),
                                  ("--window-width", args.window_width, 1)):
@@ -295,7 +281,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     fixture = os.path.join(args.out_dir, "fixture.tsv")
     labels = os.path.join(args.out_dir, "labels.csv")
-    manifest_path = args.manifest or os.path.join(args.out_dir, "manifest.json")
     try:  # each file is written whole or not at all: a failure leaves the old one
         if args.kind == "training":
             corpus = gen_corpus(args.n_tokens, args.scam_fraction, windows,
@@ -308,11 +293,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
         for temp in (fixture + ".tmp", labels + ".tmp"):
             if os.path.exists(temp):
                 os.remove(temp)
-    _write_manifest(manifest_path, "synth", _config_from_args(args),
-                    corpus=corpus)
     print(f"generated {corpus['total_events']} events for {args.n_tokens} tokens "
           f"x {len(windows)} window(s) in {args.out_dir}")
-    return 0
+    return {"corpus": corpus}
 
 
 _BOOL_WORDS = dict.fromkeys(("1", "true", "yes"), True) | dict.fromkeys(("0", "false", "no"), False)
@@ -329,13 +312,13 @@ _KINDS = {
 }
 
 
-def cmd_replay(args: argparse.Namespace) -> int:
+def _replayed(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
     manifest = _read_manifest(args.manifest)
     command = manifest.get("command")
-    if command not in _DISPATCH or command == "replay":
+    if command not in _DISPATCH:
         raise ValueError(f"manifest does not name a replayable command: {command!r}")
     config = dict(manifest["config"])
-    subcommands = next(a for a in build_parser()._actions if a.dest == "command")
+    subcommands = next(a for a in parser._actions if a.dest == "command")
     options = {action.dest: action for action in subcommands.choices[command]._actions
                if action.dest != "help"}
     missing = [dest for dest in options if dest not in config]
@@ -361,8 +344,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             raise ValueError(f"{key} {value!r} is not {kind}")
         if action.choices is not None and value not in action.choices:
             raise ValueError(f"{key} {value!r} is not one of {list(action.choices)}")
-    replay_args = argparse.Namespace(command=command, **config)
-    return _DISPATCH[command](replay_args)
+    return argparse.Namespace(command=command, **config)
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +455,6 @@ _DISPATCH = {
     "crosseval": cmd_crosseval,
     "scan": cmd_scan,
     "synth": cmd_synth,
-    "replay": cmd_replay,
 }
 
 
@@ -481,7 +462,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        if args.command == "replay":
+            args = _replayed(parser, args)
+        extra = _DISPATCH[args.command](args)
+        _write_manifest(_manifest_path(args), args.command, _config_from_args(args), **extra)
+        return 0
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count, groupby
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -321,26 +321,29 @@ def _columns(text: str) -> list[list] | None:
     return None
 
 
-def _fixture_columns(path: str | os.PathLike) -> Iterator[list[list]]:
-    """A fixture file's lines as column blocks of about 12K characters, in
-    file order (16K left more of the C heap fragmented, a higher peak RSS)."""
-    # a byte that is not UTF-8 decodes to a lone surrogate, which fails its line's check
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        line_no = 1
-        while lines := handle.read(12_288) + handle.readline():  # whole lines
-            columns = _columns(lines)
-            if columns is None:  # read again line by line, for the first bad line's error
-                for line_no, line in enumerate(lines.split("\n"), line_no):
-                    if _columns(line) is None:
-                        raise _diagnose_fixture_line(line_no, line)
-            yield columns
-            line_no += lines.count("\n")
+# a byte that is not UTF-8 decodes to a lone surrogate, which fails its line's check
+_FIXTURE_TEXT = {"encoding": "utf-8", "errors": "surrogateescape"}
+
+
+def _fixture_columns(handle: TextIO) -> Iterator[list[list]]:
+    """An open fixture's lines as column blocks of about 12K characters, in file
+    order (16K left more of the C heap fragmented, a higher peak RSS)."""
+    line_no = 1
+    while lines := handle.read(12_288) + handle.readline():  # whole lines
+        columns = _columns(lines)
+        if columns is None:  # read again line by line, for the first bad line's error
+            for line_no, line in enumerate(lines.split("\n"), line_no):
+                if _columns(line) is None:
+                    raise _diagnose_fixture_line(line_no, line)
+        yield columns
+        line_no += lines.count("\n")
 
 
 def read_fixture(path: str | os.PathLike) -> Iterator[TransferEvent]:
     """Yield transfers from a fixture file in file order, validating each line."""
-    for columns in _fixture_columns(path):
-        yield from map(TransferEvent._make, zip(*columns))
+    with open(path, **_FIXTURE_TEXT) as handle:
+        for columns in _fixture_columns(handle):
+            yield from map(TransferEvent._make, zip(*columns))
 
 
 def write_fixture(events: Iterable[TransferEvent], path: str | os.PathLike) -> int:
@@ -493,12 +496,22 @@ def iter_window_groups(
     Windowing only groups: a batch keeps its transfers' input order, and
     ``build_graphs`` orders edges.  Windows must be contiguous, as every
     fetched or generated fixture's are; interleaved windows raise ValueError.
+    The width is checked and the fixture opened on the call, not on the first pair.
     """
     if width < 1:
         raise ValueError("window width must be >= 1 block")
-    done: set[int] = set()
-    for index, runs in groupby(_window_runs(_fixture_columns(path), width), key=itemgetter(0)):
-        if index in done:
-            raise ValueError("fixture windows are interleaved; sort the fixture by block")
-        done.add(index)
-        yield BlockWindow(index * width, (index + 1) * width), _intern_window(runs)
+    windows = _contiguous_windows(open(path, **_FIXTURE_TEXT), width)
+    next(windows)  # inside its ``with`` now, the fixture closes with the generator
+    return windows
+
+
+def _contiguous_windows(handle: TextIO, width: int) -> Iterator[tuple[BlockWindow, WindowBatch]]:
+    with handle:
+        yield  # the first step, taken by iter_window_groups
+        done: set[int] = set()
+        for index, runs in groupby(_window_runs(_fixture_columns(handle), width),
+                                   key=itemgetter(0)):
+            if index in done:
+                raise ValueError("fixture windows are interleaved; sort the fixture by block")
+            done.add(index)
+            yield BlockWindow(index * width, (index + 1) * width), _intern_window(runs)

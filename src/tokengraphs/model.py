@@ -260,11 +260,13 @@ def save_model(model: Model, path: str | os.PathLike) -> None:
 
 
 def load_model(path: str | os.PathLike) -> Model:
-    entries: dict[str, str] = {}
+    entries = dict([MODEL_HEADER.split(": ")])  # the header is the first key's line
     for line_no, line in read_rows(path, MODEL_HEADER, "model", ModelFormatError):
         key, colon, value = line.partition(": ")
         if not colon:
             raise ModelFormatError(f"line {line_no}: malformed model line: {key!r}")
+        if key in entries:
+            raise ModelFormatError(f"line {line_no}: duplicate model key: {key!r}")
         entries[key] = value
     missing = [key for key, _, _ in _MODEL_KEYS if key not in entries]
     if missing:

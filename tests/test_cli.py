@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import builtins
 import contextlib
 import errno
@@ -13,7 +14,7 @@ import tempfile
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tokengraphs.cli as cli_mod
@@ -264,6 +265,19 @@ def test_features_export_dir_below_a_file_exits_2_before_the_fixture_is_read(tmp
                  "--export-graphs", str(tmp_path / "F" / "graphs")]) == 2
     assert "Not a directory" in one_error_line(capsys)
     assert sorted(path.name for path in tmp_path.iterdir()) == ["F", "bad2.tsv"]
+
+
+def test_features_input_error_makes_no_export_dir(tmp_path, capsys):
+    fixture = tmp_path / "one.tsv"
+    fixture.write_text(format_fixture_line(make_event()) + "\n")
+    for export, args, named in (("G", ["--fixture", str(fixture), "--window-width", "0"],
+                                 "window width must be >= 1 block"),
+                                ("H", ["--fixture", str(tmp_path / "missing.tsv")],
+                                 "No such file")):
+        assert main(["features", *args, "--out", str(tmp_path / "f.csv"),
+                     "--export-graphs", str(tmp_path / export)]) == 2
+        assert named in one_error_line(capsys)
+    assert [path.name for path in tmp_path.iterdir()] == ["one.tsv"]
 
 
 def test_features_device_error_exits_3(tmp_path, monkeypatch, capsys):
@@ -530,11 +544,14 @@ _NUMERIC_MODEL_KEYS = {"intercept", "coefficients", "means", "stds", "lambda", "
 @given(spoil=st.sampled_from(("drop", "duplicate", "empty", "word", "nan", "inf", "extra",
                               "colon", "byte")),
        index=st.integers(0, 13), at=st.integers(0, 200), number=st.floats())
+@example(spoil="duplicate", index=0, at=0, number=0.0)  # the header line
+@example(spoil="duplicate", index=2, at=0, number=0.0)  # intercept
 def test_scan_of_a_model_file_with_one_spoiled_line_exits_0_or_2(tables, spoil, index, at,
                                                                  number):
     """One line of a saved reduced model is dropped, duplicated, given an
     empty, non-number, nan or inf value or one entry too many, loses its
-    ``": "`` or gains a byte that is not UTF-8."""
+    ``": "`` or gains a byte that is not UTF-8.  A duplicated line, the header
+    included, repeats a key: exit 2 naming the second copy's line."""
     lines = tables["model"].read_bytes().splitlines(keepends=True)
     line = lines[index]
     key, _, value = line.partition(b": ")
@@ -556,6 +573,9 @@ def test_scan_of_a_model_file_with_one_spoiled_line_exits_0_or_2(tables, spoil, 
     assert "Traceback" not in err.getvalue()
     errors = err.getvalue().splitlines()
     assert len(errors) == (code == 2) and all(line.startswith("error: ") for line in errors)
+    if spoil == "duplicate":
+        assert code == 2 and errors[0].startswith(
+            f"error: line {index + 2}: duplicate model key: {key.decode()!r}")
     if spoil == "byte":
         assert "codec" not in err.getvalue()
         if key.decode() in _NUMERIC_MODEL_KEYS:
@@ -1329,3 +1349,129 @@ def test_replay_set_outside_an_options_choices_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "'bogus'" in err[0]
     assert not second.exists()
+
+
+# every command's run, inputs under "@in" (the ``tables`` corpus) and outputs
+# under "@out", with the manifest path ``main`` writes by default
+_RUNS = {
+    "synth": (["synth", "--out-dir", "@out/corpus", "--n-tokens", "12", "--seed", "5"],
+              "corpus/manifest.json"),
+    "features": (["features", "--fixture", "@in/fixture.tsv", "--out", "@out/f.csv",
+                  "--export-graphs", "@out/graphs", "--histogram-out", "@out/h.csv"],
+                 "f.csv.manifest.json"),
+    "train": (["train", "--features", "@in/features.csv", "--labels", "@in/labels.csv",
+               "--min-nodes", "0", "--model-out", "@out/model.txt"],
+              "model.txt.manifest.json"),
+    "cv": (["cv", "--features", "@in/features.csv", "--labels", "@in/labels.csv",
+            "--min-nodes", "0", "--out", "@out/cv.csv", "--roc-out", "@out/roc"],
+           "cv.csv.manifest.json"),
+    "crosseval": (["crosseval", "--train-features", "@in/features.csv",
+                   "--train-labels", "@in/labels.csv", "--min-nodes", "0",
+                   "--eval", "@in/features.csv", "@in/labels.csv",
+                   "--out", "@out/cross.csv", "--roc-out", "@out/roc"],
+                  "cross.csv.manifest.json"),
+    "scan": (["scan", "--model", "@in/reduced.txt", "--features", "@in/features.csv",
+              "--out", "@out/scan.csv"],
+             "scan.csv.manifest.json"),
+    "fetch": (["fetch", "--start", "100", "--end", "110", "--chunk", "5",
+               "--out", "@out/fetched.tsv", "--endpoint", "http://fake", "--rpc-backoff", "0"],
+              "fetched.tsv.manifest.json"),
+}
+
+
+def _run_argv(command, tables, out) -> list[str]:
+    inputs = str(tables["features"].parent)
+    return [arg.replace("@in", inputs).replace("@out", str(out)) for arg in _RUNS[command][0]]
+
+
+def _fake_fetch_provider(monkeypatch):
+    import tokengraphs.ingest as ingest_mod
+
+    logs = [rpc_entry(100, 0), rpc_entry(103, 1), rpc_entry(106, 0), rpc_entry(108, 2)]
+    monkeypatch.setattr(ingest_mod, "_requests_transport", FakeProvider(logs))
+
+
+def _files(root: pathlib.Path) -> dict[str, bytes]:
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+@pytest.mark.parametrize("command", _RUNS)
+def test_replay_rewrites_every_output_and_manifest_byte_identically(tables, tmp_path,
+                                                                     monkeypatch, command):
+    _fake_fetch_provider(monkeypatch)
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(_run_argv(command, tables, out)) == 0
+    first = _files(out)
+    assert _RUNS[command][1] in first and len(first) > 1
+    recorded = tmp_path / "recorded.json"
+    recorded.write_bytes(first[_RUNS[command][1]])
+    for path in out.rglob("*"):  # a replay that wrote nothing would pass otherwise
+        if path.is_file():
+            path.write_bytes(b"")
+    assert main(["replay", str(recorded)]) == 0
+    assert _files(out) == first
+
+
+@pytest.mark.parametrize("command", _RUNS)
+def test_each_command_writes_its_manifest_once_at_its_default_path(tables, tmp_path,
+                                                                   monkeypatch, command):
+    _fake_fetch_provider(monkeypatch)
+    write_manifest, written = cli_mod._write_manifest, []
+
+    def recording(path, name, config, **extra):
+        state = extra.get("state")  # fetch updates its one state dict in place
+        written.append((path, name, state and dict(state)))
+        write_manifest(path, name, config, **extra)
+
+    monkeypatch.setattr(cli_mod, "_write_manifest", recording)
+    assert main(_run_argv(command, tables, tmp_path)) == 0
+    path = str(tmp_path / _RUNS[command][1])
+    if command != "fetch":
+        assert written == [(path, command, None)]
+        return
+    # the state at the start, after each of the two chunks, and at the end
+    assert [(p, name, state["completed_through"], state["finished"])
+            for p, name, state in written] == [(path, "fetch", 100, False),
+                                               (path, "fetch", 105, False),
+                                               (path, "fetch", 110, False),
+                                               (path, "fetch", 110, True)]
+
+
+def test_only_main_and_fetch_write_a_manifest():
+    with open(cli_mod.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    callers = {function.name for function in ast.walk(tree)
+               if isinstance(function, ast.FunctionDef)
+               for node in ast.walk(function)
+               if isinstance(node, ast.Name) and node.id in ("_write_manifest", "_manifest_path")}
+    assert callers == {"main", "cmd_fetch"}
+    assert "replay" not in cli_mod._DISPATCH
+
+
+@pytest.mark.parametrize("failure", ["single-class-train", "cv-k-above-a-class",
+                                     "scan-with-a-full-model"])
+def test_a_failed_run_writes_no_manifest(tables, tmp_path, capsys, failure):
+    features, labels = str(tables["features"]), str(tables["labels"])
+    lines = tables["labels"].read_text().splitlines()
+    one_class = tmp_path / "clean.csv"
+    one_class.write_text("\n".join([lines[0]] + [line.rsplit(",", 1)[0] + ",0"
+                                                 for line in lines[1:]]) + "\n")
+    full = tmp_path / "full.txt"
+    assert main(["train", "--features", features, "--labels", labels, "--min-nodes", "0",
+                 "--model-out", str(full)]) == 0
+    os.remove(str(full) + ".manifest.json")
+    capsys.readouterr()
+    argv = {
+        "single-class-train": ["train", "--features", features, "--labels", str(one_class),
+                               "--min-nodes", "0", "--model-out", str(tmp_path / "m.txt")],
+        "cv-k-above-a-class": ["cv", "--features", features, "--labels", labels,
+                               "--min-nodes", "0", "--k", "40",
+                               "--out", str(tmp_path / "cv.csv")],
+        "scan-with-a-full-model": ["scan", "--model", str(full), "--features", features,
+                                   "--out", str(tmp_path / "scan.csv")],
+    }[failure]
+    assert main(argv) == 2
+    one_error_line(capsys)
+    assert list(tmp_path.glob("*.manifest.json")) == []
