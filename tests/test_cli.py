@@ -417,6 +417,25 @@ def test_train_warns_when_max_iters_is_reached(corpus, capsys):
     assert load_model(model_path).iterations == 5
 
 
+def test_train_warns_only_when_max_iters_stops_it_short_of_tolerance(corpus, capsys):
+    """A cap equal to the fit's natural iteration count changes nothing and
+    warns of nothing; one step less is a fit that did not converge."""
+    args = ["train", "--features", str(corpus["features"]), "--labels", str(corpus["labels"]),
+            "--model-out", str(corpus["tmp"] / "model.txt")]
+    assert main(args) == 0
+    natural = load_model(corpus["tmp"] / "model.txt")
+    capsys.readouterr()
+    assert main(args + ["--max-iters", str(natural.iterations)]) == 0
+    assert "without converging" not in capsys.readouterr().err
+    capped = load_model(corpus["tmp"] / "model.txt")
+    assert (capped.iterations, capped.final_loss) == (natural.iterations, natural.final_loss)
+    assert capped.coefficients.tolist() == natural.coefficients.tolist()
+    assert main(args + ["--max-iters", str(natural.iterations - 1)]) == 0
+    assert capsys.readouterr().err == (
+        f"warning: gradient descent stopped at --max-iters {natural.iterations - 1} "
+        "without converging\n")
+
+
 @pytest.mark.parametrize("command", ["cv", "crosseval"])
 def test_cv_and_crosseval_warn_when_max_iters_is_reached(corpus, capsys, command):
     features, labels = str(corpus["features"]), str(corpus["labels"])
@@ -434,7 +453,9 @@ def test_cv_and_crosseval_warn_when_max_iters_is_reached(corpus, capsys, command
 def test_train_warns_of_over_threshold_tokens_without_a_label(corpus, capsys):
     big = next(fv.token for fv in read_feature_table(corpus["features"]) if fv.num_nodes > 500)
     labels = corpus["tmp"] / "labels.csv"
-    labels.write_text("".join(line for line in open(corpus["labels"]) if big not in line))
+    kept = [line for line in corpus["labels"].read_text().splitlines(keepends=True)
+            if big not in line]
+    labels.write_text("".join(kept))
     capsys.readouterr()
     assert main(["train", "--features", str(corpus["features"]), "--labels", str(labels),
                  "--model-out", str(corpus["tmp"] / "model.txt")]) == 0
@@ -541,22 +562,25 @@ _NUMERIC_MODEL_KEYS = {"intercept", "coefficients", "means", "stds", "lambda", "
 
 
 @settings(max_examples=80, deadline=None)
-@given(spoil=st.sampled_from(("drop", "duplicate", "empty", "word", "nan", "inf", "extra",
-                              "colon", "byte")),
+@given(spoil=st.sampled_from(("drop", "duplicate", "misspelt", "empty", "word", "nan", "inf",
+                              "extra", "colon", "byte")),
        index=st.integers(0, 13), at=st.integers(0, 200), number=st.floats())
 @example(spoil="duplicate", index=0, at=0, number=0.0)  # the header line
 @example(spoil="duplicate", index=2, at=0, number=0.0)  # intercept
+@example(spoil="misspelt", index=2, at=0, number=0.0)  # 'intercep'
 def test_scan_of_a_model_file_with_one_spoiled_line_exits_0_or_2(tables, spoil, index, at,
                                                                  number):
     """One line of a saved reduced model is dropped, duplicated, given an
     empty, non-number, nan or inf value or one entry too many, loses its
-    ``": "`` or gains a byte that is not UTF-8.  A duplicated line, the header
-    included, repeats a key: exit 2 naming the second copy's line."""
+    ``": "`` or gains a byte that is not UTF-8, or a copy of it with its key
+    misspelt follows it.  A duplicated line, the header included, repeats a
+    key, and a misspelt one is no model key: exit 2 naming the copy's line."""
     lines = tables["model"].read_bytes().splitlines(keepends=True)
     line = lines[index]
     key, _, value = line.partition(b": ")
     lines[index] = {
-        "drop": b"", "duplicate": line * 2, "empty": key + b": \n", "word": key + b": x\n",
+        "drop": b"", "duplicate": line * 2, "misspelt": line + key[:-1] + b": " + value,
+        "empty": key + b": \n", "word": key + b": x\n",
         "nan": key + b": nan\n", "inf": key + b": inf\n",
         "extra": line[:-1] + b"," + repr(number).encode() + b"\n",
         "colon": key + value,
@@ -576,6 +600,9 @@ def test_scan_of_a_model_file_with_one_spoiled_line_exits_0_or_2(tables, spoil, 
     if spoil == "duplicate":
         assert code == 2 and errors[0].startswith(
             f"error: line {index + 2}: duplicate model key: {key.decode()!r}")
+    if spoil == "misspelt":
+        assert code == 2 and errors[0].startswith(
+            f"error: line {index + 2}: unknown model key: {key[:-1].decode()!r}")
     if spoil == "byte":
         assert "codec" not in err.getvalue()
         if key.decode() in _NUMERIC_MODEL_KEYS:
@@ -768,7 +795,7 @@ def test_fetch_writes_fixture_via_fake_transport(tmp_path, monkeypatch):
     assert code == 0
     text = out.read_text().splitlines()
     assert len(text) == 2
-    manifest = json.loads(open(str(out) + ".manifest.json").read())
+    manifest = json.loads(pathlib.Path(str(out) + ".manifest.json").read_text())
     assert manifest["state"]["finished"] is True
     assert manifest["state"]["completed_through"] == 110
 
@@ -795,7 +822,7 @@ def test_fetch_resume_skips_completed_chunks(tmp_path, monkeypatch):
             "--out", str(out), "--endpoint", "http://fake",
             "--rpc-retries", "0", "--rpc-backoff", "0"]
     assert main(args) == 3  # outage after the first chunk
-    manifest = json.loads(open(str(out) + ".manifest.json").read())
+    manifest = json.loads(pathlib.Path(str(out) + ".manifest.json").read_text())
     assert manifest["state"]["completed_through"] == 105
 
     flaky.outage = False
@@ -844,7 +871,7 @@ def test_fetch_resume_after_a_crash_between_chunk_and_state(tmp_path, monkeypatc
     assert states == [100, 105, 110]
     with open(out, "ab") as handle:  # and a write torn by the crash
         handle.write(b"0x" + b"a" * 40 + b"\t0x12")
-    manifest = json.loads(open(str(out) + ".manifest.json").read())
+    manifest = json.loads(pathlib.Path(str(out) + ".manifest.json").read_text())
     assert manifest["state"]["completed_through"] == 105
     assert manifest["state"]["committed_bytes"] < out.stat().st_size
 
@@ -853,7 +880,7 @@ def test_fetch_resume_after_a_crash_between_chunk_and_state(tmp_path, monkeypatc
     assert out.read_bytes() == reference.read_bytes()
     lines = out.read_text().splitlines()
     assert len(lines) == len(set(lines)) == len(logs)
-    manifest = json.loads(open(str(out) + ".manifest.json").read())
+    manifest = json.loads(pathlib.Path(str(out) + ".manifest.json").read_text())
     assert manifest["state"]["committed_bytes"] == out.stat().st_size
 
 
@@ -868,7 +895,7 @@ def test_fetch_resume_refuses_a_fixture_shorter_than_its_state(tmp_path, monkeyp
             "--out", str(out), "--endpoint", "http://fake", "--rpc-backoff", "0"]
     assert main(args) == 0
     manifest_path = str(out) + ".manifest.json"
-    manifest = json.loads(open(manifest_path).read())
+    manifest = json.loads(pathlib.Path(manifest_path).read_text())
     manifest["state"].update(completed_through=105, finished=False)
     with open(manifest_path, "w") as handle:
         json.dump(manifest, handle)
@@ -1336,7 +1363,7 @@ def test_replay_set_parses_each_word_as_its_option_does(corpus):
     assert main(["replay", str(first) + ".manifest.json", "--set", "log_amount=Yes",
                  "--set", "max_iters=7", "--set", "lam=0.25",
                  "--set", f"model_out={second}"]) == 0
-    config = json.loads(open(str(second) + ".manifest.json").read())["config"]
+    config = json.loads(pathlib.Path(str(second) + ".manifest.json").read_text())["config"]
     assert (config["log_amount"], config["max_iters"], config["lam"]) == (True, 7, 0.25)
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tokengraphs.dataset import LabeledDataset
@@ -198,6 +198,67 @@ def test_kernel_equals_the_straight_oracle_bitwise(case):
         fresh_loss, fresh_grad = _objective(matrix, labels, lam)(p)
         assert fresh_loss == want_loss
         assert np.array_equal(fresh_grad, want_grad)
+
+
+@settings(max_examples=150, deadline=None)
+@given(objectives())
+def test_descent_step_has_the_oracle_gradient_and_a_near_exact_check_loss(case):
+    matrix, labels, lam, params = case
+    step = _objective(matrix, labels, lam)
+    for p in params:
+        loss, grad = step(p, exact=False)
+        want_loss, want_grad = straight_loss_and_gradient(p, matrix, labels, lam)
+        assert np.array_equal(grad, want_grad)
+        assert abs(loss - want_loss) <= 1e-14 * max(1.0, abs(want_loss))
+
+
+def test_final_loss_is_the_exact_loss_at_the_final_parameters():
+    # at this fit's last parameters the check loss is an ulp under the exact one
+    # (numpy 2.4 on x86-64), so a final_loss taken from the check loss fails
+    rng = np.random.default_rng(22)
+    matrix = rng.normal(size=(40, 3)) * 5.0 + 2.0
+    labels = np.arange(40) % 2
+    model = train_matrix(matrix, labels, ("a", "b", "c"), TrainConfig(max_iters=50))
+    params = np.concatenate([[model.intercept], model.coefficients])
+    scaled = _zscore(matrix, model.means, model.stds)
+    exact, _ = straight_loss_and_gradient(params, scaled, labels.astype(float), 1.0)
+    assert model.final_loss == exact
+
+
+def _first_rise(history: list[float]) -> int | None:
+    """The first iteration whose loss exceeds the one before by more than
+    ``train_matrix``'s slack (a nan counts), or None."""
+    for i in range(1, len(history)):
+        previous = history[i - 1]
+        if not history[i] <= previous + 1e-12 * max(1.0, abs(previous)):
+            return i
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(objectives(), st.one_of(st.just(1e308), st.floats(2.0, 1e308), st.floats(2.0, 60.0)),
+       st.integers(0, 6))
+@example(case=(np.arange(12.0).reshape(6, 2) % 5, None, 0.0, None), learning_rate=1e308,
+         seed=0)  # the loss turns nan at the first step
+def test_a_diverging_fit_names_the_oracle_loop_s_first_rise(case, learning_rate, seed):
+    matrix, _, lam, _ = case
+    assume(matrix.shape[0] >= 2)
+    labels = np.arange(matrix.shape[0]) % 2
+    config = TrainConfig(lam=lam, learning_rate=learning_rate, max_iters=40,
+                         tolerance=1e-9, seed=seed)
+    means, stds = matrix.mean(axis=0), matrix.std(axis=0)
+    scaled = (matrix - means) / np.where(stds == 0.0, 1.0, stds)
+    start = np.random.default_rng(seed).normal(0.0, 0.01, size=matrix.shape[1] + 1)
+    names = tuple(f"f{i}" for i in range(matrix.shape[1]))
+    with np.errstate(all="ignore"):
+        history, _ = straight_descent(scaled, labels.astype(float), start, lam,
+                                      learning_rate, config.max_iters, config.tolerance)
+        rise = _first_rise(history)
+        if rise is None:
+            train_matrix(matrix, labels, names, config)
+        else:
+            with pytest.raises(TrainingError, match=f"^loss increased at iteration {rise};"):
+                train_matrix(matrix, labels, names, config)
 
 
 def test_returned_gradient_is_not_overwritten_by_a_later_call():
