@@ -3,8 +3,9 @@
 Nothing here is stochastic beyond the seeded coefficient initialization, so
 training is reproducible bit-for-bit from its config.  Features are
 z-scored before descent; raw amounts reach 1e21 and make unscaled descent
-numerically hopeless.  Each step checks for a rising loss computed from the
-sigmoid's own ``exp(-|z|)``; ``final_loss`` is the exact ``logaddexp`` loss.
+numerically hopeless.  A step whose size the descent lemma shows cannot
+raise the loss computes none; otherwise each step checks the exact loss for a
+rise.  ``final_loss`` is the exact ``logaddexp`` loss at the final parameters.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ def _zscore(matrix: np.ndarray, means: np.ndarray, stds: np.ndarray) -> np.ndarr
 def _objective(matrix: np.ndarray, labels: np.ndarray, lam: float):
     """The loss-and-gradient step for one fit, checked and allocated once.
 
-    Returns ``step(params, exact=True) -> (loss, grad)``: the mean negative
+    Returns ``step(params, with_loss=True) -> (loss, grad)``: the mean negative
     log-likelihood plus ``lam/(2k) * beta@beta`` over the k feature weights
     ``beta = params[1:]`` (the intercept ``params[0]`` is not penalized, and
     dividing by k keeps the objective invariant under row replication), and
@@ -110,9 +111,8 @@ def _objective(matrix: np.ndarray, labels: np.ndarray, lam: float):
     + lam/(2k) * beta@beta`` and ``grad = [mean(r), matrix.T @ r / n + lam/k *
     beta]``; log-sum-exp keeps both finite for any z.  Every expression and
     its order match that plain form, so results are bit-identical to it.
-    ``exact=False`` gives the check loss that descent compares instead: softplus
-    as ``max(z, 0) + log1p(e)`` from the sigmoid's ``e = exp(-|z|)``, an ulp or
-    so from the exact loss at a fraction of the cost, and the same gradient.
+    ``with_loss=False`` skips the loss, a scalar libm loop that costs about
+    half a step, and returns ``(None, grad)`` with the same gradient.
     ``grad`` is a buffer the next call overwrites.
     """
     n_rows, n_feat = matrix.shape
@@ -122,7 +122,7 @@ def _objective(matrix: np.ndarray, labels: np.ndarray, lam: float):
         raise ValueError("lam must be nonnegative")
     penalty, slope = lam / (2.0 * n_feat), lam / n_feat
     matrix_t = matrix.T  # a view: a contiguous copy may change BLAS summation order
-    z, e, row, scratch = (np.empty(n_rows) for _ in range(4))
+    z, e, row = (np.empty(n_rows) for _ in range(3))
     nonneg = np.empty(n_rows, dtype=bool)
     k_vector, grad = np.empty(n_feat), np.empty(n_feat + 1)
     grad_beta = grad[1:]
@@ -131,24 +131,18 @@ def _objective(matrix: np.ndarray, labels: np.ndarray, lam: float):
     # ufuncs are looked up once per fit rather than on every call, and products
     # go through np.dot, which makes the same BLAS calls as ``@`` at less cost
     dot, add, subtract, multiply = np.dot, np.add, np.subtract, np.multiply
-    logaddexp, log1p, maximum, divide = np.logaddexp, np.log1p, np.maximum, np.divide
-    absolute, negative, exp, add_reduce = np.absolute, np.negative, np.exp, np.add.reduce
+    logaddexp, divide, absolute, negative = np.logaddexp, np.divide, np.absolute, np.negative
+    exp, add_reduce = np.exp, np.add.reduce
 
-    def step(params: np.ndarray, exact: bool = True) -> tuple[float, np.ndarray]:
+    def step(params: np.ndarray, with_loss: bool = True) -> tuple[float | None, np.ndarray]:
         beta = params[1:]
         dot(matrix, beta, out=z)
         add(z, params[0], out=z)
+        loss = None
+        if with_loss:  # mean NLL: softplus(z) - y*z
+            subtract(logaddexp(0.0, z, out=row), multiply(labels, z, out=e), out=row)
+            loss = float(add_reduce(row) / n_rows) + penalty * float(dot(beta, beta))
         exp(negative(absolute(z, out=e), out=e), out=e)
-        # mean NLL: softplus(z) - y*z, with softplus(z) = max(z, 0) + log1p(e)
-        if exact:
-            logaddexp(0.0, z, out=row)  # a scalar libm loop, which descent steps skip
-        else:
-            add(log1p(e, out=row), maximum(z, 0.0, out=scratch), out=row)
-        multiply(labels, z, out=scratch)
-        subtract(row, scratch, out=row)
-        nll = float(add_reduce(row) / n_rows)
-        loss = nll + penalty * float(dot(beta, beta))
-
         residual = subtract(_sigmoid_into(z, e, row, nonneg), labels, out=row)
         grad[0] = add_reduce(residual) / n_rows
         dot(matrix_t, residual, out=k_vector)
@@ -175,20 +169,23 @@ def train_matrix(
     if matrix.ndim != 2 or matrix.shape[0] < 1:
         raise ValueError("z-scoring needs at least one row")
     means, stds = matrix.mean(axis=0), matrix.std(axis=0)  # population (divide by n)
+    params = np.random.default_rng(config.seed).normal(0.0, 0.01, size=matrix.shape[1] + 1)
 
-    rng = np.random.default_rng(config.seed)
-    params = rng.normal(0.0, 0.01, size=matrix.shape[1] + 1)
-
-    step = _objective(_zscore(matrix, means, stds), y, config.lam)
-    iterations = 0
-    loss, grad = step(params, exact=False)
-    while not (converged := float(np.abs(grad).max()) < config.tolerance) \
+    scaled = _zscore(matrix, means, stds)
+    step, (n_rows, n_feat) = _objective(scaled, y, config.lam), scaled.shape
+    # L bounds the objective's Hessian by its trace (the sigmoid's slope is at most
+    # 1/4), so by the descent lemma a step with lr * L < 1 cannot raise the loss and
+    # none is computed; a nan L (from a nan or inf cell) keeps the check on
+    lipschitz = 0.25 * (1.0 + float(np.vdot(scaled, scaled)) / n_rows) + config.lam / n_feat
+    check = not config.learning_rate * lipschitz < 1.0
+    iterations, (loss, grad) = 0, step(params, check)
+    buf = np.empty_like(grad)  # |grad|, then lr * grad, without a fresh array per step
+    while not (converged := float(np.absolute(grad, out=buf).max()) < config.tolerance) \
             and iterations < config.max_iters:
         iterations += 1
-        params = params - config.learning_rate * grad
-        previous = loss
-        loss, grad = step(params, exact=False)
-        if not loss <= previous + 1e-12 * max(1.0, abs(previous)):  # nan too
+        np.subtract(params, np.multiply(config.learning_rate, grad, out=buf), out=params)
+        previous, (loss, grad) = loss, step(params, check)
+        if check and not loss <= previous + 1e-12 * max(1.0, abs(previous)):  # nan too
             raise TrainingError(f"loss increased at iteration {iterations}; "
                                 "lower the learning rate")
 
