@@ -56,5 +56,5 @@ for window, batch in partition_windows(events).items():
         print(f"  {graph.num_nodes} nodes, {graph.num_edges} edges, "
               f"{comps.count} weak component(s)")
         busiest = int(degree.argmax())
-        print(f"  busiest address {graph.nodes[busiest][-6:]} "
+        print(f"  busiest address {graph.nodes[busiest][-6:].decode()} "
               f"has degree {degree[busiest]}")

@@ -16,17 +16,17 @@ from .ingest import BlockWindow, LimbValues, WindowBatch
 class TokenGraph(LimbValues):
     """Directed multigraph of one token's transfers inside one block window.
 
-    Nodes are lowercase hex addresses; ``nodes[i]`` is the address of node id
-    ``i``.  Edges are stored as parallel arrays ordered by (block, logIndex)
-    of the originating transfers, so parallel edges and self-loops occur
-    as-is.  Edge values are uint64 limbs plus a side dict keyed by edge (see
-    ``LimbValues``; ``values`` makes exact ints on demand), and ``amount`` is
-    their exact sum.
+    Nodes are lowercase hex addresses in ASCII bytes, decoded only for export;
+    ``nodes[i]`` is the address of node id ``i``.  Edges are stored as
+    parallel arrays ordered by (block, logIndex) of the originating
+    transfers, so parallel edges and self-loops occur as-is.  Edge values are
+    uint64 limbs plus a side dict keyed by edge (see ``LimbValues``;
+    ``values`` makes exact ints on demand), and ``amount`` is their exact sum.
     """
 
     token: str
     window: BlockWindow
-    nodes: list[str]
+    nodes: list[bytes]
     edge_from: np.ndarray  # int32 node ids
     edge_to: np.ndarray    # int32 node ids
     blocks: np.ndarray     # int64 block numbers, one per edge
@@ -129,7 +129,7 @@ def weak_components(graph: TokenGraph) -> ComponentSummary:
 def write_edge_list(graph: TokenGraph, out: TextIO) -> None:
     """Dump one graph in the plotting-friendly edge-list format."""
     out.write(f"# token={graph.token} window={graph.window}\n")
-    nodes = graph.nodes
+    nodes = list(map(bytes.decode, graph.nodes))
     for src, dst, value, block in zip(graph.edge_from.tolist(), graph.edge_to.tolist(),
                                       graph.values, graph.blocks.tolist()):
         out.write(f"{nodes[src]}\t{nodes[dst]}\t{value}\t{block}\n")

@@ -16,9 +16,9 @@ import time
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import count, groupby
+from itertools import count, groupby, islice
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -37,9 +37,9 @@ _TXHASH_RE = re.compile(r"^0x[0-9a-f]{64}$")
 _QUANTITY_RE = re.compile(r"0x[0-9a-f]+")
 
 # a block of fixture lines, blank ones included; a failing block is diagnosed per line
-_FIXTURE_LINE = (r"0x[0-9a-f]{40}\t0x[0-9a-f]{40}\t0x[0-9a-f]{40}"
-                 r"\t[0-9]+\t[0-9]+\t[0-9]+\t0x[0-9a-f]{64}")
-_FIXTURE_LINES_RE = re.compile(f"(?:{_FIXTURE_LINE})?+(?:\n(?:{_FIXTURE_LINE})?+)*+")
+_FIXTURE_LINE = (rb"0x[0-9a-f]{40}\t0x[0-9a-f]{40}\t0x[0-9a-f]{40}"
+                 rb"\t[0-9]+\t[0-9]+\t[0-9]+\t0x[0-9a-f]{64}")
+_FIXTURE_LINES_RE = re.compile(b"(?:%s)?+(?:\n(?:%s)?+)*+" % (_FIXTURE_LINE, _FIXTURE_LINE))
 
 # provider messages that mean "narrow the block range", collected from the
 # common public endpoints (infura / alchemy / erigon / nethermind wording)
@@ -282,14 +282,15 @@ def format_fixture_line(event: TransferEvent) -> str:
     return FIXTURE_LINE % event
 
 
-def _decimal(digits: str) -> int:
+def _decimal(digits: bytes) -> int:
     """A decimal field's value, read from at most 79 significant digits: a
     longer value is out of range anyway, and ``int()`` refuses 4,300 digits."""
-    return int(digits.lstrip("0")[:79] or "0")
+    return int(digits.lstrip(b"0")[:79] or b"0")
 
 
-def _diagnose_fixture_line(line_no: int, line: str) -> FixtureParseError:
-    fields = line.split("\t")
+def _diagnose_fixture_line(line_no: int, line: bytes) -> FixtureParseError:
+    # a byte that is not UTF-8 decodes to a lone surrogate, which fails its field's check
+    fields = line.decode("utf-8", "surrogateescape").split("\t")
     if len(fields) != 7:
         return FixtureParseError(line_no, f"expected 7 fields, got {len(fields)}")
     token, from_addr, to_addr, value_s, block_s, index_s, tx_hash = fields
@@ -301,17 +302,17 @@ def _diagnose_fixture_line(line_no: int, line: str) -> FixtureParseError:
     for name, field in (("value", value_s), ("block", block_s), ("logIndex", index_s)):
         if not (field.isascii() and field.isdigit()):
             return FixtureParseError(line_no, f"non-decimal {name}: {field!r}")
-    if _decimal(value_s) > UINT256_MAX:
+    if _decimal(value_s.encode()) > UINT256_MAX:
         return FixtureValueError(line_no, "value out of uint256 range")
     return FixtureValueError(line_no, "block or logIndex out of int64 range")
 
 
-def _columns(text: str) -> list[list] | None:
+def _columns(lines: bytes) -> list[list] | None:
     """The token, from, to, value, block, logIndex and txHash columns of
-    fixture lines ``text``, blank ones allowed; None unless all are valid."""
-    if not _FIXTURE_LINES_RE.fullmatch(text):
+    fixture ``lines``, blank ones allowed; None unless all are valid."""
+    if not _FIXTURE_LINES_RE.fullmatch(lines):
         return None
-    cells = text.split()
+    cells = lines.split()
     try:
         value, block, log_index = (list(map(int, cells[field::7])) for field in (3, 4, 5))
     except ValueError:  # more digits than int() converts
@@ -321,28 +322,41 @@ def _columns(text: str) -> list[list] | None:
     return None
 
 
-# a byte that is not UTF-8 decodes to a lone surrogate, which fails its line's check
-_FIXTURE_TEXT = {"encoding": "utf-8", "errors": "surrogateescape"}
+def _fixture_blocks(handle: BinaryIO) -> Iterator[bytes]:
+    """An open fixture's whole lines, about 12K bytes at a time (16K left more of
+    the C heap fragmented, a higher peak RSS); as in a text read, a ``\\r\\n``
+    or ``\\r`` ends a line as ``\\n`` does."""
+    while lines := handle.read(12_288) + handle.readline():
+        yield lines.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in lines else lines
 
 
-def _fixture_columns(handle: TextIO) -> Iterator[list[list]]:
-    """An open fixture's lines as column blocks of about 12K characters, in file
-    order (16K left more of the C heap fragmented, a higher peak RSS)."""
-    line_no = 1
-    while lines := handle.read(12_288) + handle.readline():  # whole lines
+def _fixture_columns(handle: BinaryIO) -> Iterator[list[list]]:
+    """An open fixture's lines as column blocks, in file order.  Lines are
+    counted only for a failing block's error, by reading the blocks before it
+    again (from a pipe, as they go)."""
+    piped, blocks, line_no = not handle.seekable(), 0, 1
+    for lines in _fixture_blocks(handle):
         columns = _columns(lines)
         if columns is None:  # read again line by line, for the first bad line's error
-            for line_no, line in enumerate(lines.split("\n"), line_no):
+            if not piped:
+                handle.seek(0)
+                line_no += sum(block.count(b"\n")
+                               for block in islice(_fixture_blocks(handle), blocks))
+            for line_no, line in enumerate(lines.split(b"\n"), line_no):
                 if _columns(line) is None:
                     raise _diagnose_fixture_line(line_no, line)
         yield columns
-        line_no += lines.count("\n")
+        blocks += 1
+        if piped:
+            line_no += lines.count(b"\n")
 
 
 def read_fixture(path: str | os.PathLike) -> Iterator[TransferEvent]:
     """Yield transfers from a fixture file in file order, validating each line."""
-    with open(path, **_FIXTURE_TEXT) as handle:
+    with open(path, "rb") as handle:
         for columns in _fixture_columns(handle):
+            for field in (0, 1, 2, 6):  # token, from, to, txHash
+                columns[field] = list(map(bytes.decode, columns[field]))
             yield from map(TransferEvent._make, zip(*columns))
 
 
@@ -405,13 +419,14 @@ class WindowBatch(LimbValues):
 
     Tokens are interned per window and addresses per token, each numbered in
     order of first appearance: ``tokens[t]`` is the address of token id
-    ``t`` and ``nodes[t][i]`` the address of node ``i`` of that token's graph.
+    ``t`` and ``nodes[t][i]`` the address, in ASCII bytes, of node ``i`` of
+    that token's graph.
     An address that moved two tokens is a node of each, never one shared node.
     No column holds a Python object: values are limbs (see ``LimbValues``).
     """
 
     tokens: list[str]
-    nodes: list[list[str]]
+    nodes: list[list[bytes]]
     token: np.ndarray      # int32 token id of each transfer
     src: np.ndarray        # int32 node id of the sender, within its token
     dst: np.ndarray        # int32 node id of the recipient, within its token
@@ -429,9 +444,9 @@ class WindowBatch(LimbValues):
 _DTYPES = (np.int32,) * 3 + (np.int64,) * 2 + (np.uint64,) * 2
 
 
-def _interner() -> defaultdict[str, int]:
+def _interner() -> defaultdict[bytes, int]:
     """A dict that gives each new key the next id, in order of first lookup."""
-    index: defaultdict[str, int] = defaultdict()
+    index: defaultdict[bytes, int] = defaultdict()
     index.default_factory = index.__len__
     return index
 
@@ -439,11 +454,12 @@ def _interner() -> defaultdict[str, int]:
 def _intern_window(runs: Iterable[tuple[int, list[list]]]) -> WindowBatch:
     """One window's (window index, column block) runs as a WindowBatch.
 
-    Each token has its own small address table, which stays in cache however
-    many addresses the window holds; the tables go when the batch is made.
+    Addresses are bytes keys.  Each token has its own small address table,
+    which stays in cache however many addresses the window holds; the tables
+    go when the batch is made, and token names are decoded then.
     """
     token_ids = _interner()
-    node_ids: list[defaultdict[str, int]] = []  # by token id
+    node_ids: list[defaultdict[bytes, int]] = []  # by token id
     columns = [array(np.dtype(dtype).char) for dtype in _DTYPES]
     token, src, dst, block, log_index, lo, hi = columns
     wide: dict[int, int] = {}
@@ -457,7 +473,7 @@ def _intern_window(runs: Iterable[tuple[int, list[list]]]) -> WindowBatch:
         block.fromlist(blocks)
         log_index.fromlist(log_indexes)
         append_values(lo, hi, wide, values)
-    return WindowBatch(list(token_ids), list(map(list, node_ids)),
+    return WindowBatch(list(map(bytes.decode, token_ids)), list(map(list, node_ids)),
                        *map(np.frombuffer, columns, _DTYPES), wide)
 
 
@@ -468,8 +484,11 @@ def partition_windows(
     if width < 1:
         raise ValueError("window width must be >= 1 block")
     window_of = lambda event: event.block // width
+    # a fixture read's column block: token, from and to as bytes
+    columns = lambda run: [list(map(str.encode, column)) if field < 3 else list(column)
+                           for field, column in enumerate(zip(*run))]
     return {BlockWindow(index * width, (index + 1) * width):
-            _intern_window([(index, list(map(list, zip(*run))))])
+            _intern_window([(index, columns(run))])
             for index, run in groupby(sorted(events, key=window_of), key=window_of)}
 
 
@@ -500,12 +519,12 @@ def iter_window_groups(
     """
     if width < 1:
         raise ValueError("window width must be >= 1 block")
-    windows = _contiguous_windows(open(path, **_FIXTURE_TEXT), width)
+    windows = _contiguous_windows(open(path, "rb"), width)
     next(windows)  # inside its ``with`` now, the fixture closes with the generator
     return windows
 
 
-def _contiguous_windows(handle: TextIO, width: int) -> Iterator[tuple[BlockWindow, WindowBatch]]:
+def _contiguous_windows(handle: BinaryIO, width: int) -> Iterator[tuple[BlockWindow, WindowBatch]]:
     with handle:
         yield  # the first step, taken by iter_window_groups
         done: set[int] = set()

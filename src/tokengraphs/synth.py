@@ -26,7 +26,7 @@ import numpy as np
 from .dataset import write_labels
 from .ingest import FIXTURE_LINE, BlockWindow, WindowBatch, append_values
 
-NULL_ADDRESS = "0x" + "0" * 40
+NULL_ADDRESS = b"0x" + b"0" * 40
 
 LEGITIMATE = "legitimate"
 HONEYPOT_STAR = "honeypot_star"
@@ -80,16 +80,16 @@ class ArchetypeConfig:
         return int(self.kind != LEGITIMATE)
 
 
-def _addresses(namespace: int, first: int, count: int = 1) -> list[str]:
-    """The addresses of ``namespace`` at ``count`` indexes from ``first``
+def _addresses(namespace: int, first: int, count: int = 1) -> list[bytes]:
+    """The ASCII addresses of ``namespace`` at ``count`` indexes from ``first``
     (below 2**80)."""
-    return list(map(f"0x{namespace % (1 << 80):020x}%020x".__mod__,
+    return list(map((b"0x%020x%%020x" % (namespace % (1 << 80))).__mod__,
                     range(first, first + count)))
 
 
 def token_address(seed: int, window_tag: int, token_idx: int) -> str:
     namespace = (seed % (1 << 40)) << 39 | (window_tag << 26) | token_idx | 1 << 79
-    return _addresses(namespace, _TOKEN_INDEX)[0]
+    return _addresses(namespace, _TOKEN_INDEX)[0].decode()
 
 
 def _blocks(rng: np.random.Generator, n: int, cfg: ArchetypeConfig) -> np.ndarray:
@@ -120,14 +120,14 @@ def _values(rng: np.random.Generator, n: int, cfg: ArchetypeConfig) -> list[int]
     return list(map(int, (cfg.value_scale * token_level * draws).tolist()))
 
 
-def _fixture_text(batch: WindowBatch) -> str:
-    """The fixture lines of a one-token batch: one ``%`` over ``FIXTURE_LINE``
-    with the token and the tx-hash prefix written in.  A tx hash is the token
-    address (unique per corpus), then the log index."""
+def _fixture_lines(batch: WindowBatch) -> bytes:
+    """The fixture lines of a one-token batch: one bytes ``%`` over
+    ``FIXTURE_LINE`` with the token and the tx-hash prefix written in.  A tx
+    hash is the token address (unique per corpus), then the log index."""
     token, = batch.tokens
     addresses, = batch.nodes
-    line = (FIXTURE_LINE.replace("%s", token, 1).removesuffix("%s")
-            + f"0x{int(token[2:], 16) % (1 << 128):032x}%032x\n")
+    line = (FIXTURE_LINE.replace("%s", token, 1).removesuffix("%s").encode()
+            + b"0x%032x%%032x\n" % (int(token[2:], 16) % (1 << 128)))
     log_index = batch.log_index.tolist()
     cells = [0] * (6 * len(log_index))
     cells[0::6], cells[1::6] = (map(addresses.__getitem__, ends.tolist())
@@ -135,6 +135,10 @@ def _fixture_text(batch: WindowBatch) -> str:
     cells[2::6], cells[3::6] = batch.values, batch.block.tolist()
     cells[4::6] = cells[5::6] = log_index
     return line * len(log_index) % tuple(cells)
+
+
+def _fixture_text(batch: WindowBatch) -> str:  # as the pinned archetype digests read it
+    return _fixture_lines(batch).decode()
 
 
 @contextmanager
@@ -172,32 +176,74 @@ def _scalar_draws(rng: np.random.Generator):
     bitgen.state = {**bitgen.state, "has_uint32": has_half, "uinteger": half}
 
 
+def _attachments(rng: np.random.Generator, giant: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node k's ``rng.integers(2k - 1)`` and ``rng.random() < 0.5`` for 0 < k <
+    giant, from one ``random_raw`` call: the bounds read half-words as
+    ``_scalar_draws`` does (node 1's reads none), and a coin is its word's top
+    bit being 0.  A half its bound rejects is redrawn there; the replay resumes."""
+    bitgen = rng.bit_generator
+    index, coin = np.zeros(giant, np.int64), np.zeros(giant, bool)
+    first = 1  # the first node not drawn yet
+    while first < giant:
+        state = bitgen.state
+        lead = int(first == 1)  # node 1's coin is the first word
+        step = np.arange(giant + 1 - first - lead)  # the nodes that draw an index, then the end
+        place = step + 1 - state["has_uint32"]  # in the half-words: buffered, low, high, low...
+        start = lead + step + place // 2  # the first word of each
+        words = bitgen.random_raw(int(start[-1]))
+        fresh = words[start[:-1][place[:-1] % 2 == 1]]
+        halves = np.empty(1 + 2 * len(fresh), np.uint64)
+        halves[0], halves[1::2], halves[2::2] = state["uinteger"], fresh & 0xFFFFFFFF, fresh >> 32
+        bound = 2 * (first + lead + step[:-1]).astype(np.uint64) - 1
+        scaled = halves[place[:-1]] * bound  # Lemire: the index is scaled >> 32
+        rejected = np.flatnonzero(scaled & 0xFFFFFFFF < (1 << 32) % bound)
+        stop = int(rejected[0]) if len(rejected) else len(bound)
+        end = first + lead + stop  # the rejected node, or giant
+        index[first + lead:end] = scaled[:stop] >> 32
+        coin_at = np.append(np.zeros(lead, np.int64), start + place % 2)
+        coin[first:end] = words[coin_at[:lead + stop]] < 1 << 63
+        bitgen.advance(int(start[stop]) - len(words))  # back to the end or the rejected node
+        at = int(place[stop])
+        bitgen.state = {**bitgen.state, "has_uint32": 1 - at % 2,
+                        "uinteger": int(halves[at - at % 2])}
+        if end < giant:
+            with _scalar_draws(rng) as (integers, random):
+                index[end], coin[end] = integers(2 * end - 1), random() < 0.5
+        first = end + 1
+    return index, coin
+
+
 def _wire_legitimate(cfg: ArchetypeConfig, rng: np.random.Generator) -> Edges:
     """Giant preferential-attachment component plus 2-5 node satellites."""
     budget = cfg.node_budget
     sat_budget = int(0.18 * budget)
     sat_sizes: list[int] = []
     used = 0
-    edges: Edges = []
-    attach_pool = [0]
-    with _scalar_draws(rng) as (integers, random):
+    with _scalar_draws(rng) as (integers, _random):
         while used + (size := 2 + integers(4)) <= sat_budget:  # rng.integers(2, 6)
             sat_sizes.append(size)
             used += size
-        giant = budget - used
-        for node in range(1, giant):
-            target = attach_pool[integers(len(attach_pool))]
-            edges.append((node, target) if random() < 0.5 else (target, node))
-            attach_pool += (node, target)
+    giant = budget - used
+    # node k attaches to pool[index[k]], where pool[0] = 0, pool[2m - 1] = m and
+    # pool[2m] = node m's target: even indexes link back until an odd one or 0
+    index, coin = _attachments(rng, giant)
+    nodes = np.arange(giant)
+    link = np.where(index % 2 == 1, nodes, index >> 1)
+    jumped = link[link]
+    while (jumped != link).any():
+        link, jumped = jumped, jumped[jumped]
+    target = (index[link] + 1) >> 1
+    edges: Edges = list(zip(np.where(coin, nodes, target)[1:].tolist(),
+                            np.where(coin, target, nodes)[1:].tolist()))
 
     multiplier = cfg.edge_multiplier
     if multiplier is None:
         multiplier = float(rng.uniform(1.05, 1.7))
     extra = max(int((multiplier - 1.0) * giant), 0)
     if extra:
-        pool_arr = np.asarray(attach_pool)
-        src = pool_arr[rng.integers(len(pool_arr), size=extra)]
-        dst = pool_arr[rng.integers(len(pool_arr), size=extra)]
+        pool = np.column_stack((nodes, target)).ravel()[1:]  # 0, 1, target of 1, 2, ...
+        src = pool[rng.integers(len(pool), size=extra)]
+        dst = pool[rng.integers(len(pool), size=extra)]
         edges.extend(zip(src.tolist(), dst.tolist()))
 
     center = giant
@@ -295,7 +341,7 @@ def generate(cfg: ArchetypeConfig) -> WindowBatch:
     ends = np.fromiter(chain.from_iterable(edges), np.int32, 2 * n).reshape(n, 2)[order]
     lo, hi, wide = array("Q"), array("Q"), {}
     append_values(lo, hi, wide, list(map(values.__getitem__, order.tolist())))
-    return WindowBatch([cfg.token or _addresses(namespace, _TOKEN_INDEX)[0]], [addresses],
+    return WindowBatch([cfg.token or _addresses(namespace, _TOKEN_INDEX)[0].decode()], [addresses],
                        np.zeros(n, np.int32), ends[:, 0], ends[:, 1], blocks[order],
                        np.arange(n, dtype=np.int64), np.frombuffer(lo, np.uint64),
                        np.frombuffer(hi, np.uint64), wide)
@@ -369,7 +415,7 @@ def gen_corpus(
 
     labels: dict[str, int] = {}
     total_events = 0
-    with open(fixture_path, "w", encoding="utf-8") as handle:
+    with open(fixture_path, "wb") as handle:
         # tokens are written sequentially inside each window block;
         # build_graphs orders edges by (block, logIndex), so no global merge
         # is needed here
@@ -385,7 +431,7 @@ def gen_corpus(
                                     *_token_rng(seed, window_idx, token_idx))
                 batch = generate(cfg)
                 labels[token] = cfg.label
-                handle.write(_fixture_text(batch))
+                handle.write(_fixture_lines(batch))
                 total_events += len(batch)
 
     write_labels(labels, labels_path)
@@ -441,7 +487,7 @@ def gen_scan_corpus(
                              scam_concentration=profile.scam_concentration,
                              legit_value_scale=profile.value_scale)
 
-    lines: list[str] = []
+    lines: list[bytes] = []
     blocks, log_indexes = [], []
     for token_idx in range(n_tokens):
         child_seed, rng = _token_rng(seed, 7_777, token_idx)
@@ -465,14 +511,14 @@ def gen_scan_corpus(
             cfg = _token_config(kind, window, token, veterans, child_seed, rng,
                                 value_sigma=profile.value_sigma)
         batch = generate(cfg)
-        lines += _fixture_text(batch).splitlines(keepends=True)
+        lines += _fixture_lines(batch).splitlines(keepends=True)
         blocks.append(batch.block)
         log_indexes.append(batch.log_index)
 
     # one stable sort of every token's lines by (block, logIndex)
     order = np.lexsort((np.concatenate(log_indexes),
                         np.concatenate(blocks))).tolist() if lines else []
-    with open(fixture_path, "w", encoding="utf-8") as handle:
+    with open(fixture_path, "wb") as handle:
         handle.writelines(map(lines.__getitem__, order))
     return {
         "format": 1,

@@ -41,11 +41,11 @@ def batch_of(events: list[TransferEvent]) -> WindowBatch:
 
 def batch_rows(batch: WindowBatch) -> list[tuple[str, str, str, int, int, int]]:
     """A batch's transfers as (token, from, to, value, block, logIndex) rows,
-    in batch order."""
+    in batch order, with its bytes node addresses decoded as an event's are."""
     token = batch.token.tolist()
     return list(zip(map(batch.tokens.__getitem__, token),
-                    map(lambda t, i: batch.nodes[t][i], token, batch.src.tolist()),
-                    map(lambda t, i: batch.nodes[t][i], token, batch.dst.tolist()),
+                    map(lambda t, i: batch.nodes[t][i].decode(), token, batch.src.tolist()),
+                    map(lambda t, i: batch.nodes[t][i].decode(), token, batch.dst.tolist()),
                     batch.values, batch.block.tolist(),
                     batch.log_index.tolist()))
 

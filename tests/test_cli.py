@@ -219,7 +219,7 @@ def test_features_bad_line_reads_the_fixture_once(tmp_path, monkeypatch, capsys)
         assert main(["features", "--fixture", str(fixture), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (f"error: line {bad_line}: expected 7 fields, "
                                            f"got 1\n")
-        assert [mode for file, mode in opened if file == str(fixture)] == ["r"]
+        assert [mode for file, mode in opened if file == str(fixture)] == ["rb"]
     assert not out.exists()
 
 
@@ -316,7 +316,7 @@ def test_features_interleaved_windows_are_an_input_error(tmp_path, monkeypatch,
     assert main(["features", "--fixture", str(fixture), "--out", str(out)]) == 2
     assert ("fixture windows are interleaved; sort the fixture by block"
             in capsys.readouterr().err)
-    assert [mode for file, mode in opened if file == str(fixture)] == ["r"]
+    assert [mode for file, mode in opened if file == str(fixture)] == ["rb"]
     assert not out.exists()
 
 

@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import contextlib
 import io
+import os
 import random
+import threading
 from itertools import groupby
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -172,3 +175,108 @@ def test_one_spoiled_line_gives_its_own_error(tmp_path_factory, spoil):
         clean.write_text(_fixture_text(_GOOD, "\n", [], True), encoding="utf-8")
         assert _features(clean, tmp / "clean.csv") == (0, "")
         assert (tmp / "features.csv").read_bytes() == (tmp / "clean.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the exact message of one spoiled line, whatever bytes it holds and wherever it sits
+
+_BASE = [line.encode() for line in _GOOD]
+_FIELDS = ("token", "from", "to", "value", "block", "logIndex", "txHash")
+
+
+def _spoil(index: int, field: int, edit, lines=None) -> bytes:
+    """The base fixture, or ``lines``, with field ``field`` of line ``index``
+    replaced by ``edit(field_bytes)``."""
+    lines = list(lines or _BASE)
+    fields = lines[index].split(b"\t")
+    fields[field] = edit(fields[field])
+    lines[index] = b"\t".join(fields)
+    return b"\n".join(lines) + b"\n"
+
+
+def _second_block_start() -> int:
+    """The index of the first base line of the second read block: a read takes
+    12,288 bytes and the rest of the line they end in."""
+    offset, index = 0, 0
+    while offset <= 12_288:
+        offset += len(_BASE[index]) + 1
+        index += 1
+    return index
+
+
+_SECOND = _second_block_start()
+_SPOILED = {
+    **{f"non-utf8-{name}": _spoil(100 + field, field, lambda cell: cell[:5] + b"\xff" + cell[6:])
+       for field, name in enumerate(_FIELDS)},
+    "non-ascii-digit": _spoil(200, 4, lambda cell: cell[:2] + "٥".encode() + cell[3:]),
+    "crlf": _spoil(1_500, 1, bytes.upper).replace(b"\n", b"\r\n"),
+    "cr-line-ends": _spoil(1_500, 1, bytes.upper).replace(b"\n", b"\r"),
+    "lone-cr": _spoil(300, 2, lambda cell: cell[:10] + b"\r" + cell[10:]),
+    "space": _spoil(400, 3, lambda cell: cell[:1] + b" " + cell[1:]),
+    "nul": _spoil(500, 6, lambda cell: cell[:20] + b"\x00" + cell[21:]),
+    "5000-digit-value": _spoil(600, 3, lambda cell: b"7" * 5_000),
+    "block-2**63": _spoil(700, 4, lambda cell: b"%d" % 2**63),
+    "unended-last-line": b"\n".join(_BASE[:-1] + [_BASE[-1][:100]]),
+    "after-12288-bytes-and-blank-lines": _spoil(
+        _SECOND + 3, 0, bytes.upper, _BASE[:_SECOND] + [b""] * 3 + _BASE[_SECOND:]),
+}
+
+# the stderr of each case, as the per-line text reader printed it
+_SPOILED_ERRORS = {
+    "non-utf8-token":
+        "error: line 101: bad token address: '0x000\\udcff000000000000000000000000000000000002'\n",
+    "non-utf8-from":
+        "error: line 102: bad from address: '0x000\\udcff000000000000000000000000000000000001'\n",
+    "non-utf8-to":
+        "error: line 103: bad to address: '0x000\\udcff000000000000000000000000000000000002'\n",
+    "non-utf8-value": "error: line 104: non-decimal value: '5\\udcff'\n",
+    "non-utf8-block": "error: line 105: non-decimal block: '18000\\udcff99'\n",
+    "non-utf8-logIndex": "error: line 106: non-decimal logIndex: '92233\\udcff2036854775807'\n",
+    "non-utf8-txHash":
+        "error: line 107: bad txHash: "
+        "'0x000\\udcff000000000000000000000000000000000000000000000000000000000265'\n",
+    "non-ascii-digit": "error: line 201: non-decimal block: '18٥00999'\n",
+    "crlf": "error: line 1501: bad from address: '0X0000000000000000000000000000000000000007'\n",
+    "cr-line-ends":
+        "error: line 1501: bad from address: '0X0000000000000000000000000000000000000007'\n",
+    "lone-cr": "error: line 301: expected 7 fields, got 3\n",
+    "space":
+        "error: line 401: non-decimal value: '1 055018772304222617755652845984151840473142274"
+        "9250819432372086892421123836946'\n",
+    "nul":
+        "error: line 501: bad txHash: "
+        "'0x000000000000000000\\x000000000000000000000000000000000000000000003f0'\n",
+    "5000-digit-value": "error: line 601: value out of uint256 range\n",
+    "block-2**63": "error: line 701: block or logIndex out of int64 range\n",
+    "unended-last-line": "error: line 3000: expected 7 fields, got 3\n",
+    "after-12288-bytes-and-blank-lines":
+        "error: line 55: bad token address: '0X0000000000000000000000000000000000000001'\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SPOILED))
+def test_a_spoiled_line_prints_its_pinned_error(tmp_path, case):
+    fixture = tmp_path / "fixture.tsv"
+    fixture.write_bytes(_SPOILED[case])
+    assert _features(fixture, tmp_path / "features.csv") == (2, _SPOILED_ERRORS[case])
+    assert not (tmp_path / "features.csv").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("case", ["crlf", "after-12288-bytes-and-blank-lines"])
+def test_a_spoiled_line_read_from_a_pipe_prints_the_same_error(tmp_path, case):
+    """A pipe cannot be read again, so its lines are counted as they are read."""
+    fixture = tmp_path / "fixture.fifo"
+    os.mkfifo(fixture)
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(fixture, "wb") as pipe:
+            pipe.write(_SPOILED[case])
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        assert _features(fixture, tmp_path / "features.csv") == (2, _SPOILED_ERRORS[case])
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()

@@ -50,7 +50,7 @@ def test_self_transfer_is_a_self_loop():
 def test_nodes_are_exactly_the_endpoints():
     graph = graph_of([("0xa", "0xb"), ("0xb", "0xc")])
     assert sorted(graph.nodes) == sorted(
-        {"0x" + s.rjust(40, "0") for s in ("a", "b", "c")})
+        {b"0x" + s.rjust(40, b"0") for s in (b"a", b"b", b"c")})
 
 
 def test_edges_follow_block_logindex_order():
@@ -132,7 +132,7 @@ def shaped_graphs(draw):
 @given(shaped_graphs())
 def test_weak_components_match_bfs_in_smallest_node_id_order(shaped):
     n, edges = shaped
-    graph = TokenGraph("0x01", WINDOW, [f"0x{i:x}" for i in range(n)],
+    graph = TokenGraph("0x01", WINDOW, [b"0x%x" % i for i in range(n)],
                        np.array([a for a, _ in edges], dtype=np.int32),
                        np.array([b for _, b in edges], dtype=np.int32),
                        np.full(len(edges), WINDOW.start), np.ones(len(edges), np.uint64),
@@ -162,7 +162,7 @@ def test_star_degrees():
     spokes = [("0xhub", f"0x{i:x}") for i in range(1, 6)]
     graph = graph_of(spokes)
     in_deg, out_deg = degree_stats(graph)
-    hub = graph.nodes.index("0x" + "hub".rjust(40, "0"))
+    hub = graph.nodes.index(b"0x" + b"hub".rjust(40, b"0"))
     assert out_deg[hub] == 5 and in_deg[hub] == 0
     assert all(in_deg[i] == 1 for i in range(graph.num_nodes) if i != hub)
 
@@ -170,7 +170,7 @@ def test_star_degrees():
 def test_parallel_edges_count_with_multiplicity():
     graph = graph_of([("0xa", "0xb"), ("0xa", "0xb")])
     _, out_deg = degree_stats(graph)
-    assert out_deg[graph.nodes.index("0x" + "a".rjust(40, "0"))] == 2
+    assert out_deg[graph.nodes.index(b"0x" + b"a".rjust(40, b"0"))] == 2
 
 
 def test_self_loop_adds_one_to_each_side():
@@ -208,5 +208,5 @@ def test_edge_list_export_format():
     lines = out.getvalue().splitlines()
     assert lines[0] == f"# token={graph.token} window=18000000-18100000"
     src, dst, value, block = lines[1].split("\t")
-    assert (src, dst) == (graph.nodes[0], graph.nodes[1])
+    assert (src, dst) == (graph.nodes[0].decode(), graph.nodes[1].decode())
     assert value == "1" and block == "18000042"

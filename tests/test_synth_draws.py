@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import ast
 import inspect
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -73,6 +75,78 @@ def test_a_rejected_half_word_is_redrawn():
     again.random()
     again.integers(3)
     assert again.bit_generator.state["has_uint32"] == 1
+
+
+# a raw word whose low half, 0, every odd bound of 3 or more rejects; its high half is
+# drawn next
+REJECTED_LOW = 0x9E3779B9 << 32
+
+
+def generator_with_word(high: int, position: int, word: int) -> np.random.Generator:
+    """A PCG64 generator whose raw word number ``position`` (from 0) is
+    ``word``: the state that outputs it has a rotation of 0, high half
+    ``high`` and low half ``high ^ word`` (XSL-RR), stepped back."""
+    rng = np.random.default_rng(0)
+    bitgen = rng.bit_generator
+    bitgen.state = {**bitgen.state, "state": {**bitgen.state["state"],
+                                              "state": high << 64 | (high ^ word)}}
+    bitgen.advance(-(position + 1))
+    return rng
+
+
+def attachment_word(rng: np.random.Generator, budget: int, node: int) -> int | None:
+    """The raw word from whose low half a legitimate wiring at ``budget`` draws
+    node ``node``'s first pool index, or None if it draws a buffered half or
+    no such node is wired.  The satellite sizes are drawn here as the scalar
+    wiring draws them: each ``integers(2, 6)`` reads one half-word."""
+    draws, used = 1, 0
+    while used + (size := int(rng.integers(2, 6))) <= int(0.18 * budget):
+        draws, used = draws + 1, used + size
+    place = node - 1 - draws % 2  # in the giant loop's half-words, a buffered one first
+    if place % 2 == 0 or not 2 <= node < budget - used:
+        return None
+    # node 1's coin, then per node before this one a coin and every other one a fresh word
+    return (draws + 1) // 2 + 1 + node - 2 + place // 2
+
+
+def rejecting(budget: int, node: int) -> np.random.Generator:
+    """A generator whose legitimate wiring at ``budget`` draws node ``node``'s
+    first pool index from a half-word of 0.  The satellite sizes move with the
+    state, so states and words near the expected one are tried until a
+    state's wiring reads ``REJECTED_LOW`` at that word."""
+    expected = 3 * node // 2 + budget // 35
+    for high in range(1, 100):
+        for position in range(max(expected - 10, 0), expected + 10):
+            rng = generator_with_word(high, position, REJECTED_LOW)
+            probe = np.random.default_rng()
+            probe.bit_generator.state = rng.bit_generator.state
+            if attachment_word(probe, budget, node) == position:
+                return rng
+    raise AssertionError(f"no state tried rejects node {node} at budget {budget}")
+
+
+@pytest.mark.parametrize("budget, node", [(20, 2), (900, 2), (900, 401)])
+def test_a_rejected_attachment_draw_is_redrawn_and_the_replay_resumes(budget, node):
+    """Node 2 is the attachment loop's first drawing step; after the redraw,
+    which reads the buffered high half, the loop's words run one half-word
+    later than they would have."""
+    cfg = ArchetypeConfig(LEGITIMATE, budget, WINDOW, 90_000, 0)
+    ours, scalar = rejecting(budget, node), rejecting(budget, node)
+    with mock.patch.object(synth, "_scalar_draws", wraps=_scalar_draws) as draws:
+        assert _WIRINGS[LEGITIMATE](cfg, ours) == scalar_wire_legitimate(cfg, scalar)
+    assert draws.call_count == 3  # satellite sizes, the redrawn node, satellite edges
+    assert_same_generator(ours, scalar)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), budget=st.integers(20, 5_000),
+       has_uint32=st.integers(0, 1), uinteger=st.integers(0, 2**32 - 1))
+def test_legitimate_wiring_matches_the_scalar_draws_up_to_5000_nodes(seed, budget, has_uint32,
+                                                                     uinteger):
+    cfg = ArchetypeConfig(LEGITIMATE, budget, WINDOW, 90_000, seed)
+    ours, scalar = (generator(seed, has_uint32, uinteger) for _ in range(2))
+    assert _WIRINGS[LEGITIMATE](cfg, ours) == scalar_wire_legitimate(cfg, scalar)
+    assert_same_generator(ours, scalar)
 
 
 def _scalar_calls_in_loops(function: ast.FunctionDef) -> list[str]:

@@ -98,7 +98,7 @@ def test_batches_graphs_and_features_match_the_oracles(events):
         for token, graph in graphs.items():
             assert _columns_hold_no_objects(graph)
             edges = expected[token]
-            nodes = graph.nodes
+            nodes = list(map(bytes.decode, graph.nodes))
             assert [(nodes[s], nodes[d], v, b) for s, d, v, b in zip(
                 graph.edge_from.tolist(), graph.edge_to.tolist(),
                 graph.values, graph.blocks.tolist())] == edges
@@ -126,7 +126,7 @@ def test_a_shared_address_is_one_node_in_each_of_its_tokens():
               make_event("0xb", "0xa", token="0x02", tx=2),
               make_event("0xb", "0xc", token="0x01", tx=3)]
     batch = batch_of(events)
-    b, a, c = ("0x" + s.rjust(40, "0") for s in "bac")
+    b, a, c = (b"0x" + s.rjust(40, b"0") for s in (b"b", b"a", b"c"))
     assert batch.nodes == [[a, b, c], [b, a]]
     graphs = build_graphs(batch, BlockWindow(FIRST, FIRST + WIDTH))
     assert [g.num_nodes for g in graphs.values()] == [3, 2]
@@ -174,7 +174,7 @@ def test_limb_sums_equal_python_sums(runs_and_rows, chunk):
     n = len(rows)
     # row r of token t is transfer r of the window, at block r: input order is
     # (block, logIndex) order
-    batch = WindowBatch([f"0x{t:040x}" for t in range(len(runs))], [["0x0"]] * len(runs),
+    batch = WindowBatch([f"0x{t:040x}" for t in range(len(runs))], [[b"0x0"]] * len(runs),
                         np.array([t for t, _v in rows], np.int32), np.zeros(n, np.int32),
                         np.zeros(n, np.int32), np.arange(n, dtype=np.int64),
                         np.zeros(n, np.int64), np.frombuffer(lo, np.uint64),
