@@ -28,8 +28,8 @@ from .features import (VARIANTS, extract_features, histogram_bins,
                        write_histograms)
 from .graphs import build_graphs, export_graphs
 from .ingest import (DEFAULT_WINDOW_WIDTH, ENDPOINT_ENV_VAR, INT64_MAX,
-                     BlockWindow, FetchError, fetch_logs, format_fixture_line,
-                     iter_window_groups)
+                     BlockWindow, FetchError, fetch_logs, iter_window_groups,
+                     write_fixture)
 from .model import TrainConfig, TrainingError, load_model, save_model, train
 from .synth import gen_corpus, gen_scan_corpus
 
@@ -80,6 +80,15 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
 def _labeled(features_path: str, labels_path: str, min_nodes: int) -> LabeledDataset:
     """A feature table joined with its label file."""
     return join(read_feature_table(features_path), load_labels(labels_path), min_nodes)
+
+
+def _settle_outputs(args: argparse.Namespace) -> None:
+    """Refuse an output path whose directory is missing, before any input is read."""
+    for option in ("--out", "--model-out", "--roc-out", "--histogram-out", "--manifest"):
+        path = getattr(args, option[2:].replace("-", "_"), None)
+        directory = os.path.dirname(path or ".")
+        if directory and not os.path.isdir(directory):
+            raise ValueError(f"{option} {path}: {directory} is not a directory")
 
 
 def _warn_unless_converged(converged: bool, max_iters: int) -> None:
@@ -143,12 +152,10 @@ def cmd_fetch(args: argparse.Namespace) -> dict:
         out.seek(committed)
         out.truncate()
         for chunk_end, transfers in chunks:
-            lines = [format_fixture_line(event) for event in transfers]
-            if lines:
-                out.write(("\n".join(lines) + "\n").encode("utf-8"))
+            if written := write_fixture(transfers, out):
                 out.flush()
                 os.fsync(out.fileno())  # the lines are on disk before the state says so
-                count += len(lines)
+                count += written
             state.update(completed_through=chunk_end, committed_bytes=out.tell())
             _write_manifest(manifest_path, "fetch", config, state=state)
 
@@ -174,10 +181,7 @@ def cmd_features(args: argparse.Namespace) -> dict:
     windows = iter_window_groups(args.fixture, args.window_width)
     if args.export_graphs:
         os.makedirs(args.export_graphs, exist_ok=True)
-    for option, path in (("--out", args.out), ("--histogram-out", args.histogram_out)):
-        directory = os.path.dirname(path or ".")
-        if directory and not os.path.isdir(directory):
-            raise ValueError(f"{option} {path}: {directory} is not a directory")
+    _settle_outputs(args)
     rows, exported = _feature_rows(windows, args.export_graphs)
     count = write_feature_table(rows, args.out)
     if args.export_graphs:
@@ -190,6 +194,7 @@ def cmd_features(args: argparse.Namespace) -> dict:
 
 def cmd_train(args: argparse.Namespace) -> dict:
     config = _train_config(args)
+    _settle_outputs(args)
     dataset = _labeled(args.features, args.labels, args.min_nodes)
     model = train(dataset, config, args.variant)
     save_model(model, args.model_out)
@@ -204,6 +209,7 @@ def cmd_train(args: argparse.Namespace) -> dict:
 
 def cmd_cv(args: argparse.Namespace) -> dict:
     config = _train_config(args)
+    _settle_outputs(args)
     dataset = _labeled(args.features, args.labels, args.min_nodes)
     report = kfold_cv(dataset, k=args.k, seed=args.seed, config=config, variant=args.variant)
     write_report(report, args.out)
@@ -219,6 +225,7 @@ def cmd_cv(args: argparse.Namespace) -> dict:
 
 def cmd_crosseval(args: argparse.Namespace) -> dict:
     config = _train_config(args)
+    _settle_outputs(args)
     train_set = _labeled(args.train_features, args.train_labels, args.min_nodes)
 
     paths, eval_sets = {}, []  # paths by basename, which labels a report row and ROC file
@@ -249,6 +256,7 @@ def cmd_crosseval(args: argparse.Namespace) -> dict:
 
 
 def cmd_scan(args: argparse.Namespace) -> dict:
+    _settle_outputs(args)
     model = load_model(args.model)
     vectors = read_feature_table(args.features)
     report = unlabeled_scan(model, vectors, max_nodes=args.max_nodes)

@@ -66,7 +66,7 @@ def load_labels(path: str | os.PathLike) -> dict[str, int]:
         token = token.lower()
         value = int(flag)
         if token in labels and labels[token] != value:
-            raise LabelConflictError(f"conflicting labels for {token}")
+            raise LabelConflictError(f"line {line_no}: conflicting labels for {token}")
         labels[token] = value
     return labels
 

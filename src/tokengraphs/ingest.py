@@ -360,14 +360,11 @@ def read_fixture(path: str | os.PathLike) -> Iterator[TransferEvent]:
             yield from map(TransferEvent._make, zip(*columns))
 
 
-def write_fixture(events: Iterable[TransferEvent], path: str | os.PathLike) -> int:
-    """Write events to a fixture file; returns the number written."""
-    written = 0
-    with open(path, "w", encoding="utf-8") as handle:
-        for event in events:
-            handle.write(format_fixture_line(event) + "\n")
-            written += 1
-    return written
+def write_fixture(events: Iterable[TransferEvent], handle: BinaryIO) -> int:
+    """Write events as fixture lines to an open binary handle; returns the number written."""
+    lines = [format_fixture_line(event) + "\n" for event in events]
+    handle.write("".join(lines).encode())
+    return len(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -483,13 +480,11 @@ def partition_windows(
     """Group events of any order into fixed-width windows, keeping input order in each."""
     if width < 1:
         raise ValueError("window width must be >= 1 block")
-    window_of = lambda event: event.block // width
-    # a fixture read's column block: token, from and to as bytes
-    columns = lambda run: [list(map(str.encode, column)) if field < 3 else list(column)
-                           for field, column in enumerate(zip(*run))]
-    return {BlockWindow(index * width, (index + 1) * width):
-            _intern_window([(index, columns(run))])
-            for index, run in groupby(sorted(events, key=window_of), key=window_of)}
+    ordered = sorted(events, key=lambda event: event.block // width)
+    # one column block as a fixture read yields it: token, from and to as bytes
+    columns = [list(map(str.encode, column)) if field < 3 else list(column)
+               for field, column in enumerate(zip(*ordered))]
+    return dict(_windows([columns] if ordered else [], width))
 
 
 def _window_runs(blocks: Iterable[list[list]], width: int) -> Iterator[tuple[int, list[list]]]:
@@ -527,10 +522,14 @@ def iter_window_groups(
 def _contiguous_windows(handle: BinaryIO, width: int) -> Iterator[tuple[BlockWindow, WindowBatch]]:
     with handle:
         yield  # the first step, taken by iter_window_groups
-        done: set[int] = set()
-        for index, runs in groupby(_window_runs(_fixture_columns(handle), width),
-                                   key=itemgetter(0)):
-            if index in done:
-                raise ValueError("fixture windows are interleaved; sort the fixture by block")
-            done.add(index)
-            yield BlockWindow(index * width, (index + 1) * width), _intern_window(runs)
+        yield from _windows(_fixture_columns(handle), width)
+
+
+def _windows(blocks: Iterable[list[list]], width: int) -> Iterator[tuple[BlockWindow, WindowBatch]]:
+    """Column blocks as (window, batch) pairs; a window that starts again raises ValueError."""
+    done: set[int] = set()
+    for index, runs in groupby(_window_runs(blocks, width), key=itemgetter(0)):
+        if index in done:
+            raise ValueError("fixture windows are interleaved; sort the fixture by block")
+        done.add(index)
+        yield BlockWindow(index * width, (index + 1) * width), _intern_window(runs)

@@ -137,10 +137,6 @@ def _fixture_lines(batch: WindowBatch) -> bytes:
     return line * len(log_index) % tuple(cells)
 
 
-def _fixture_text(batch: WindowBatch) -> str:  # as the pinned archetype digests read it
-    return _fixture_lines(batch).decode()
-
-
 @contextmanager
 def _scalar_draws(rng: np.random.Generator):
     """numpy's scalar ``rng.integers(n)`` (1 <= n <= 2**32) and ``rng.random()``,
@@ -180,36 +176,31 @@ def _attachments(rng: np.random.Generator, giant: int) -> tuple[np.ndarray, np.n
     """Node k's ``rng.integers(2k - 1)`` and ``rng.random() < 0.5`` for 0 < k <
     giant, from one ``random_raw`` call: the bounds read half-words as
     ``_scalar_draws`` does (node 1's reads none), and a coin is its word's top
-    bit being 0.  A half its bound rejects is redrawn there; the replay resumes."""
+    bit being 0.  From the first node whose half its bound rejects (about 1 in
+    10**4 tokens), the nodes draw one by one through ``_scalar_draws``."""
     bitgen = rng.bit_generator
+    state = bitgen.state
+    step = np.arange(giant - 1)  # the nodes from 2 on, which draw an index, then the end
+    place = step + 1 - state["has_uint32"]  # in the half-words: buffered, low, high, low...
+    start = 1 + step + place // 2  # the first word of each, after node 1's coin
+    words = bitgen.random_raw(int(start[-1]))
+    fresh = words[start[:-1][place[:-1] % 2 == 1]]
+    halves = np.empty(1 + 2 * len(fresh), np.uint64)
+    halves[0], halves[1::2], halves[2::2] = state["uinteger"], fresh & 0xFFFFFFFF, fresh >> 32
+    bound = 2 * step[:-1].astype(np.uint64) + 3
+    scaled = halves[place[:-1]] * bound  # Lemire: the index is scaled >> 32
+    rejected = np.flatnonzero(scaled & 0xFFFFFFFF < (1 << 32) % bound)
+    stop = int(rejected[0]) if len(rejected) else len(bound)
+    end = 2 + stop  # the rejected node, or giant
     index, coin = np.zeros(giant, np.int64), np.zeros(giant, bool)
-    first = 1  # the first node not drawn yet
-    while first < giant:
-        state = bitgen.state
-        lead = int(first == 1)  # node 1's coin is the first word
-        step = np.arange(giant + 1 - first - lead)  # the nodes that draw an index, then the end
-        place = step + 1 - state["has_uint32"]  # in the half-words: buffered, low, high, low...
-        start = lead + step + place // 2  # the first word of each
-        words = bitgen.random_raw(int(start[-1]))
-        fresh = words[start[:-1][place[:-1] % 2 == 1]]
-        halves = np.empty(1 + 2 * len(fresh), np.uint64)
-        halves[0], halves[1::2], halves[2::2] = state["uinteger"], fresh & 0xFFFFFFFF, fresh >> 32
-        bound = 2 * (first + lead + step[:-1]).astype(np.uint64) - 1
-        scaled = halves[place[:-1]] * bound  # Lemire: the index is scaled >> 32
-        rejected = np.flatnonzero(scaled & 0xFFFFFFFF < (1 << 32) % bound)
-        stop = int(rejected[0]) if len(rejected) else len(bound)
-        end = first + lead + stop  # the rejected node, or giant
-        index[first + lead:end] = scaled[:stop] >> 32
-        coin_at = np.append(np.zeros(lead, np.int64), start + place % 2)
-        coin[first:end] = words[coin_at[:lead + stop]] < 1 << 63
-        bitgen.advance(int(start[stop]) - len(words))  # back to the end or the rejected node
-        at = int(place[stop])
-        bitgen.state = {**bitgen.state, "has_uint32": 1 - at % 2,
-                        "uinteger": int(halves[at - at % 2])}
-        if end < giant:
-            with _scalar_draws(rng) as (integers, random):
-                index[end], coin[end] = integers(2 * end - 1), random() < 0.5
-        first = end + 1
+    index[2:end] = scaled[:stop] >> 32
+    coin[1:end] = words[np.append(0, start + place % 2)[:end - 1]] < 1 << 63
+    bitgen.advance(int(start[stop]) - len(words))  # back to the end or the rejected node
+    at = int(place[stop])
+    bitgen.state = {**bitgen.state, "has_uint32": 1 - at % 2, "uinteger": int(halves[at - at % 2])}
+    with _scalar_draws(rng) as (integers, random):
+        for node in range(end, giant):
+            index[node], coin[node] = integers(2 * node - 1), random() < 0.5
     return index, coin
 
 

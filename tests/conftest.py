@@ -66,7 +66,8 @@ def write_tiny_corpus(path: str | os.PathLike, n_tokens: int,
     drawn.sort(key=lambda row: row[0])
     events = [TransferEvent(token, src, dst, value, block, i, "0x" + format(i + 1, "064x"))
               for i, (block, token, src, dst, value) in enumerate(drawn)]
-    write_fixture(events, path)
+    with open(path, "wb") as handle:
+        write_fixture(events, handle)
     return events
 
 

@@ -1502,3 +1502,68 @@ def test_a_failed_run_writes_no_manifest(tables, tmp_path, capsys, failure):
     assert main(argv) == 2
     one_error_line(capsys)
     assert list(tmp_path.glob("*.manifest.json")) == []
+
+
+@pytest.mark.parametrize("command, option", [
+    ("train", "--model-out"), ("train", "--manifest"), ("cv", "--roc-out"),
+    ("crosseval", "--roc-out"), ("scan", "--manifest"),
+])
+def test_an_output_below_a_missing_directory_exits_2_before_a_table_is_read(
+        tables, tmp_path, capsys, command, option):
+    out = tmp_path / "out"
+    out.mkdir()
+    path = str(out / "nodir" / "x")
+    capsys.readouterr()
+    with mock.patch.object(cli_mod, "read_feature_table", wraps=read_feature_table) as read:
+        assert main([*_run_argv(command, tables, out), option, path]) == 2
+    read.assert_not_called()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option} {path}: {out / 'nodir'} is not a directory\n"
+    assert list(out.iterdir()) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(spoil=st.sampled_from(("byte", "cr", "nul", "column", "conflict", "no-header",
+                              "header")),
+       row=st.integers(1, 40), at=st.integers(0, 2_000))
+@example(spoil="conflict", row=1, at=0)
+@example(spoil="header", row=1, at=0)
+def test_train_on_a_label_file_with_one_spoiled_byte_or_field_exits_0_or_2(tables, spoil,
+                                                                           row, at):
+    """A valid label file gains a byte that is not UTF-8, a ``\\r`` or a NUL
+    anywhere, or one row gains a third column or is followed by a copy with
+    the other flag, or the header is emptied or loses one character.  Only a
+    ``\\r`` can leave the file valid, as a line end."""
+    lines = tables["labels"].read_bytes().splitlines(keepends=True)
+    token, flag = lines[row].rstrip(b"\n").split(b",")
+    header = lines[0]
+    data = b"".join(lines)
+    if spoil in ("byte", "cr", "nul"):
+        at %= len(data) + 1
+        data = data[:at] + {"byte": b"\xff", "cr": b"\r", "nul": b"\0"}[spoil] + data[at:]
+    else:
+        lines[0], lines[row] = {
+            "column": (header, token + b"," + flag + b",0\n"),
+            "conflict": (header, lines[row] + token + (b",1\n" if flag == b"0" else b",0\n")),
+            "no-header": (b"\n", lines[row]),
+            "header": (header[:at % 16] + header[at % 16 + 1:], lines[row]),
+        }[spoil]
+        data = b"".join(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        labels = pathlib.Path(tmp, "labels.csv")
+        labels.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["train", "--features", str(tables["features"]), "--labels",
+                         str(labels), "--min-nodes", "0", "--max-iters", "200",
+                         "--model-out", str(pathlib.Path(tmp, "model.txt"))])
+    assert code in (0, 2) if spoil == "cr" else code == 2
+    assert "Traceback" not in err.getvalue()
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+    assert len(errors) == (code == 2)
+    expected = {"column": f"line {row + 1}: expected 2 columns",
+                "conflict": f"line {row + 2}: conflicting labels for {token.decode()}",
+                "no-header": "unrecognized label header: ''",
+                "header": "unrecognized label header: "}.get(spoil, "")
+    assert all(line.startswith(f"error: {expected}") for line in errors)

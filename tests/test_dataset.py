@@ -46,6 +46,14 @@ def test_conflicting_labels_error(tmp_path):
         load_labels(path)
 
 
+def test_a_conflicting_label_names_its_line(tmp_path):
+    path = tmp_path / "labels.csv"
+    upper = "0x" + addr(0xAB)[2:].upper()  # the same token
+    path.write_text(f"token,suspicious\n{addr(0xAB)},0\n{addr(2)},1\n{upper},1\n")
+    with pytest.raises(LabelConflictError, match=f"^line 4: conflicting labels for {addr(0xAB)}$"):
+        load_labels(path)
+
+
 def test_duplicate_consistent_labels_are_fine(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text(f"token,suspicious\n{addr(1)},1\n{addr(1)},1\n")

@@ -10,8 +10,8 @@ import os
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tokengraphs")
 
-WRITERS = {"write_rows", "save_model", "export_graphs", "write_fixture", "gen_corpus",
-           "gen_scan_corpus", "_write_manifest", "cmd_fetch"}
+WRITERS = {"write_rows", "save_model", "export_graphs", "gen_corpus", "gen_scan_corpus",
+           "_write_manifest", "cmd_fetch"}
 
 
 def _writing_opens(tree: ast.Module):

@@ -27,7 +27,7 @@ from tokengraphs.synth import (
     HONEYPOT_STAR,
     LEGITIMATE,
     ArchetypeConfig,
-    _fixture_text,
+    _fixture_lines,
     generate,
 )
 
@@ -126,7 +126,7 @@ def test_archetype_digest_is_pinned(name):
     for seed in range(10):
         cfg = ArchetypeConfig(window=BlockWindow(18_000_000, 18_100_000), seed=seed,
                               **fields)
-        digest.update(_fixture_text(generate(cfg)).encode())
+        digest.update(_fixture_lines(generate(cfg)))
     assert digest.hexdigest() == expected
 
 

@@ -131,7 +131,8 @@ def test_fixture_round_trip(tmp_path):
         make_event("0xd1", "0xd1", value=0, block=18_000_102, log_index=2),
     ]
     path = tmp_path / "fixture.tsv"
-    assert write_fixture(events, path) == 3
+    with open(path, "wb") as handle:
+        assert write_fixture(events, handle) == 3
     assert list(read_fixture(path)) == events
 
 
@@ -258,7 +259,8 @@ def test_iter_window_groups_matches_partition_on_contiguous_input(tmp_path):
     events = [make_event(block=b, log_index=i, tx=i + 1)
               for i, b in enumerate((18_000_005, 18_000_001, 18_099_000,
                                      18_100_001, 18_150_000))]
-    write_fixture(events, tmp_path / "f.tsv")
+    with open(tmp_path / "f.tsv", "wb") as handle:
+        write_fixture(events, handle)
     streamed = {w: batch_rows(b) for w, b in iter_window_groups(tmp_path / "f.tsv", 100_000)}
     assert streamed == {w: batch_rows(b)
                         for w, b in partition_windows(events, 100_000).items()}
@@ -267,7 +269,8 @@ def test_iter_window_groups_matches_partition_on_contiguous_input(tmp_path):
 def test_iter_window_groups_rejects_interleaved_windows(tmp_path):
     events = [make_event(block=18_000_001), make_event(block=18_100_001),
               make_event(block=18_000_002)]
-    write_fixture(events, tmp_path / "f.tsv")
+    with open(tmp_path / "f.tsv", "wb") as handle:
+        write_fixture(events, handle)
     with pytest.raises(ValueError, match="interleaved; sort the fixture by block"):
         list(iter_window_groups(tmp_path / "f.tsv", 100_000))
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -135,6 +136,44 @@ def test_a_rejected_attachment_draw_is_redrawn_and_the_replay_resumes(budget, no
     with mock.patch.object(synth, "_scalar_draws", wraps=_scalar_draws) as draws:
         assert _WIRINGS[LEGITIMATE](cfg, ours) == scalar_wire_legitimate(cfg, scalar)
     assert draws.call_count == 3  # satellite sizes, the redrawn node, satellite edges
+    assert_same_generator(ours, scalar)
+
+
+def rejecting_last(budget: int) -> tuple[np.random.Generator, int]:
+    """A generator whose legitimate wiring at ``budget`` draws the giant
+    component's last node's first pool index from a fresh half-word of 0,
+    and that node; states and words are tried as in ``rejecting``."""
+    expected = 3 * int(0.82 * budget) // 2 + budget // 35
+    for high in range(1, 100):
+        for position in range(expected - 10, expected + 10):
+            rng = generator_with_word(high, position, REJECTED_LOW)
+            probe = np.random.default_rng()
+            probe.bit_generator.state = rng.bit_generator.state
+            used = 0
+            while used + (size := int(probe.integers(2, 6))) <= int(0.18 * budget):
+                used += size
+            node = budget - used - 1
+            probe.bit_generator.state = rng.bit_generator.state
+            if attachment_word(probe, budget, node) == position:
+                return rng, node
+    raise AssertionError(f"no state tried rejects the last node at budget {budget}")
+
+
+def test_a_rejection_at_the_last_node_leaves_one_node_to_the_scalar_tail():
+    """From a rejected half-word on, the nodes draw through ``_scalar_draws``;
+    at the giant loop's last node that tail is the one node."""
+    cfg = ArchetypeConfig(LEGITIMATE, 900, WINDOW, 90_000, 0)
+    (ours, node), (scalar, _) = rejecting_last(900), rejecting_last(900)
+    bounds = []
+
+    @contextmanager
+    def counted(rng):
+        with _scalar_draws(rng) as (integers, random):
+            yield (lambda n: bounds.append(n) or integers(n)), random
+
+    with mock.patch.object(synth, "_scalar_draws", counted):
+        assert _WIRINGS[LEGITIMATE](cfg, ours) == scalar_wire_legitimate(cfg, scalar)
+    assert [bound for bound in bounds if bound != 4] == [2 * node - 1]  # 4: satellite sizes
     assert_same_generator(ours, scalar)
 
 
