@@ -37,7 +37,6 @@ MANIFEST_FORMAT = 1
 
 _INPUT_ERRORS = (ValueError, TrainingError, FileNotFoundError, IsADirectoryError,
                  NotADirectoryError, FileExistsError, PermissionError)
-_RUNTIME_ERRORS = (FetchError, OSError)  # after _INPUT_ERRORS, which takes the path errors
 
 
 def _write_manifest(path: str, command: str, config: dict, **extra) -> None:
@@ -72,9 +71,8 @@ def _config_from_args(args: argparse.Namespace) -> dict:
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
-    return TrainConfig(lam=args.lam, learning_rate=args.learning_rate,
-                       max_iters=args.max_iters, tolerance=args.tolerance,
-                       seed=args.seed, log_amount=args.log_amount)
+    return TrainConfig(args.lam, args.learning_rate, args.max_iters, args.tolerance,
+                       args.seed, args.log_amount)  # in field order
 
 
 def _labeled(features_path: str, labels_path: str, min_nodes: int) -> LabeledDataset:
@@ -83,12 +81,15 @@ def _labeled(features_path: str, labels_path: str, min_nodes: int) -> LabeledDat
 
 
 def _settle_outputs(args: argparse.Namespace) -> None:
-    """Refuse an output path whose directory is missing, before any input is read."""
+    """Refuse an output path whose directory is missing, or a file's path
+    that names a directory, before any input is read."""
     for option in ("--out", "--model-out", "--roc-out", "--histogram-out", "--manifest"):
-        path = getattr(args, option[2:].replace("-", "_"), None)
-        directory = os.path.dirname(path or ".")
+        path = getattr(args, option[2:].replace("-", "_"), None) or ""
+        directory = os.path.dirname(path)
         if directory and not os.path.isdir(directory):
             raise ValueError(f"{option} {path}: {directory} is not a directory")
+        if option != "--roc-out" and os.path.isdir(path):  # a prefix, not a file
+            raise ValueError(f"{option} {path} is a directory")
 
 
 def _warn_unless_converged(converged: bool, max_iters: int) -> None:
@@ -163,7 +164,7 @@ def cmd_fetch(args: argparse.Namespace) -> dict:
     return {"state": {**state, "finished": True}}
 
 
-def _feature_rows(windows, export_dir: str | None = None):
+def _feature_rows(windows, export_dir: str | None):
     """One feature row per (token, window); graphs are released as windows close."""
     rows, exported = [], 0
     for window, batch in windows:
@@ -209,6 +210,8 @@ def cmd_train(args: argparse.Namespace) -> dict:
 
 def cmd_cv(args: argparse.Namespace) -> dict:
     config = _train_config(args)
+    if args.k < 2:
+        raise ValueError(f"k must be at least 2 folds, not {args.k}")
     _settle_outputs(args)
     dataset = _labeled(args.features, args.labels, args.min_nodes)
     report = kfold_cv(dataset, k=args.k, seed=args.seed, config=config, variant=args.variant)
@@ -478,12 +481,9 @@ def main(argv: list[str] | None = None) -> int:
         extra = _DISPATCH[args.command](args)
         _write_manifest(_manifest_path(args), args.command, _config_from_args(args), **extra)
         return 0
-    except _INPUT_ERRORS as exc:
+    except _INPUT_ERRORS + (FetchError, OSError) as exc:  # any other OSError is operational
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _RUNTIME_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, _INPUT_ERRORS) else 3
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import time
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import count, groupby, islice
+from itertools import count, groupby
 from operator import itemgetter
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
@@ -36,11 +36,6 @@ _ADDRESS_RE = re.compile(r"^0x[0-9a-f]{40}$")
 _TXHASH_RE = re.compile(r"^0x[0-9a-f]{64}$")
 _QUANTITY_RE = re.compile(r"0x[0-9a-f]+")
 
-# a block of fixture lines, blank ones included; a failing block is diagnosed per line
-_FIXTURE_LINE = (rb"0x[0-9a-f]{40}\t0x[0-9a-f]{40}\t0x[0-9a-f]{40}"
-                 rb"\t[0-9]+\t[0-9]+\t[0-9]+\t0x[0-9a-f]{64}")
-_FIXTURE_LINES_RE = re.compile(b"(?:%s)?+(?:\n(?:%s)?+)*+" % (_FIXTURE_LINE, _FIXTURE_LINE))
-
 # provider messages that mean "narrow the block range", collected from the
 # common public endpoints (infura / alchemy / erigon / nethermind wording)
 _OVER_LIMIT_RE = re.compile(
@@ -58,8 +53,11 @@ class FixtureParseError(ValueError):
     """Malformed fixture line; carries the 1-based line number."""
 
     def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+        super().__init__(line_no, message)  # what a pickled copy is made from
         self.line_no = line_no
+
+    def __str__(self) -> str:
+        return "line %d: %s" % self.args
 
 
 class FixtureValueError(FixtureParseError):
@@ -282,77 +280,10 @@ def format_fixture_line(event: TransferEvent) -> str:
     return FIXTURE_LINE % event
 
 
-def _decimal(digits: bytes) -> int:
-    """A decimal field's value, read from at most 79 significant digits: a
-    longer value is out of range anyway, and ``int()`` refuses 4,300 digits."""
-    return int(digits.lstrip(b"0")[:79] or b"0")
-
-
-def _diagnose_fixture_line(line_no: int, line: bytes) -> FixtureParseError:
-    # a byte that is not UTF-8 decodes to a lone surrogate, which fails its field's check
-    fields = line.decode("utf-8", "surrogateescape").split("\t")
-    if len(fields) != 7:
-        return FixtureParseError(line_no, f"expected 7 fields, got {len(fields)}")
-    token, from_addr, to_addr, value_s, block_s, index_s, tx_hash = fields
-    for name, addr in (("token", token), ("from", from_addr), ("to", to_addr)):
-        if not _ADDRESS_RE.match(addr):
-            return FixtureParseError(line_no, f"bad {name} address: {addr!r}")
-    if not _TXHASH_RE.match(tx_hash):
-        return FixtureParseError(line_no, f"bad txHash: {tx_hash!r}")
-    for name, field in (("value", value_s), ("block", block_s), ("logIndex", index_s)):
-        if not (field.isascii() and field.isdigit()):
-            return FixtureParseError(line_no, f"non-decimal {name}: {field!r}")
-    if _decimal(value_s.encode()) > UINT256_MAX:
-        return FixtureValueError(line_no, "value out of uint256 range")
-    return FixtureValueError(line_no, "block or logIndex out of int64 range")
-
-
-def _columns(lines: bytes) -> list[list] | None:
-    """The token, from, to, value, block, logIndex and txHash columns of
-    fixture ``lines``, blank ones allowed; None unless all are valid."""
-    if not _FIXTURE_LINES_RE.fullmatch(lines):
-        return None
-    cells = lines.split()
-    try:
-        value, block, log_index = (list(map(int, cells[field::7])) for field in (3, 4, 5))
-    except ValueError:  # more digits than int() converts
-        value, block, log_index = (list(map(_decimal, cells[field::7])) for field in (3, 4, 5))
-    if max(value, default=0) <= UINT256_MAX and max(block + log_index, default=0) <= INT64_MAX:
-        return [cells[0::7], cells[1::7], cells[2::7], value, block, log_index, cells[6::7]]
-    return None
-
-
-def _fixture_blocks(handle: BinaryIO) -> Iterator[bytes]:
-    """An open fixture's whole lines, about 12K bytes at a time (16K left more of
-    the C heap fragmented, a higher peak RSS); as in a text read, a ``\\r\\n``
-    or ``\\r`` ends a line as ``\\n`` does."""
-    while lines := handle.read(12_288) + handle.readline():
-        yield lines.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in lines else lines
-
-
-def _fixture_columns(handle: BinaryIO) -> Iterator[list[list]]:
-    """An open fixture's lines as column blocks, in file order.  Lines are
-    counted only for a failing block's error, by reading the blocks before it
-    again (from a pipe, as they go)."""
-    piped, blocks, line_no = not handle.seekable(), 0, 1
-    for lines in _fixture_blocks(handle):
-        columns = _columns(lines)
-        if columns is None:  # read again line by line, for the first bad line's error
-            if not piped:
-                handle.seek(0)
-                line_no += sum(block.count(b"\n")
-                               for block in islice(_fixture_blocks(handle), blocks))
-            for line_no, line in enumerate(lines.split(b"\n"), line_no):
-                if _columns(line) is None:
-                    raise _diagnose_fixture_line(line_no, line)
-        yield columns
-        blocks += 1
-        if piped:
-            line_no += lines.count(b"\n")
-
-
 def read_fixture(path: str | os.PathLike) -> Iterator[TransferEvent]:
     """Yield transfers from a fixture file in file order, validating each line."""
+    from .halves import _fixture_columns  # compiled only by a process that reads a fixture
+
     with open(path, "rb") as handle:
         for columns in _fixture_columns(handle):
             for field in (0, 1, 2, 6):  # token, from, to, txHash
@@ -448,8 +379,10 @@ def _interner() -> defaultdict[bytes, int]:
     return index
 
 
-def _intern_window(runs: Iterable[tuple[int, list[list]]]) -> WindowBatch:
-    """One window's (window index, column block) runs as a WindowBatch.
+def _intern_window(runs: Iterable[tuple[int, list | Callable]]) -> WindowBatch:
+    """One window's (window index, column block) runs as a WindowBatch.  A run
+    may instead hold a function, which merges a part of the window interned
+    by another process through this window's tables and columns.
 
     Addresses are bytes keys.  Each token has its own small address table,
     which stays in cache however many addresses the window holds; the tables
@@ -460,7 +393,11 @@ def _intern_window(runs: Iterable[tuple[int, list[list]]]) -> WindowBatch:
     columns = [array(np.dtype(dtype).char) for dtype in _DTYPES]
     token, src, dst, block, log_index, lo, hi = columns
     wide: dict[int, int] = {}
-    for _index, (tokens, froms, tos, values, blocks, log_indexes, _tx_hashes) in runs:
+    for _index, run in runs:
+        if callable(run):
+            run(token_ids, node_ids, columns, wide)
+            continue
+        tokens, froms, tos, values, blocks, log_indexes, _tx_hashes = run
         ids = list(map(token_ids.__getitem__, tokens))
         node_ids += (_interner() for _ in range(len(token_ids) - len(node_ids)))
         tables = list(map(node_ids.__getitem__, ids))
@@ -484,7 +421,7 @@ def partition_windows(
     # one column block as a fixture read yields it: token, from and to as bytes
     columns = [list(map(str.encode, column)) if field < 3 else list(column)
                for field, column in enumerate(zip(*ordered))]
-    return dict(_windows([columns] if ordered else [], width))
+    return dict(_windows(_window_runs([columns] if ordered else [], width), width))
 
 
 def _window_runs(blocks: Iterable[list[list]], width: int) -> Iterator[tuple[int, list[list]]]:
@@ -510,26 +447,23 @@ def iter_window_groups(
     Windowing only groups: a batch keeps its transfers' input order, and
     ``build_graphs`` orders edges.  Windows must be contiguous, as every
     fetched or generated fixture's are; interleaved windows raise ValueError.
-    The width is checked and the fixture opened on the call, not on the first pair.
+    The width is checked and the fixture opened on the call, not on the first
+    pair.  A forked worker reads the second half of a regular file (see
+    ``halves``); the pairs and errors are those of one process.
     """
-    if width < 1:
-        raise ValueError("window width must be >= 1 block")
-    windows = _contiguous_windows(open(path, "rb"), width)
-    next(windows)  # inside its ``with`` now, the fixture closes with the generator
+    from .halves import fixture_windows  # compiled only by a process that reads a fixture
+
+    windows = fixture_windows(path, width)
+    next(windows)  # checks the width and opens the fixture, which closes with the generator
     return windows
 
 
-def _contiguous_windows(handle: BinaryIO, width: int) -> Iterator[tuple[BlockWindow, WindowBatch]]:
-    with handle:
-        yield  # the first step, taken by iter_window_groups
-        yield from _windows(_fixture_columns(handle), width)
-
-
-def _windows(blocks: Iterable[list[list]], width: int) -> Iterator[tuple[BlockWindow, WindowBatch]]:
-    """Column blocks as (window, batch) pairs; a window that starts again raises ValueError."""
+def _windows(runs: Iterable[tuple[int, list | Callable]],
+             width: int) -> Iterator[tuple[BlockWindow, WindowBatch]]:
+    """(window index, run) runs as (window, batch) pairs; a window that starts again raises ValueError."""
     done: set[int] = set()
-    for index, runs in groupby(_window_runs(blocks, width), key=itemgetter(0)):
+    for index, group in groupby(runs, key=itemgetter(0)):
         if index in done:
             raise ValueError("fixture windows are interleaved; sort the fixture by block")
         done.add(index)
-        yield BlockWindow(index * width, (index + 1) * width), _intern_window(runs)
+        yield BlockWindow(index * width, (index + 1) * width), _intern_window(group)

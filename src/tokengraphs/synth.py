@@ -18,7 +18,7 @@ from array import array
 from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from itertools import chain
+from itertools import chain, product
 from typing import Sequence
 
 import numpy as np
@@ -404,27 +404,32 @@ def gen_corpus(
     n_honeypot = (n_scam + 1) // 2
     n_legit = n_tokens - n_scam
 
-    labels: dict[str, int] = {}
-    total_events = 0
-    with open(fixture_path, "wb") as handle:
-        # tokens are written sequentially inside each window block;
-        # build_graphs orders edges by (block, logIndex), so no global merge
-        # is needed here
-        for window_idx, window in enumerate(windows):
-            for token_idx in range(n_tokens):
-                if token_idx < n_legit:  # recurs across windows
-                    kind, token = LEGITIMATE, token_address(seed, 0, token_idx)
-                else:
-                    kind = (HONEYPOT_STAR if token_idx < n_legit + n_honeypot
-                            else COUNTERFEIT_POISONING)
-                    token = token_address(seed, window_idx + 1, token_idx)
-                cfg = _token_config(kind, window, token, profile,
-                                    *_token_rng(seed, window_idx, token_idx))
-                batch = generate(cfg)
-                labels[token] = cfg.label
-                handle.write(_fixture_lines(batch))
-                total_events += len(batch)
+    def write(jobs, handle):
+        """Each job's token, as fixture lines to ``handle``: (events, labels)."""
+        labels, events = {}, 0
+        for (window_idx, window), token_idx in jobs:
+            if token_idx < n_legit:  # recurs across windows
+                kind, token = LEGITIMATE, token_address(seed, 0, token_idx)
+            else:
+                kind = (HONEYPOT_STAR if token_idx < n_legit + n_honeypot
+                        else COUNTERFEIT_POISONING)
+                token = token_address(seed, window_idx + 1, token_idx)
+            cfg = _token_config(kind, window, token, profile,
+                                *_token_rng(seed, window_idx, token_idx))
+            batch = generate(cfg)
+            labels[token] = cfg.label
+            handle.write(_fixture_lines(batch))
+            events += len(batch)
+        return events, labels
 
+    from .halves import write_halves  # compiled only by a process that writes a corpus
+
+    # tokens are written sequentially inside each window block; build_graphs
+    # orders edges by (block, logIndex), so no global merge is needed here.
+    # Each token draws from its own generator, so the halves are independent
+    jobs = list(product(enumerate(windows), range(n_tokens)))
+    with open(fixture_path, "wb") as handle:
+        total_events, labels = write_halves(jobs, write, handle)
     write_labels(labels, labels_path)
 
     return {

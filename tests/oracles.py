@@ -1,6 +1,7 @@
 """Independent straight-line reference implementations used to check the
 package's optimized paths.  Nothing here imports the code under test except
-plain data containers."""
+plain data containers, and the one-process fixture reader, which runs the
+package's own block reader and windowing generator over a whole file."""
 
 from __future__ import annotations
 
@@ -435,3 +436,16 @@ def scalar_wire_counterfeit_poisoning(cfg, rng: np.random.Generator) -> list[tup
     if repeats > 0:
         edges += [edges[idx] for idx in rng.integers(0, len(edges), size=repeats).tolist()]
     return edges
+
+
+def one_process_windows(path, width: int):
+    """``iter_window_groups``'s (window, batch) pairs as one process reads a
+    fixture: every block in file order through the one windowing generator,
+    with no split and no worker."""
+    from tokengraphs.halves import _fixture_columns
+    from tokengraphs.ingest import _window_runs, _windows
+
+    if width < 1:
+        raise ValueError("window width must be >= 1 block")
+    with open(path, "rb") as handle:
+        yield from _windows(_window_runs(_fixture_columns(handle), width), width)

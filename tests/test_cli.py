@@ -664,6 +664,15 @@ def test_cv_with_fewer_than_two_folds_exits_2(corpus, capsys, k):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["cv.csv", "nodir/cv.csv"])
+def test_cv_k_below_2_exits_2_before_any_read_or_output_check(tmp_path, capsys, out):
+    missing = str(tmp_path / "missing.csv")
+    assert main(["cv", "--features", missing, "--labels", missing, "--k", "1",
+                 "--out", str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err == "error: k must be at least 2 folds, not 1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cv_roc_files(corpus):
     out = corpus["tmp"] / "cv.csv"
     prefix = str(corpus["tmp"] / "roc")
@@ -1521,6 +1530,27 @@ def test_an_output_below_a_missing_directory_exits_2_before_a_table_is_read(
     assert captured.out == ""
     assert captured.err == f"error: {option} {path}: {out / 'nodir'} is not a directory\n"
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, option", [
+    ("train", "--model-out"), ("train", "--manifest"), ("cv", "--out"), ("crosseval", "--out"),
+    ("scan", "--out"), ("features", "--out"), ("features", "--histogram-out"),
+])
+def test_a_file_output_that_is_a_directory_exits_2_before_any_input_is_read(
+        tables, tmp_path, capsys, command, option):
+    out = tmp_path / "out"
+    (out / "dir").mkdir(parents=True)
+    path = str(out / "dir")
+    capsys.readouterr()
+    with mock.patch.object(cli_mod, "read_feature_table", wraps=read_feature_table) as read, \
+            mock.patch.object(cli_mod, "build_graphs") as build:
+        assert main([*_run_argv(command, tables, out), option, path]) == 2
+    read.assert_not_called()
+    build.assert_not_called()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option} {path} is a directory\n"
+    assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,6 +1,7 @@
 """Every file ``src/`` writes is opened by one of a few named functions: CSV
 outputs go through ``features.write_rows``, and the rest (the model file, edge
-lists, fixtures, manifests and the ``fetch`` output) each have one writer."""
+lists, fixtures, manifests and the ``fetch`` output) each have one writer.
+``halves.forked`` opens the pipe its worker process writes to."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import os
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "tokengraphs")
 
 WRITERS = {"write_rows", "save_model", "export_graphs", "gen_corpus", "gen_scan_corpus",
-           "_write_manifest", "cmd_fetch"}
+           "_write_manifest", "cmd_fetch", "forked"}
 
 
 def _writing_opens(tree: ast.Module):
