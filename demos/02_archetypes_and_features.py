@@ -11,7 +11,7 @@ sending dust).  The per-graph features make the difference measurable.
 
 import numpy as np
 
-from tokengraphs.features import extract_features, histogram_bins
+from tokengraphs.features import extract_features, feature_table
 from tokengraphs.graphs import build_graphs, weak_components
 from tokengraphs.ingest import BlockWindow
 from tokengraphs.synth import ArchetypeConfig, generate
@@ -31,12 +31,12 @@ configs = [
                      temporal_concentration=0.3, seed=7)),
 ]
 
-vectors = []
+rows = []
 for name, cfg in configs:
     graph, = build_graphs(generate(cfg), window).values()
     comps = weak_components(graph)
-    fv = extract_features(graph)
-    vectors.append(fv)
+    rows.append(extract_features(graph))
+    fv = feature_table(rows)[-1]  # the row's cells by column name
     degree = (np.bincount(graph.edge_from, minlength=fv.num_nodes)
               + np.bincount(graph.edge_to, minlength=fv.num_nodes))
     hubs = (degree > 3).sum()
@@ -49,8 +49,9 @@ for name, cfg in configs:
           f"addresses with degree>3: {hubs}")
     print()
 
-# the same numbers as histogram bins, ready for external plotting
-bins = histogram_bins(vectors, bins=5)
+# the same numbers as histogram bins over the table's lifetime column
+# (``features --histogram-out`` writes 20 bins for every feature)
+counts, edges = np.histogram(feature_table(rows).lifetime.astype(float), bins=5)
 print("lifetime histogram over the three graphs:")
-for lo, hi, count in bins["lifetime"]:
+for lo, hi, count in zip(edges, edges[1:], counts):
     print(f"  [{lo:>8.0f}, {hi:>8.0f}): {'#' * count}")

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from tokengraphs.dataset import join, load_labels
 from tokengraphs.evaluation import cross_window_eval, kfold_cv
-from tokengraphs.features import extract_features
+from tokengraphs.features import extract_features, feature_table
 from tokengraphs.graphs import build_graphs
 from tokengraphs.ingest import BlockWindow, iter_window_groups
 from tokengraphs.synth import gen_corpus
@@ -29,16 +29,17 @@ print(f"corpus: {corpus['total_events']:,} transfers, "
 labels = load_labels(workdir / "labels.csv")
 datasets = []
 for window, batch in iter_window_groups(workdir / "fixture.tsv"):
-    vectors = [extract_features(g) for g in build_graphs(batch, window).values()]
-    datasets.append(join(vectors, labels, min_nodes=500))
+    rows = [extract_features(g) for g in build_graphs(batch, window).values()]
+    datasets.append(join(feature_table(rows), labels, min_nodes=500))
 
 # pooled over (token, window) rows, and once per token: a token is a scam if
 # any of its rows is
-rows = [row for dataset in datasets for row in dataset.rows]
+rows = [(token, label) for dataset in datasets
+        for token, label in zip(dataset.table.token, dataset.labels.tolist())]
 token_flag = {}
-for fv, label in rows:
-    token_flag[fv.token] = max(token_flag.get(fv.token, 0), label)
-pooled = sum(label for _fv, label in rows) / len(rows)
+for token, label in rows:
+    token_flag[token] = max(token_flag.get(token, 0), label)
+pooled = sum(label for _token, label in rows) / len(rows)
 unique = sum(token_flag.values()) / len(token_flag)
 print(f"rows={len(rows)} pooled scam share={pooled:.1%} "
       f"unique-token share={unique:.1%} "

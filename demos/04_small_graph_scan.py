@@ -14,7 +14,7 @@ from pathlib import Path
 
 from tokengraphs.dataset import join, load_labels
 from tokengraphs.evaluation import unlabeled_scan
-from tokengraphs.features import extract_features
+from tokengraphs.features import extract_features, feature_table
 from tokengraphs.graphs import build_graphs
 from tokengraphs.ingest import BlockWindow, iter_window_groups
 from tokengraphs.model import train
@@ -28,15 +28,16 @@ gen_corpus(300, 0.353, [window], workdir / "train.tsv", workdir / "labels.csv",
            seed=21)
 labels = load_labels(workdir / "labels.csv")
 (win, batch), = iter_window_groups(workdir / "train.tsv")
-vectors = [extract_features(g) for g in build_graphs(batch, win).values()]
-dataset = join(vectors, labels, min_nodes=500)
+rows = [extract_features(g) for g in build_graphs(batch, win).values()]
+dataset = join(feature_table(rows), labels, min_nodes=500)
 print(f"training rows: {len(dataset)} ({sum(dataset.labels)} suspicious)")
 
 # unlabeled small graphs: young tokens, small veterans, small scams
 gen_scan_corpus(300, window, workdir / "scan.tsv", seed=22)
-small = []
+rows = []
 for win, batch in iter_window_groups(workdir / "scan.tsv"):
-    small.extend(extract_features(g) for g in build_graphs(batch, win).values())
+    rows.extend(extract_features(g) for g in build_graphs(batch, win).values())
+small = feature_table(rows)
 print(f"scan corpus: {len(small)} graphs, all at or under 500 nodes\n")
 
 for variant in ("reduced", "reduced-no-lifetime"):

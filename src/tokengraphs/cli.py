@@ -19,13 +19,12 @@ import sys
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from . import __version__
-from .dataset import DEFAULT_MIN_NODES, LabeledDataset, join, load_labels
+from .dataset import DEFAULT_MIN_NODES, join, load_labels
 from .evaluation import (cross_window_eval, kfold_cv, unlabeled_scan,
                          write_report, write_roc, write_scan_report,
                          write_window_reports)
-from .features import (VARIANTS, extract_features, histogram_bins,
-                       read_feature_table, write_feature_table,
-                       write_histograms)
+from .features import (VARIANTS, extract_features, feature_table, histogram_bins,
+                       read_feature_table, write_feature_table, write_histograms)
 from .graphs import build_graphs, export_graphs
 from .ingest import (DEFAULT_WINDOW_WIDTH, ENDPOINT_ENV_VAR, INT64_MAX,
                      BlockWindow, FetchError, fetch_logs, iter_window_groups,
@@ -75,7 +74,7 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
                        args.seed, args.log_amount)  # in field order
 
 
-def _labeled(features_path: str, labels_path: str, min_nodes: int) -> LabeledDataset:
+def _labeled(features_path: str, labels_path: str, min_nodes: int):
     """A feature table joined with its label file."""
     return join(read_feature_table(features_path), load_labels(labels_path), min_nodes)
 
@@ -108,6 +107,7 @@ def cmd_fetch(args: argparse.Namespace) -> dict:
     if args.start > args.end:
         raise ValueError("fetch range start must be <= end")
     window = BlockWindow(args.start, args.end)
+    _settle_outputs(args)
     manifest_path = _manifest_path(args)
 
     # the state records the fixture's length after each completed chunk: a
@@ -165,15 +165,16 @@ def cmd_fetch(args: argparse.Namespace) -> dict:
 
 
 def _feature_rows(windows, export_dir: str | None):
-    """One feature row per (token, window); graphs are released as windows close."""
+    """The feature table, one row per (token, window) in (window, token) order;
+    graphs are released as windows close."""
     rows, exported = [], 0
     for window, batch in windows:
         graphs = build_graphs(batch, window)
         rows.extend(extract_features(g) for g in graphs.values())
         if export_dir:
             exported += export_graphs(graphs.values(), export_dir)
-    rows.sort(key=lambda fv: (fv.window.start, fv.token))
-    return rows, exported
+    rows.sort(key=lambda row: (row[1], row[0]))
+    return feature_table(rows), exported
 
 
 def cmd_features(args: argparse.Namespace) -> dict:
@@ -183,12 +184,12 @@ def cmd_features(args: argparse.Namespace) -> dict:
     if args.export_graphs:
         os.makedirs(args.export_graphs, exist_ok=True)
     _settle_outputs(args)
-    rows, exported = _feature_rows(windows, args.export_graphs)
-    count = write_feature_table(rows, args.out)
+    table, exported = _feature_rows(windows, args.export_graphs)
+    count = write_feature_table(table, args.out)
     if args.export_graphs:
         print(f"exported {exported} edge lists to {args.export_graphs}")
     if args.histogram_out:
-        write_histograms(histogram_bins(rows), args.histogram_out)
+        write_histograms(histogram_bins(table), args.histogram_out)
     print(f"wrote {count} feature rows to {args.out}")
     return {}
 
@@ -235,7 +236,7 @@ def cmd_crosseval(args: argparse.Namespace) -> dict:
     for features_path, labels_path in args.eval:
         name = os.path.basename(features_path)
         eval_set = _labeled(features_path, labels_path, args.min_nodes)
-        if not eval_set.rows:
+        if not eval_set:
             print(f"warning: {name} has no labeled rows, skipped", file=sys.stderr)
         elif len(set(eval_set.labels)) < 2:
             print(f"warning: {name} has a single class, skipped", file=sys.stderr)
@@ -261,8 +262,8 @@ def cmd_crosseval(args: argparse.Namespace) -> dict:
 def cmd_scan(args: argparse.Namespace) -> dict:
     _settle_outputs(args)
     model = load_model(args.model)
-    vectors = read_feature_table(args.features)
-    report = unlabeled_scan(model, vectors, max_nodes=args.max_nodes)
+    report = unlabeled_scan(model, read_feature_table(args.features),
+                            max_nodes=args.max_nodes)
     write_scan_report(report, args.out)
     print(f"scanned {report.total} small graphs: "
           f"{report.predicted_scam} predicted scams ({report.scam_share:.1%}); "

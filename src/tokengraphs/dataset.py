@@ -5,9 +5,10 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
-from typing import Sequence
 
-from .features import FeatureVector, read_rows, write_rows
+import numpy as np
+
+from .features import read_rows, write_rows
 
 LABEL_HEADER = "token,suspicious"
 
@@ -26,29 +27,26 @@ class LabelConflictError(ValueError):
 
 @dataclass
 class LabeledDataset:
-    """Feature rows joined with labels, one row per (token, window).
+    """Feature-table rows joined with their 0/1 labels, one row per (token, window).
 
     ``unlabeled`` lists tokens that cleared the node threshold but have no
     ground-truth label; they are excluded from training rather than assumed
     legitimate.
     """
 
-    rows: list[tuple[FeatureVector, int]]
+    table: np.recarray
+    labels: np.ndarray
     unlabeled: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.labels)
 
-    @property
-    def vectors(self) -> list[FeatureVector]:
-        return [fv for fv, _ in self.rows]
-
-    @property
-    def labels(self) -> list[int]:
-        return [label for _, label in self.rows]
+    def __getitem__(self, keep) -> LabeledDataset:
+        """The rows a mask or an index array selects, with their labels."""
+        return LabeledDataset(self.table[keep], self.labels[keep])
 
     def row_ids(self) -> list[tuple[str, int, int]]:
-        return [(fv.token, fv.window.start, fv.window.end) for fv, _ in self.rows]
+        return list(zip(self.table.token, self.table.window_start, self.table.window_end))
 
 
 def load_labels(path: str | os.PathLike) -> dict[str, int]:
@@ -76,7 +74,7 @@ def write_labels(labels: dict[str, int], path: str | os.PathLike) -> None:
 
 
 def join(
-    features: Sequence[FeatureVector],
+    table: np.recarray,
     labels: dict[str, int],
     min_nodes: int = DEFAULT_MIN_NODES,
 ) -> LabeledDataset:
@@ -85,19 +83,21 @@ def join(
     The threshold is strict: a 500-node graph is excluded at the default.
     Over-threshold tokens lacking a label are reported in ``unlabeled``.
     """
-    rows: list[tuple[FeatureVector, int]] = []
+    kept: list[int] = []
+    flags: list[int] = []
     unlabeled: list[str] = []
     seen_rows: set[tuple[str, int]] = set()
-    for fv in features:
-        if fv.num_nodes <= min_nodes:
+    for row, (token, start, nodes) in enumerate(zip(table.token, table.window_start,
+                                                    table.num_nodes)):
+        if nodes <= min_nodes:
             continue
-        key = (fv.token, fv.window.start)
-        if key in seen_rows:
-            raise ValueError(f"duplicate (token, window) row: {key}")
-        seen_rows.add(key)
-        label = labels.get(fv.token)
+        if (token, start) in seen_rows:
+            raise ValueError(f"duplicate (token, window) row: {(token, start)}")
+        seen_rows.add((token, start))
+        label = labels.get(token)
         if label is None:
-            unlabeled.append(fv.token)
+            unlabeled.append(token)
             continue
-        rows.append((fv, label))
-    return LabeledDataset(rows=rows, unlabeled=unlabeled)
+        kept.append(row)
+        flags.append(label)
+    return LabeledDataset(table[kept], np.array(flags, dtype=np.int64), unlabeled)

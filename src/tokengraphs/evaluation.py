@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import LabeledDataset
-from .features import FeatureVector, format_real, write_rows
+from .features import format_real, write_rows
 from .model import SCAM_THRESHOLD, Model, TrainConfig, predict_proba, train
 
 
@@ -116,7 +116,7 @@ def evaluate_model(model: Model, dataset: LabeledDataset, label: str = "eval",
         overlap = model.train_row_ids.intersection(dataset.row_ids())
         if overlap:
             raise LeakageError(f"{len(overlap)} evaluation rows were used in training")
-    scores, truth = predict_proba(model, dataset.vectors), dataset.labels
+    scores, truth = predict_proba(model, dataset.table), dataset.labels
     counts = confusion(scores >= SCAM_THRESHOLD, truth)
     accuracy, precision, recall, f1 = metrics(counts)
     roc, auc = roc_auc(scores, truth)
@@ -148,10 +148,6 @@ def stratified_folds(labels: Sequence[int], k: int, seed: int) -> list[int]:
     return assignment.tolist()
 
 
-def _subset(dataset: LabeledDataset, keep: Sequence[bool]) -> LabeledDataset:
-    return LabeledDataset(rows=[row for row, flag in zip(dataset.rows, keep) if flag])
-
-
 def kfold_cv(
     dataset: LabeledDataset,
     k: int = 5,
@@ -168,10 +164,8 @@ def kfold_cv(
     folds: list[EvalReport] = []
     for fold_id in range(k):
         test_mask = assignment == fold_id
-        train_set = _subset(dataset, ~test_mask)
-        test_set = _subset(dataset, test_mask)
-        model = train(train_set, config, variant)
-        folds.append(evaluate_model(model, test_set, label=f"fold-{fold_id + 1}",
+        model = train(dataset[~test_mask], config, variant)
+        folds.append(evaluate_model(model, dataset[test_mask], label=f"fold-{fold_id + 1}",
                                     check_leakage=True))
 
     pooled = sum((fold.counts for fold in folds), ConfusionCounts())
@@ -221,7 +215,7 @@ class ScanReport:
 
 def unlabeled_scan(
     model: Model,
-    vectors: Sequence[FeatureVector],
+    table: np.recarray,
     max_nodes: int = 500,
 ) -> ScanReport:
     """Score small (sub-threshold) graphs with a size-free model.
@@ -232,8 +226,8 @@ def unlabeled_scan(
     if model.variant not in ("reduced", "reduced-no-lifetime"):
         raise VariantMismatchError(
             f"scan requires a reduced-variant model, got {model.variant!r}")
-    small = [fv for fv in vectors if fv.num_nodes <= max_nodes]
-    if not small:
+    small = table[table.num_nodes <= max_nodes]
+    if not len(small):
         return ScanReport(0, 0, 0.0, 0.0, 0.0)
     scores = predict_proba(model, small)
     flagged = scores >= SCAM_THRESHOLD
@@ -242,14 +236,12 @@ def unlabeled_scan(
         selected = int(mask.sum())
         return float(flagged[mask].sum() / selected) if selected else 0.0
 
-    over_100 = np.array([fv.num_nodes > 100 for fv in small])
-    young = np.array([fv.lifetime < 1000 for fv in small])
     return ScanReport(
         total=len(small),
         predicted_scam=int(flagged.sum()),
         scam_share=float(flagged.mean()),
-        share_over_100_nodes=share(over_100),
-        share_lifetime_under_1000=share(young),
+        share_over_100_nodes=share(small.num_nodes > 100),
+        share_lifetime_under_1000=share(small.lifetime < 1000),
     )
 
 

@@ -1,4 +1,10 @@
-"""Structural and temporal summary features of token transfer graphs."""
+"""Structural and temporal summary features of token transfer graphs.
+
+A feature table is a numpy record array with one field per ``TABLE_HEADER``
+column and one row per (token, window).  Reals are float64; every other cell
+is the exact Python object, an address or an int of any size, so ``amount``
+stays exact and no int64 range is forced on window bounds or counts.
+"""
 
 from __future__ import annotations
 
@@ -6,13 +12,11 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .graphs import TokenGraph, weak_components
-from .ingest import BlockWindow
 
 FULL_FEATURES = (
     "num_nodes", "num_edges", "density", "num_components",
@@ -47,74 +51,54 @@ _TABLE_KINDS = ("token", "int", "int", "int", "int", "real", "int", "real", "int
                 "real", "int")
 _TABLE_ROW_RE = re.compile(
     ",".join(f"({_CELL_PATTERNS[kind]})" for kind in _TABLE_KINDS))
+_COLUMNS = TABLE_HEADER.split(",")
+_TABLE_DTYPE = np.dtype([(name, np.float64 if kind == "real" else object)
+                         for name, kind in zip(_COLUMNS, _TABLE_KINDS)])
+# the int cells a model matrix takes, in the order a row's range check reports them
+_COUNTS = ("amount", "num_nodes", "num_edges", "num_components", "lifetime")
+
+_HISTOGRAM_BINS = 20
 
 
-@dataclass
-class FeatureVector:
-    """The eight per-graph features.
+def feature_table(rows: Sequence[tuple]) -> np.recarray:
+    """The feature table of ``rows``, each a tuple of cells in header order."""
+    return np.asarray(rows, dtype=_TABLE_DTYPE).view(np.recarray)
+
+
+def extract_features(graph: TokenGraph) -> tuple:
+    """The feature-table row of one graph, its cells in header order.
 
     ``amount`` is the exact big-integer sum of raw transfer values; it is
     projected to float64 only when a model matrix is assembled.  ``density``
     may exceed 1 because parallel edges are counted, and is defined as 0 for
-    graphs with fewer than two nodes.
-    """
-
-    token: str
-    window: BlockWindow
-    num_nodes: int
-    num_edges: int
-    density: float
-    num_components: int
-    avg_comp_size: float
-    lifetime: int
-    transfer_std_dev: float
-    amount: int
-
-    def value(self, name: str) -> float:
-        if name == "edges_per_component":
-            return self.num_edges / self.num_components
-        return float(getattr(self, name))
-
-
-def extract_features(graph: TokenGraph) -> FeatureVector:
-    """Compute the feature vector of one graph.
-
-    Lifetime is the block span between the first and last transfer; the
-    spread statistic is the population standard deviation of the edge block
-    numbers.
+    graphs with fewer than two nodes.  Lifetime is the block span between the
+    first and last transfer; the spread statistic is the population standard
+    deviation of the edge block numbers.
     """
     components = weak_components(graph)
     n = graph.num_nodes
     e = graph.num_edges
     density = e / (n * (n - 1)) if n >= 2 else 0.0
     blocks = graph.blocks  # in (block, logIndex) order
-    return FeatureVector(
-        token=graph.token,
-        window=graph.window,
-        num_nodes=n,
-        num_edges=e,
-        density=density,
-        num_components=components.count,
-        avg_comp_size=n / components.count,
-        lifetime=int(blocks[-1] - blocks[0]),
-        transfer_std_dev=float(np.std(blocks)),  # population form
-        amount=graph.amount,
-    )
+    return (graph.token, *graph.window, n, e, density, components.count,
+            n / components.count, int(blocks[-1] - blocks[0]),
+            float(np.std(blocks)),  # population form
+            graph.amount)
 
 
 def feature_matrix(
-    vectors: Sequence[FeatureVector], names: tuple[str, ...],
-    log_amount: bool = False,
+    table: np.recarray, names: tuple[str, ...], log_amount: bool = False,
 ) -> np.ndarray:
     """Assemble the float64 model matrix, one column per feature name.
 
-    ``log_amount`` swaps the raw amount column for log10(1 + amount); raw
-    values are the default.
+    ``edges_per_component`` divides the exact ints of ``num_edges`` by those of
+    ``num_components``.  ``log_amount`` swaps the raw amount column for
+    log10(1 + amount); raw values are the default.
     """
-    matrix = np.empty((len(vectors), len(names)), dtype=np.float64)
-    for i, fv in enumerate(vectors):
-        for j, name in enumerate(names):
-            matrix[i, j] = fv.value(name)
+    matrix = np.empty((len(table), len(names)), dtype=np.float64)
+    for j, name in enumerate(names):
+        matrix[:, j] = (table.num_edges / table.num_components
+                        if name == "edges_per_component" else table[name])
     if log_amount and "amount" in names:
         column = names.index("amount")
         matrix[:, column] = np.log10(1.0 + matrix[:, column])
@@ -155,11 +139,11 @@ def read_rows(path: str | os.PathLike, header: str, kind: str,
                 yield line_no, line.rstrip("\n")
 
 
-def write_feature_table(vectors: Iterable[FeatureVector], path: str | os.PathLike) -> int:
-    return write_rows(path, TABLE_HEADER, (
-        (fv.token, fv.window.start, fv.window.end, fv.num_nodes, fv.num_edges,
-         format_real(fv.density), fv.num_components, format_real(fv.avg_comp_size),
-         fv.lifetime, format_real(fv.transfer_std_dev), fv.amount) for fv in vectors))
+def write_feature_table(table: np.recarray, path: str | os.PathLike) -> int:
+    """Write a feature table, reals by ``format_real``; returns the row count."""
+    columns = [map(format_real, table[name].tolist()) if kind == "real" else table[name]
+               for name, kind in zip(_COLUMNS, _TABLE_KINDS)]
+    return write_rows(path, TABLE_HEADER, zip(*columns))
 
 
 def _diagnose_table_row(line_no: int, line: str) -> ValueError:
@@ -167,7 +151,7 @@ def _diagnose_table_row(line_no: int, line: str) -> ValueError:
     fields = line.split(",")
     if len(fields) != len(_TABLE_KINDS):
         return ValueError(f"line {line_no}: expected 11 columns")
-    for name, kind, cell in zip(TABLE_HEADER.split(","), _TABLE_KINDS, fields):
+    for name, kind, cell in zip(_COLUMNS, _TABLE_KINDS, fields):
         if re.fullmatch(_CELL_PATTERNS[kind], cell) is None:
             if kind == "token":
                 return ValueError(f"line {line_no}: bad token address: {cell!r}")
@@ -177,39 +161,44 @@ def _diagnose_table_row(line_no: int, line: str) -> ValueError:
     return ValueError(f"line {line_no}: malformed row")
 
 
-def read_feature_table(path: str | os.PathLike) -> list[FeatureVector]:
-    vectors: list[FeatureVector] = []
+def read_feature_table(path: str | os.PathLike) -> np.recarray:
+    """The feature table a file holds; a row that cannot reach a model matrix
+    raises a ``ValueError`` naming its line."""
+    rows = []
     match = _TABLE_ROW_RE.fullmatch
     for line_no, line in read_rows(path, TABLE_HEADER, "feature table"):
         m = match(line)
         if m is None:
             raise _diagnose_table_row(line_no, line)
-        (token, start, end, num_nodes, num_edges, density, num_components,
-         avg_comp_size, lifetime, std_dev, amount) = m.groups()
+        (token, start, end, nodes, edges, density, components, avg_size, lifetime,
+         std_dev, amount) = m.groups()
         try:
-            fv = FeatureVector(token, BlockWindow(int(start), int(end)), int(num_nodes),
-                               int(num_edges), float(density), int(num_components),
-                               float(avg_comp_size), int(lifetime), float(std_dev),
-                               int(amount))
+            row = (token, int(start), int(end), int(nodes), int(edges), float(density),
+                   int(components), float(avg_size), int(lifetime), float(std_dev),
+                   int(amount))
         except ValueError as exc:  # an integer past Python's digit limit
             raise ValueError(f"line {line_no}: {exc}") from None
+        _, _, _, nodes, edges, density, components, avg_size, lifetime, std_dev, amount = row
         # a nan or inf would reach the model matrix and every score
-        if not all(map(math.isfinite, (fv.density, fv.avg_comp_size,
-                                       fv.transfer_std_dev))):
+        if not all(map(math.isfinite, (density, avg_size, std_dev))):
             raise ValueError(f"line {line_no}: density, avg_comp_size and "
                              f"transfer_std_dev must be finite")
-        if abs(fv.amount) > sys.float_info.max:  # the model matrix is float64
-            raise ValueError(f"line {line_no}: amount beyond the float64 range")
-        vectors.append(fv)
-    return vectors
+        # the model matrix is float64, and edges_per_component divides by num_components
+        counts = (amount, nodes, edges, components, lifetime)
+        if max(counts) > sys.float_info.max:
+            name = next(name for name, count in zip(_COUNTS, counts)
+                        if count > sys.float_info.max)
+            raise ValueError(f"line {line_no}: {name} beyond the float64 range")
+        if components == 0:
+            raise ValueError(f"line {line_no}: num_components must be at least 1")
+        rows.append(row)
+    return feature_table(rows)
 
 
-def histogram_bins(
-    vectors: Sequence[FeatureVector], bins: int = 20,
-) -> dict[str, list[tuple[float, float, int]]]:
+def histogram_bins(table: np.recarray) -> dict[str, list[tuple[float, float, int]]]:
     """Per-feature (bin_start, bin_end, count) triples for external plotting."""
     out: dict[str, list[tuple[float, float, int]]] = {}
-    matrix = feature_matrix(vectors, FULL_FEATURES)
+    matrix = feature_matrix(table, FULL_FEATURES)
     for name, column in zip(FULL_FEATURES, matrix.T):
         if column.size == 0:
             out[name] = []
@@ -218,7 +207,7 @@ def histogram_bins(
         if math.isclose(lo, hi):
             out[name] = [(lo, hi, int(column.size))]
             continue
-        counts, edges = np.histogram(column, bins=bins, range=(lo, hi))
+        counts, edges = np.histogram(column, bins=_HISTOGRAM_BINS, range=(lo, hi))
         out[name] = [(float(edges[i]), float(edges[i + 1]), int(counts[i]))
                      for i in range(len(counts))]
     return out

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import VARIANTS, FeatureVector, feature_matrix, read_rows
+from .features import VARIANTS, feature_matrix, read_rows
 
 MODEL_HEADER = "format_version: 1"
 
@@ -201,14 +201,14 @@ def train(dataset, config: TrainConfig | None = None, variant: str = "full") -> 
     names = VARIANTS.get(variant)
     if names is None:
         raise ValueError(f"unknown feature variant: {variant!r}")
-    matrix = feature_matrix(dataset.vectors, names, log_amount=config.log_amount)
+    matrix = feature_matrix(dataset.table, names, log_amount=config.log_amount)
     return train_matrix(matrix, dataset.labels, names, config,
                         row_ids=dataset.row_ids())
 
 
-def predict_proba(model: Model, vectors: Sequence[FeatureVector]) -> np.ndarray:
-    """Scam probabilities for feature vectors, using the model's own scaling."""
-    matrix = feature_matrix(vectors, model.feature_names,
+def predict_proba(model: Model, table: np.recarray) -> np.ndarray:
+    """Scam probabilities for a feature table's rows, using the model's own scaling."""
+    matrix = feature_matrix(table, model.feature_names,
                             log_amount=model.config.log_amount)
     scaled = _zscore(matrix, model.means, model.stds)
     return sigmoid(model.intercept + scaled @ model.coefficients)

@@ -4,7 +4,9 @@ import os
 import random
 
 import pytest
+from hypothesis import strategies as st
 
+from tokengraphs.features import extract_features, feature_table
 from tokengraphs.ingest import (BlockWindow, TransferEvent, WindowBatch, partition_windows,
                                 write_fixture)
 
@@ -37,6 +39,25 @@ def batch_of(events: list[TransferEvent]) -> WindowBatch:
     """All ``events`` as one window batch, in their order (at least one event)."""
     (batch,) = partition_windows(events, 1 << 63).values()
     return batch
+
+
+def feature_row(graph):
+    """``extract_features``' row of ``graph`` as a feature-table record, whose
+    cells read by column name."""
+    return feature_table([extract_features(graph)])[0]
+
+
+@st.composite
+def feature_rows(draw) -> tuple:
+    """A feature-table row that ``read_feature_table`` accepts: finite reals,
+    at least one component, and ints past int64 in every int column."""
+    reals = st.floats(allow_nan=False, allow_infinity=False)
+    counts = st.integers(0, 2**70)
+    start = draw(st.integers(0, 2**70))
+    return ("0x" + draw(st.text("0123456789abcdef", min_size=40, max_size=40)),
+            start, start + draw(st.integers(0, 10**6)), draw(counts), draw(counts),
+            draw(reals), draw(st.integers(1, 2**70)), draw(reals), draw(counts),
+            draw(reals), draw(st.integers(0, 2**1000)))
 
 
 def batch_rows(batch: WindowBatch) -> list[tuple[str, str, str, int, int, int]]:

@@ -89,6 +89,47 @@ def straight_line_features(
     }
 
 
+def straight_feature_matrix(rows, names: tuple[str, ...],
+                            log_amount: bool = False) -> np.ndarray:
+    """The float64 model matrix filled cell by cell from feature-table rows
+    (anything with one attribute per table column): ``edges_per_component``
+    is the Python division of the row's ``num_edges`` by its
+    ``num_components``, any other cell is its value as a float, and
+    ``log_amount`` swaps the amount column for log10(1 + amount)."""
+    matrix = np.empty((len(rows), len(names)), dtype=np.float64)
+    for i, row in enumerate(rows):
+        for j, name in enumerate(names):
+            if name == "edges_per_component":
+                matrix[i, j] = row.num_edges / row.num_components
+            else:
+                matrix[i, j] = float(getattr(row, name))
+    if log_amount and "amount" in names:
+        column = names.index("amount")
+        matrix[:, column] = np.log10(1.0 + matrix[:, column])
+    return matrix
+
+
+def loop_join(rows, labels: dict[str, int], min_nodes: int) -> tuple[list, list, list]:
+    """(kept rows, their labels, unlabeled tokens) of feature-table rows
+    joined with ``labels`` row by row: rows of ``min_nodes`` nodes or fewer
+    are dropped, a second row of one (token, window start) above the
+    threshold raises, and an unlabeled token is listed once per row."""
+    kept, flags, unlabeled, seen = [], [], [], set()
+    for row in rows:
+        if row.num_nodes <= min_nodes:
+            continue
+        key = (row.token, row.window_start)
+        if key in seen:
+            raise ValueError(f"duplicate (token, window) row: {key}")
+        seen.add(key)
+        if row.token in labels:
+            kept.append(row)
+            flags.append(labels[row.token])
+        else:
+            unlabeled.append(row.token)
+    return kept, flags, unlabeled
+
+
 def pairwise_auc(scores: list[float], truth: list[int]) -> float:
     """AUC as P(score+ > score-) + P(score+ = score-)/2 by full enumeration."""
     positives = [s for s, t in zip(scores, truth) if t == 1]
@@ -269,7 +310,8 @@ class CorpusSummary(NamedTuple):
 
 
 def summarize(datasets: Iterable) -> CorpusSummary:
-    """Pooled and unique-token counts over per-window ``LabeledDataset`` rows.
+    """Pooled and unique-token counts over the rows of per-window
+    ``LabeledDataset``s; each window is a (start, end) pair.
 
     A token counts as suspicious at the unique level when any of its window
     rows is labeled suspicious; legitimate tokens recurring across windows
@@ -281,14 +323,14 @@ def summarize(datasets: Iterable) -> CorpusSummary:
     pooled_suspicious = 0
     for dataset in datasets:
         by_window: dict = {}
-        for fv, label in dataset.rows:
-            rows, bad = by_window.get(fv.window, (0, 0))
-            by_window[fv.window] = (rows + 1, bad + label)
-            token_flag[fv.token] = max(token_flag.get(fv.token, 0), label)
+        for row, label in zip(dataset.table, dataset.labels.tolist()):
+            window = (row.window_start, row.window_end)
+            rows, bad = by_window.get(window, (0, 0))
+            by_window[window] = (rows + 1, bad + label)
+            token_flag[row.token] = max(token_flag.get(row.token, 0), label)
             pooled_rows += 1
             pooled_suspicious += label
-        per_window.extend((w, rows, bad) for w, (rows, bad) in sorted(
-            by_window.items(), key=lambda item: item[0].start))
+        per_window.extend((w, rows, bad) for w, (rows, bad) in sorted(by_window.items()))
     return CorpusSummary(
         per_window=per_window,
         pooled_rows=pooled_rows,

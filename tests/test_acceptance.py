@@ -23,7 +23,7 @@ from tokengraphs.cli import main as cli_main
 from tokengraphs.dataset import join, load_labels
 from tokengraphs.evaluation import (ConfusionCounts, kfold_cv, metrics,
                                     roc_auc, cross_window_eval, unlabeled_scan)
-from tokengraphs.features import extract_features
+from tokengraphs.features import extract_features, feature_table
 from tokengraphs.graphs import build_graphs, weak_components
 from tokengraphs.ingest import (BlockWindow, decode_logs,
                                 is_erc20_transfer, iter_window_groups,
@@ -31,7 +31,7 @@ from tokengraphs.ingest import (BlockWindow, decode_logs,
 from tokengraphs.model import _objective, train
 from tokengraphs.synth import gen_corpus, gen_scan_corpus
 
-from conftest import batch_of, make_event
+from conftest import batch_of, feature_row, make_event
 from oracles import (bfs_components, finite_diff_gradient, pairwise_auc,
                      straight_line_features)
 
@@ -58,11 +58,12 @@ def criterion(number: int, description: str, budget_seconds: float | None):
 
 
 def pipeline_features(fixture_path):
-    vectors = []
+    """(window, feature table) for each window of a fixture."""
+    tables = []
     for window, events in iter_window_groups(fixture_path, 100_000):
-        vectors.append((window, [extract_features(g)
-                                 for g in build_graphs(events, window).values()]))
-    return vectors
+        tables.append((window, feature_table([extract_features(g) for g in
+                                              build_graphs(events, window).values()])))
+    return tables
 
 
 def training_corpus(tmp_factory):
@@ -72,8 +73,8 @@ def training_corpus(tmp_factory):
         fixture = base / "fixture.tsv"
         labels_path = base / "labels.csv"
         manifest = gen_corpus(926, 0.353, [WINDOW], fixture, labels_path, seed=2026)
-        (window, vectors), = pipeline_features(fixture)
-        dataset = join(vectors, load_labels(labels_path), 500)
+        (window, table), = pipeline_features(fixture)
+        dataset = join(table, load_labels(labels_path), 500)
         _cache["train"] = (dataset, manifest)
     return _cache["train"]
 
@@ -129,7 +130,7 @@ def test_criterion_3_feature_oracle():
         events = [make_event("0xa", "0xb", value=10, block=18_000_100, log_index=0, tx=1),
                   make_event("0xb", "0xc", value=5, block=18_000_150, log_index=1, tx=2),
                   make_event("0xa", "0xc", value=7, block=18_000_200, log_index=2, tx=3)]
-        fv = extract_features(build_graphs(batch_of(events), WINDOW)[events[0].token])
+        fv = feature_row(build_graphs(batch_of(events), WINDOW)[events[0].token])
         assert fv.density == pytest.approx(0.5, abs=1e-10)
         assert fv.lifetime == 100
         assert fv.transfer_std_dev == pytest.approx(40.8248, abs=1e-4)
@@ -148,14 +149,14 @@ def test_criterion_3_feature_oracle():
                                  block=WINDOW.start + blk, log_index=i, tx=i + 1)
                       for i, (a, b, v, blk) in enumerate(raw)]
             graph = build_graphs(batch_of(events), WINDOW)[events[0].token]
-            fv = extract_features(graph)
+            fv = feature_row(graph)
             oracle = straight_line_features([
                 (e.from_addr, e.to_addr, e.value, e.block) for e in events])
             assert fv.amount == oracle["amount"]
             for name in ("num_nodes", "num_edges", "num_components", "lifetime"):
-                assert fv.value(name) == oracle[name]
+                assert getattr(fv, name) == oracle[name]
             for name in ("density", "avg_comp_size", "transfer_std_dev"):
-                assert fv.value(name) == pytest.approx(oracle[name],
+                assert getattr(fv, name) == pytest.approx(oracle[name],
                                                        abs=1e-10, rel=1e-10)
 
 
@@ -231,8 +232,7 @@ def test_criterion_7_cross_window(tmp_path_factory):
         labels_path = base / "labels.csv"
         gen_corpus(926, 0.353, windows, fixture, labels_path, seed=777)
         labels = load_labels(labels_path)
-        datasets = [join(vectors, labels, 500)
-                    for _w, vectors in pipeline_features(fixture)]
+        datasets = [join(table, labels, 500) for _w, table in pipeline_features(fixture)]
         assert len(datasets) == 5
         model, reports = cross_window_eval(datasets[0], datasets[1:],
                                            variant="full")
@@ -255,15 +255,13 @@ def test_criterion_8_reduced_variant(tmp_path_factory):
         base = tmp_path_factory.mktemp("scan")
         scan_fixture = base / "scan.tsv"
         gen_scan_corpus(400, WINDOW, scan_fixture, seed=4242)
-        scan_vectors = []
-        for _w, vectors in pipeline_features(scan_fixture):
-            scan_vectors.extend(vectors)
-        assert all(fv.num_nodes <= 500 for fv in scan_vectors)
+        (_w, scan_table), = pipeline_features(scan_fixture)
+        assert all(fv.num_nodes <= 500 for fv in scan_table)
 
         reduced_model = train(dataset, variant="reduced")
         no_lifetime_model = train(dataset, variant="reduced-no-lifetime")
-        with_lifetime = unlabeled_scan(reduced_model, scan_vectors)
-        without_lifetime = unlabeled_scan(no_lifetime_model, scan_vectors)
+        with_lifetime = unlabeled_scan(reduced_model, scan_table)
+        without_lifetime = unlabeled_scan(no_lifetime_model, scan_table)
         young_with = with_lifetime.share_lifetime_under_1000
         young_without = without_lifetime.share_lifetime_under_1000
         print(f"  young-graph scam rate: with lifetime={young_with:.3f}, "

@@ -626,10 +626,13 @@ def test_train_on_a_table_with_a_nan_cell_exits_2(corpus, capsys):
     assert not model_out.exists()
 
 
-def test_train_on_a_table_with_an_amount_beyond_float64_exits_2(corpus, capsys):
+@pytest.mark.parametrize("column, name", [
+    (10, "amount"), (3, "num_nodes"), (4, "num_edges"), (6, "num_components"), (8, "lifetime"),
+])
+def test_train_on_a_table_with_a_count_beyond_float64_exits_2(corpus, capsys, column, name):
     lines = corpus["features"].read_text().splitlines()
     fields = lines[2].split(",")
-    fields[10] = "1" + "0" * 400  # amount
+    fields[column] = "1" + "0" * 400
     lines[2] = ",".join(fields)
     table = corpus["tmp"] / "huge.csv"
     table.write_text("\n".join(lines) + "\n")
@@ -638,8 +641,64 @@ def test_train_on_a_table_with_an_amount_beyond_float64_exits_2(corpus, capsys):
     assert main(["train", "--features", str(table), "--labels", str(corpus["labels"]),
                  "--model-out", str(model_out), "--min-nodes", "0"]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: line 3: amount beyond the float64 range"]
+        f"error: line 3: {name} beyond the float64 range"]
     assert not model_out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "scan"])
+def test_a_table_row_with_no_component_exits_2_naming_its_line(tables, tmp_path, capsys,
+                                                               command):
+    # edges_per_component divides num_edges by num_components
+    lines = tables["features"].read_text().splitlines()
+    fields = lines[4].split(",")
+    fields[6] = "0"
+    lines[4] = ",".join(fields)
+    table = tmp_path / "features.csv"
+    table.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    argv = {"train": ["train", "--variant", "reduced", "--labels", str(tables["labels"]),
+                      "--min-nodes", "0", "--model-out", str(out)],
+            "scan": ["scan", "--model", str(tables["model"]), "--out", str(out)]}[command]
+    capsys.readouterr()
+    assert main([*argv, "--features", str(table)]) == 2
+    assert one_error_line(capsys) == "error: line 5: num_components must be at least 1"
+    assert not out.exists()
+
+
+# (column, a string that column's cell pattern accepts)
+_TABLE_CELLS = st.integers(0, 10).flatmap(lambda column: st.tuples(st.just(column), st.from_regex(
+    features_mod._CELL_PATTERNS[features_mod._TABLE_KINDS[column]], fullmatch=True)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cell=_TABLE_CELLS, row=st.integers(1, 40))
+@example(cell=(6, "0"), row=3)  # no component
+@example(cell=(4, "9" * 400), row=3)  # num_edges beyond float64
+def test_a_table_with_one_cell_any_string_its_pattern_accepts_exits_0_or_2(tables, cell, row):
+    """One cell of a valid feature table becomes any string its column's cell
+    pattern accepts; ``train --variant reduced``, ``cv`` and ``scan`` each end
+    in exit 0, or exit 2 with one ``error:`` line."""
+    column, text = cell
+    lines = tables["features"].read_text().splitlines()
+    fields = lines[row].split(",")
+    fields[column] = text
+    lines[row] = ",".join(fields)
+    labels = str(tables["labels"])
+    with tempfile.TemporaryDirectory() as tmp:
+        table, out = pathlib.Path(tmp, "features.csv"), str(pathlib.Path(tmp, "out"))
+        table.write_text("\n".join(lines) + "\n")
+        for argv in (["train", "--variant", "reduced", "--labels", labels,
+                      "--min-nodes", "0", "--max-iters", "200", "--model-out", out],
+                     ["cv", "--labels", labels, "--min-nodes", "0", "--max-iters", "200",
+                      "--out", out],
+                     ["scan", "--model", str(tables["model"]), "--out", out]):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main([*argv, "--features", str(table)])
+            assert code in (0, 2), argv[0]
+            assert "Traceback" not in err.getvalue()
+            errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+            assert len(errors) == (code == 2), err.getvalue()
 
 
 def test_cv_report_is_seed_deterministic(corpus):
@@ -782,6 +841,15 @@ def test_fetch_requires_an_endpoint(tmp_path, monkeypatch):
     monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
     assert main(["fetch", "--start", "0", "--end", "10",
                  "--out", str(tmp_path / "f.tsv")]) == 2
+
+
+def test_fetch_out_that_is_a_directory_exits_2_and_leaves_no_manifest(tmp_path, capsys):
+    out = tmp_path / "d"
+    out.mkdir()
+    assert main(["fetch", "--start", "0", "--end", "10", "--out", str(out),
+                 "--endpoint", "http://127.0.0.1:9"]) == 2
+    assert one_error_line(capsys) == f"error: --out {out} is a directory"
+    assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
 
 
 def test_fetch_bad_url_exits_nonzero(tmp_path):

@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import re
+from collections import namedtuple
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tokengraphs.dataset import (
     LabelConflictError,
@@ -10,20 +16,21 @@ from tokengraphs.dataset import (
     load_labels,
     write_labels,
 )
-from tokengraphs.features import FeatureVector
+from tokengraphs.features import TABLE_HEADER, feature_table
 from tokengraphs.ingest import BlockWindow
 
-from oracles import summarize
+from oracles import loop_join, summarize
 
 WINDOW = BlockWindow(18_000_000, 18_100_000)
 
 
-def vector(token: str, nodes: int, window: BlockWindow = WINDOW) -> FeatureVector:
-    return FeatureVector(
-        token=token, window=window, num_nodes=nodes, num_edges=nodes,
-        density=0.001, num_components=1, avg_comp_size=float(nodes),
-        lifetime=100, transfer_std_dev=10.0, amount=1000,
-    )
+def vector(token: str, nodes: int, window: BlockWindow = WINDOW) -> tuple:
+    """A one-component feature-table row of ``nodes`` nodes."""
+    return (token, *window, nodes, nodes, 0.001, 1, float(nodes), 100, 10.0, 1000)
+
+
+def table(*rows: tuple):
+    return feature_table(list(rows))
 
 
 def addr(n: int) -> str:
@@ -65,8 +72,8 @@ def test_uppercase_address_normalizes_and_joins(tmp_path):
     mixed = "0x" + format(0xAB, "040x").upper()
     path.write_text(f"token,suspicious\n{mixed},1\n")
     labels = load_labels(path)
-    dataset = join([vector(addr(0xAB), 600)], labels, 500)
-    assert dataset.labels == [1]
+    dataset = join(table(vector(addr(0xAB), 600)), labels, 500)
+    assert dataset.labels.tolist() == [1]
 
 
 def test_malformed_label_lines(tmp_path):
@@ -96,25 +103,25 @@ def test_label_round_trip(tmp_path):
 
 def test_threshold_is_strict():
     labels = {addr(1): 1, addr(2): 0}
-    dataset = join([vector(addr(1), 500), vector(addr(2), 501)], labels, 500)
-    assert [fv.token for fv, _ in dataset.rows] == [addr(2)]
+    dataset = join(table(vector(addr(1), 500), vector(addr(2), 501)), labels, 500)
+    assert dataset.table.token.tolist() == [addr(2)]
 
 
 def test_zero_threshold_keeps_all_labeled():
     labels = {addr(1): 1, addr(2): 0}
-    dataset = join([vector(addr(1), 1), vector(addr(2), 3)], labels, 0)
+    dataset = join(table(vector(addr(1), 1), vector(addr(2), 3)), labels, 0)
     assert len(dataset) == 2
 
 
 def test_unlabeled_over_threshold_reported_not_assumed():
-    dataset = join([vector(addr(1), 900)], {}, 500)
+    dataset = join(table(vector(addr(1), 900)), {}, 500)
     assert len(dataset) == 0
     assert dataset.unlabeled == [addr(1)]
 
 
 def test_join_monotone_in_threshold():
     labels = {addr(n): n % 2 for n in range(1, 30)}
-    features = [vector(addr(n), 400 + 20 * n) for n in range(1, 30)]
+    features = table(*(vector(addr(n), 400 + 20 * n) for n in range(1, 30)))
     sizes = [len(join(features, labels, t)) for t in (0, 450, 600, 800, 10_000)]
     assert sizes == sorted(sizes, reverse=True)
 
@@ -122,13 +129,14 @@ def test_join_monotone_in_threshold():
 def test_duplicate_token_window_rows_rejected():
     labels = {addr(1): 0}
     with pytest.raises(ValueError):
-        join([vector(addr(1), 600), vector(addr(1), 700)], labels, 500)
+        join(table(vector(addr(1), 600), vector(addr(1), 700)), labels, 500)
 
 
 # --- summaries -------------------------------------------------------------------
 
 def _dataset(rows):
-    return LabeledDataset(rows=rows)
+    return LabeledDataset(table(*(row for row, _ in rows)),
+                          np.array([label for _, label in rows]))
 
 
 def test_single_window_fraction():
@@ -183,3 +191,32 @@ def test_pooled_fraction_over_twenty_window_fixture():
     assert summary.pooled_rows == 19_105
     assert summary.pooled_suspicious == 4_565
     assert summary.pooled_fraction == pytest.approx(0.239, abs=5e-4)
+
+
+# --- join against the straight loop ------------------------------------------------
+
+# a row as the straight loop reads it, independent of the table
+Row = namedtuple("Row", TABLE_HEADER)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2), st.integers(0, 8)),
+                max_size=10),
+       st.dictionaries(st.integers(0, 3), st.integers(0, 1)), st.integers(0, 8))
+@example([], {}, 0)
+def test_join_equals_the_straight_loop(cells, flags, min_nodes):
+    """Rows draw their token, window and node count from small pools, so
+    duplicates, unlabeled tokens and rows under the threshold all occur."""
+    rows = [vector(addr(token), nodes, BlockWindow(start, start + 100))
+            for token, start, nodes in cells]
+    labels = {addr(token): flag for token, flag in flags.items()}
+    try:
+        kept, kept_labels, unlabeled = loop_join([Row(*row) for row in rows], labels, min_nodes)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            join(feature_table(rows), labels, min_nodes)
+        return
+    dataset = join(feature_table(rows), labels, min_nodes)
+    assert [tuple(row) for row in dataset.table] == [tuple(row) for row in kept]
+    assert dataset.labels.tolist() == kept_labels
+    assert dataset.unlabeled == unlabeled

@@ -1,14 +1,22 @@
 from __future__ import annotations
 
+import functools
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import tokengraphs.evaluation as evaluation_mod
 
 from tokengraphs.dataset import LabeledDataset
 from tokengraphs.evaluation import (
     ConfusionCounts,
+    EvalReport,
     LeakageError,
+    ScanReport,
     UndefinedAUCError,
     VariantMismatchError,
     confusion,
@@ -23,8 +31,9 @@ from tokengraphs.evaluation import (
     write_roc,
     write_scan_report,
 )
+from tokengraphs.features import feature_table
 from tokengraphs.ingest import BlockWindow
-from tokengraphs.model import SCAM_THRESHOLD, train
+from tokengraphs.model import SCAM_THRESHOLD, predict_proba, train
 
 from oracles import loop_confusion, loop_roc_auc, loop_stratified_folds, pairwise_auc
 from test_model import toy_dataset, _vector
@@ -241,7 +250,7 @@ def test_a_score_exactly_at_the_threshold_is_a_predicted_scam():
     assert (at.counts.tp, at.counts.fp, at.counts.fn, at.counts.tn) == (10, 10, 0, 0)
     below = evaluate_model(_constant_model(dataset, -1e-9), dataset)
     assert (below.counts.tp, below.counts.fp) == (0, 0)
-    vectors = [small_vector("0x" + "5" * 40, 120, 700)]
+    vectors = feature_table([small_vector("0x" + "5" * 40, 120, 700)])
     assert unlabeled_scan(_constant_model(dataset, 0.0, "reduced"),
                           vectors).predicted_scam == 1
     assert unlabeled_scan(_constant_model(dataset, -1e-9, "reduced"),
@@ -269,9 +278,10 @@ def test_standardizer_is_frozen_across_windows():
 def test_inverted_class_balance_hits_precision_not_accuracy():
     train_set = toy_dataset(40, seed=0)
     # evaluation window with scams rare: false positives hurt precision more
-    rare = LabeledDataset(rows=[r for r in toy_dataset(40, seed=2).rows
-                                if r[1] == 0]
-                          + [r for r in toy_dataset(5, seed=3).rows if r[1] == 1])
+    legit, scams = toy_dataset(40, seed=2), toy_dataset(5, seed=3)
+    legit, scams = legit[legit.labels == 0], scams[scams.labels == 1]
+    rare = LabeledDataset(np.concatenate([legit.table, scams.table]).view(np.recarray),
+                          np.concatenate([legit.labels, scams.labels]))
     model, reports = cross_window_eval(train_set, [rare])
     report = reports[0]
     assert report.accuracy >= 0.8
@@ -292,12 +302,12 @@ def test_scan_requires_reduced_model():
     dataset = toy_dataset(20)
     full_model = train(dataset, variant="full")
     with pytest.raises(VariantMismatchError):
-        unlabeled_scan(full_model, [small_vector("0x" + "1" * 40, 50, 500)])
+        unlabeled_scan(full_model, feature_table([small_vector("0x" + "1" * 40, 50, 500)]))
 
 
 def test_scan_empty_input_is_all_zeros():
     model = train(toy_dataset(20), variant="reduced")
-    report = unlabeled_scan(model, [])
+    report = unlabeled_scan(model, feature_table([]))
     assert (report.total, report.predicted_scam) == (0, 0)
     assert report.scam_share == report.share_over_100_nodes == 0.0
     assert report.share_lifetime_under_1000 == 0.0
@@ -305,17 +315,17 @@ def test_scan_empty_input_is_all_zeros():
 
 def test_scan_ignores_graphs_above_the_size_cut():
     model = train(toy_dataset(20), variant="reduced")
-    vectors = [small_vector("0x" + "2" * 40, 2000, 500),
-               small_vector("0x" + "3" * 40, 400, 500)]
+    vectors = feature_table([small_vector("0x" + "2" * 40, 2000, 500),
+                             small_vector("0x" + "3" * 40, 400, 500)])
     report = unlabeled_scan(model, vectors, max_nodes=500)
     assert report.total == 1
 
 
 def test_scan_strata_shares():
     model = train(toy_dataset(30), variant="reduced")
-    vectors = [small_vector("0x" + format(i, "040x"), 50 + 100 * (i % 3),
-                            400 if i % 2 else 40_000)
-               for i in range(20)]
+    vectors = feature_table([small_vector("0x" + format(i, "040x"), 50 + 100 * (i % 3),
+                                          400 if i % 2 else 40_000)
+                             for i in range(20)])
     report = unlabeled_scan(model, vectors)
     assert report.total == 20
     assert 0.0 <= report.scam_share <= 1.0
@@ -347,10 +357,77 @@ def test_roc_file_is_two_columns(tmp_path):
 
 def test_scan_report_file_fields(tmp_path):
     model = train(toy_dataset(20), variant="reduced")
-    report = unlabeled_scan(model, [small_vector("0x" + "4" * 40, 120, 700)])
+    report = unlabeled_scan(model, feature_table([small_vector("0x" + "4" * 40, 120, 700)]))
     path = tmp_path / "scan.csv"
     write_scan_report(report, path)
     text = path.read_text()
     for key in ("total_scanned", "predicted_scam_share", "share_over_100_nodes",
                 "share_lifetime_under_1000"):
         assert key in text
+
+
+# --- row selection against straight loops ----------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 1), max_size=14), st.integers(2, 3), st.integers(0, 2**32 - 1))
+@example([], 2, 0)
+def test_each_fold_trains_and_scores_the_rows_a_straight_loop_selects(labels, k, seed):
+    rows = [_vector(f"0xrow{i}", {"num_nodes": 600 + i}) for i in range(len(labels))]
+    dataset = LabeledDataset(feature_table(rows), np.array(labels, dtype=np.int64))
+    if min(labels.count(0), labels.count(1)) < k:
+        with pytest.raises(ValueError, match=f"^class {int(labels.count(0) >= k)} has fewer "
+                                             f"than {k} rows$"):
+            kfold_cv(dataset, k=k, seed=seed)
+        return
+    trained, scored = [], []
+
+    def evaluate(model, test_set, label, check_leakage):
+        scored.append(test_set)
+        return EvalReport(label, ConfusionCounts(), 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    with mock.patch.object(evaluation_mod, "train", side_effect=lambda ds, *a: trained.append(ds)), \
+            mock.patch.object(evaluation_mod, "evaluate_model", side_effect=evaluate):
+        kfold_cv(dataset, k=k, seed=seed)
+    folds = loop_stratified_folds(labels, k, seed)
+    for fold, train_set, test_set in zip(range(k), trained, scored, strict=True):
+        for subset, in_fold in ((train_set, False), (test_set, True)):
+            keep = [i for i, f in enumerate(folds) if (f == fold) == in_fold]
+            assert [tuple(row) for row in subset.table] == [rows[i] for i in keep]
+            assert subset.labels.tolist() == [labels[i] for i in keep]
+
+
+@functools.cache
+def _reduced_model():
+    return train(toy_dataset(20), variant="reduced")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1_000), st.integers(0, 3_000)), max_size=12),
+       st.integers(0, 1_000))
+@example([], 500)
+def test_a_scan_scores_the_rows_a_straight_loop_selects(cells, max_nodes):
+    rows = [small_vector("0x" + format(i, "040x"), nodes, lifetime)
+            for i, (nodes, lifetime) in enumerate(cells)]
+    calls = []
+
+    def scores(model, table):
+        calls.append((table, predict_proba(model, table)))
+        return calls[-1][1]
+
+    with mock.patch.object(evaluation_mod, "predict_proba", side_effect=scores):
+        report = unlabeled_scan(_reduced_model(), feature_table(rows), max_nodes)
+    small = [row for row in rows if row[3] <= max_nodes]  # num_nodes
+    if not small:
+        assert report == ScanReport(0, 0, 0.0, 0.0, 0.0) and calls == []
+        return
+    (table, probabilities), = calls
+    assert [tuple(row) for row in table] == small
+    flagged = [p >= SCAM_THRESHOLD for p in probabilities.tolist()]
+
+    def share(mask):
+        chosen = [flag for flag, keep in zip(flagged, mask) if keep]
+        return sum(chosen) / len(chosen) if chosen else 0.0
+
+    assert report == ScanReport(len(small), sum(flagged), sum(flagged) / len(small),
+                                share([row[3] > 100 for row in small]),
+                                share([row[8] < 1000 for row in small]))  # lifetime

@@ -1,11 +1,11 @@
 from __future__ import annotations
 
 import re
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tokengraphs.cli import main
@@ -13,28 +13,26 @@ from tokengraphs.features import (
     FULL_FEATURES,
     REDUCED_FEATURES,
     REDUCED_NO_LIFETIME_FEATURES,
+    TABLE_HEADER,
     VARIANTS,
-    FeatureVector,
-    extract_features,
     feature_matrix,
+    feature_table,
     format_real,
     histogram_bins,
     read_feature_table,
     write_feature_table,
 )
 from tokengraphs.graphs import build_graphs
-from tokengraphs.ingest import BlockWindow
 
-from conftest import WINDOW, batch_of, make_event, write_tiny_corpus
-from oracles import bfs_components, straight_line_features
+from conftest import WINDOW, batch_of, feature_row, feature_rows, make_event, write_tiny_corpus
+from oracles import bfs_components, straight_feature_matrix, straight_line_features
 
 
 def features_of(tuples, window=WINDOW, token="0x01"):
     """tuples: (from-stub, to-stub, value, block)"""
     events = [make_event(s, d, value=v, block=b, log_index=i, token=token, tx=i + 1)
               for i, (s, d, v, b) in enumerate(tuples)]
-    graph = build_graphs(batch_of(events), window)[events[0].token]
-    return extract_features(graph)
+    return feature_row(build_graphs(batch_of(events), window)[events[0].token])
 
 
 # --- the worked three-edge example -------------------------------------------
@@ -99,7 +97,8 @@ def test_many_small_tokens_in_one_window_match_the_oracles(tmp_path):
         by_token[event.token].append(event)
     assert main(["features", "--fixture", str(fixture), "--out", str(out)]) == 0
     rows = read_feature_table(out)
-    assert [(fv.token, fv.window) for fv in rows] == [(token, WINDOW) for token in sorted(by_token)]
+    assert [(fv.token, (fv.window_start, fv.window_end)) for fv in rows] == [
+        (token, WINDOW) for token in sorted(by_token)]
     for fv in rows:
         events = by_token[fv.token]
         oracle = straight_line_features([(e.from_addr, e.to_addr, e.value, e.block)
@@ -107,7 +106,7 @@ def test_many_small_tokens_in_one_window_match_the_oracles(tmp_path):
         for name in ("num_nodes", "num_edges", "num_components", "lifetime", "amount"):
             assert getattr(fv, name) == oracle[name]
         for name in ("density", "avg_comp_size", "transfer_std_dev"):  # 10 digits as written
-            assert fv.value(name) == pytest.approx(oracle[name], rel=1e-9, abs=1e-9)
+            assert getattr(fv, name) == pytest.approx(oracle[name], rel=1e-9, abs=1e-9)
         ids = {address: i for i, address in enumerate(
             dict.fromkeys(a for e in events for a in (e.from_addr, e.to_addr)))}
         count, _sizes = bfs_components(len(ids), [(ids[e.from_addr], ids[e.to_addr])
@@ -166,7 +165,7 @@ def test_relabeling_and_reordering_changes_nothing(raw, rand):
     rand.shuffle(relabeled)
     fv1, fv2 = features_of(base), features_of(relabeled)
     for name in FULL_FEATURES:
-        assert fv1.value(name) == pytest.approx(fv2.value(name), rel=1e-12)
+        assert getattr(fv1, name) == pytest.approx(getattr(fv2, name), rel=1e-12)
 
 
 @given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12),
@@ -187,22 +186,22 @@ def test_component_consistency_and_sanity_bounds(raw):
 def test_reduced_vector_fields():
     fv = features_of([("0xa", "0xb", 1, 18_000_000 + i) for i in range(12)]
                      + [("0xc", "0xd", 1, 18_000_500)])
-    row = dict(zip(REDUCED_FEATURES, feature_matrix([fv], REDUCED_FEATURES)[0]))
+    row = dict(zip(REDUCED_FEATURES, feature_matrix(feature_table([fv]), REDUCED_FEATURES)[0]))
     assert row["edges_per_component"] == pytest.approx(fv.num_edges / fv.num_components)
     assert row["lifetime"] == fv.lifetime
 
 
 def test_reduced_without_lifetime():
     fv = features_of([("0xa", "0xb", 1, 18_000_000), ("0xb", "0xc", 2, 18_000_900)])
-    reduced = feature_matrix([fv], REDUCED_FEATURES)
-    without = feature_matrix([fv], REDUCED_NO_LIFETIME_FEATURES)
+    reduced = feature_matrix(feature_table([fv]), REDUCED_FEATURES)
+    without = feature_matrix(feature_table([fv]), REDUCED_NO_LIFETIME_FEATURES)
     keep = [i for i, name in enumerate(REDUCED_FEATURES) if name != "lifetime"]
     assert np.array_equal(without, reduced[:, keep])
 
 
 def test_single_component_edges_per_component_is_edge_count():
     fv = features_of([("0xa", "0xb", 1, 18_000_000), ("0xb", "0xa", 1, 18_000_001)])
-    assert fv.value("edges_per_component") == fv.num_edges
+    assert feature_matrix(feature_table([fv]), ("edges_per_component",))[0, 0] == fv.num_edges
 
 
 def test_variant_matrices_have_expected_columns():
@@ -211,22 +210,23 @@ def test_variant_matrices_have_expected_columns():
                            ("reduced", REDUCED_FEATURES),
                            ("reduced-no-lifetime", REDUCED_NO_LIFETIME_FEATURES)):
         assert VARIANTS[variant] == names
-        assert feature_matrix([fv], names).shape == (1, len(names))
+        assert feature_matrix(feature_table([fv]), names).shape == (1, len(names))
 
 
 # --- table io -----------------------------------------------------------------
 
 def test_feature_table_round_trip(tmp_path):
-    vectors = [features_of([("0xa", "0xb", 10, 18_000_100),
-                            ("0xb", "0xc", 5, 18_000_150)]),
-               features_of([("0xa", "0xa", (1 << 200) + 7, 18_000_000)], token="0x02")]
+    vectors = feature_table([features_of([("0xa", "0xb", 10, 18_000_100),
+                                          ("0xb", "0xc", 5, 18_000_150)]),
+                             features_of([("0xa", "0xa", (1 << 200) + 7, 18_000_000)],
+                                         token="0x02")])
     path = tmp_path / "features.csv"
     assert write_feature_table(vectors, path) == 2
     back = read_feature_table(path)
     assert len(back) == 2
     for original, loaded in zip(vectors, back):
         assert loaded.token == original.token
-        assert loaded.window == original.window
+        assert (loaded.window_start, loaded.window_end) == WINDOW
         assert loaded.amount == original.amount  # decimal string keeps exactness
         assert loaded.num_nodes == original.num_nodes
         assert loaded.density == pytest.approx(original.density, rel=1e-9)
@@ -245,7 +245,7 @@ def test_feature_table_rejects_foreign_header(tmp_path):
 def test_feature_table_rejects_a_bad_cell_naming_its_line(tmp_path, column, cell,
                                                           message):
     path = tmp_path / "features.csv"
-    write_feature_table([features_of([("0xa", "0xb", 10, 18_000_100)])], path)
+    write_feature_table(feature_table([features_of([("0xa", "0xb", 10, 18_000_100)])]), path)
     header, row = path.read_text().splitlines()
     fields = row.split(",")
     fields[column] = cell
@@ -257,7 +257,7 @@ def test_feature_table_rejects_a_bad_cell_naming_its_line(tmp_path, column, cell
 @pytest.mark.parametrize("width", [10, 12])
 def test_feature_table_row_of_the_wrong_width_names_its_line(tmp_path, width):
     path = tmp_path / "features.csv"
-    write_feature_table([features_of([("0xa", "0xb", 10, 18_000_100)])], path)
+    write_feature_table(feature_table([features_of([("0xa", "0xb", 10, 18_000_100)])]), path)
     header, row = path.read_text().splitlines()
     cells = (row.split(",") + ["0"])[:width]
     path.write_text(f"{header}\n{','.join(cells)}\n")
@@ -267,8 +267,8 @@ def test_feature_table_row_of_the_wrong_width_names_its_line(tmp_path, width):
 
 def test_a_byte_that_is_not_utf8_names_its_feature_table_line(tmp_path):
     path = tmp_path / "features.csv"
-    write_feature_table([features_of([("0xa", "0xb", 10, 18_000_100)], token=f"0x0{i}")
-                         for i in range(3)], path)
+    write_feature_table(feature_table([features_of([("0xa", "0xb", 10, 18_000_100)],
+                                                   token=f"0x0{i}") for i in range(3)]), path)
     last = path.read_bytes().splitlines(keepends=True)[-1]
     with open(path, "ab") as handle:
         handle.write(last[:2] + b"\xff" + last[3:])
@@ -279,31 +279,20 @@ def test_a_byte_that_is_not_utf8_names_its_feature_table_line(tmp_path):
 TOKEN = "0x" + "ab" * 20
 
 
-@st.composite
-def feature_vectors(draw):
-    reals = st.floats(allow_nan=False, allow_infinity=False)
-    counts = st.integers(0, 10**12)
-    start = draw(st.integers(0, 10**15))
-    return FeatureVector(
-        token="0x" + draw(st.text("0123456789abcdef", min_size=40, max_size=40)),
-        window=BlockWindow(start, start + draw(st.integers(0, 10**6))),
-        num_nodes=draw(counts), num_edges=draw(counts), density=draw(reals),
-        num_components=draw(counts), avg_comp_size=draw(reals),
-        lifetime=draw(counts), transfer_std_dev=draw(reals),
-        amount=draw(st.integers(0, 2**1000)))
-
-
 @settings(max_examples=100, deadline=None)
-@given(st.lists(feature_vectors(), max_size=5))
-def test_written_tables_read_back_identically(tmp_path_factory, vectors):
+@given(st.lists(feature_rows(), max_size=5))
+def test_written_tables_read_back_identically(tmp_path_factory, rows):
     path = tmp_path_factory.mktemp("table") / "features.csv"
+    vectors = feature_table(rows)
     write_feature_table(vectors, path)
     back = read_feature_table(path)
     again = path.with_name("again.csv")
     write_feature_table(back, again)
     assert again.read_bytes() == path.read_bytes()
     for original, loaded in zip(vectors, back, strict=True):
-        assert loaded.token == original.token and loaded.window == original.window
+        assert loaded.token == original.token
+        assert (loaded.window_start, loaded.window_end) == (original.window_start,
+                                                            original.window_end)
         assert loaded.amount == original.amount
         assert loaded.num_nodes == original.num_nodes
 
@@ -333,11 +322,11 @@ _SPOILERS = (
 
 
 @settings(max_examples=150, deadline=None)
-@given(feature_vectors(), st.integers(1, 10), st.sampled_from(_SPOILERS))
+@given(feature_rows(), st.integers(1, 10), st.sampled_from(_SPOILERS))
 def test_a_spoiled_number_cell_is_rejected_naming_its_line(tmp_path_factory, fv,
                                                            column, spoil):
     path = tmp_path_factory.mktemp("table") / "features.csv"
-    write_feature_table([fv, fv], path)
+    write_feature_table(feature_table([fv, fv]), path)
     header, first, second = path.read_text().splitlines()
     fields = second.split(",")
     spoiled = spoil(fields[column])
@@ -357,7 +346,7 @@ def test_a_spoiled_number_cell_is_rejected_naming_its_line(tmp_path_factory, fv,
 def test_feature_table_rejects_a_number_format_real_never_writes(tmp_path, column,
                                                                  cell):
     path = tmp_path / "features.csv"
-    write_feature_table([features_of([("0xa", "0xb", 10, 18_000_100)])], path)
+    write_feature_table(feature_table([features_of([("0xa", "0xb", 10, 18_000_100)])]), path)
     header, row = path.read_text().splitlines()
     fields = row.split(",")
     fields[column] = cell
@@ -372,7 +361,7 @@ def test_feature_table_rejects_a_number_format_real_never_writes(tmp_path, colum
                                    " " + TOKEN])
 def test_feature_table_rejects_a_token_that_is_not_an_address(tmp_path, token):
     path = tmp_path / "features.csv"
-    write_feature_table([features_of([("0xa", "0xb", 10, 18_000_100)])], path)
+    write_feature_table(feature_table([features_of([("0xa", "0xb", 10, 18_000_100)])]), path)
     header, row = path.read_text().splitlines()
     path.write_text(f"{header}\n{token},{row.split(',', 1)[1]}\n")
     with pytest.raises(ValueError,
@@ -383,7 +372,7 @@ def test_feature_table_rejects_a_token_that_is_not_an_address(tmp_path, token):
 def test_histogram_bins_cover_all_rows():
     vectors = [features_of([("0xa", "0xb", v, 18_000_000 + v)])
                for v in range(1, 30)]
-    bins = histogram_bins(vectors, bins=10)
+    bins = histogram_bins(feature_table(vectors))
     assert set(bins) == set(FULL_FEATURES)
     for rows in bins.values():
         assert sum(count for _lo, _hi, count in rows) == len(vectors)
@@ -391,5 +380,20 @@ def test_histogram_bins_cover_all_rows():
 
 def test_histogram_constant_column_is_single_bin():
     vectors = [features_of([("0xa", "0xb", 5, 18_000_000)]) for _ in range(3)]
-    bins = histogram_bins(vectors)
+    bins = histogram_bins(feature_table(vectors))
     assert bins["num_nodes"] == [(2.0, 2.0, 3)]
+
+
+# a row as the straight builder reads it, independent of the table
+Row = namedtuple("Row", TABLE_HEADER)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(feature_rows(), max_size=6), st.sampled_from(sorted(VARIANTS)), st.booleans())
+@example([], "reduced", True)
+def test_the_matrix_equals_the_straight_builder_bit_for_bit(rows, variant, log_amount):
+    names = VARIANTS[variant]
+    matrix = feature_matrix(feature_table(rows), names, log_amount)
+    straight = straight_feature_matrix([Row(*row) for row in rows], names, log_amount)
+    assert matrix.shape == straight.shape == (len(rows), len(names))
+    assert matrix.tobytes() == straight.tobytes()

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tokengraphs.dataset import LabeledDataset
-from tokengraphs.features import VARIANTS, FeatureVector, feature_matrix
+from tokengraphs.features import TABLE_HEADER, VARIANTS, feature_matrix, feature_table
 from tokengraphs.ingest import BlockWindow
 from tokengraphs.model import (
     Model,
@@ -26,17 +26,18 @@ from tokengraphs.model import (
 )
 
 from oracles import (finite_diff_gradient, masked_sigmoid, straight_descent,
-                     straight_loss_and_gradient)
+                     straight_feature_matrix, straight_loss_and_gradient)
 
 WINDOW = BlockWindow(18_000_000, 18_100_000)
 
 
-def _vector(token, values: dict) -> FeatureVector:
+def _vector(token, values: dict) -> tuple:
+    """A feature-table row: a mid-sized legitimate token's cells, ``values`` replaced."""
     base = dict(num_nodes=600, num_edges=700, density=0.002, num_components=40,
                 avg_comp_size=15.0, lifetime=90_000, transfer_std_dev=26_000.0,
                 amount=10 ** 21)
     base.update(values)
-    return FeatureVector(token=token, window=WINDOW, **base)
+    return (token, *WINDOW, *(base[name] for name in TABLE_HEADER.split(",")[3:]))
 
 
 def toy_dataset(n_per_class: int = 30, seed: int = 0) -> LabeledDataset:
@@ -53,7 +54,8 @@ def toy_dataset(n_per_class: int = 30, seed: int = 0) -> LabeledDataset:
             "transfer_std_dev": float(rng.uniform(100, 2_500)),
             "amount": int(rng.uniform(1e5, 1e18)),
         }), 1))
-    return LabeledDataset(rows=rows)
+    return LabeledDataset(feature_table([row for row, _ in rows]),
+                          np.array([label for _, label in rows]))
 
 
 # --- sigmoid ----------------------------------------------------------------
@@ -325,7 +327,7 @@ def test_a_fit_under_the_bound_computes_only_the_final_loss(monkeypatch):
 
 def test_a_fit_over_the_bound_computes_the_loss_on_every_step(monkeypatch):
     dataset = toy_dataset(10)
-    matrix = feature_matrix(dataset.vectors, VARIANTS["full"])
+    matrix = feature_matrix(dataset.table, VARIANTS["full"])
     bound = _lipschitz(_zscore(matrix, matrix.mean(axis=0), matrix.std(axis=0)), 1.0)
     calls = _counting_logaddexp(monkeypatch)
     # between 1/L and 2/L the loss still falls, but no bound here says so
@@ -371,11 +373,10 @@ def test_separable_feature_gets_positive_weight():
 
 def test_row_replication_leaves_coefficients_unchanged():
     dataset = toy_dataset(25)
-    doubled = LabeledDataset(rows=dataset.rows + dataset.rows[:])
+    doubled = dataset[np.tile(np.arange(len(dataset)), 2)]
     m1 = train(dataset, TrainConfig(tolerance=1e-10))
     # identical objective up to row count; same optimum
-    m2_matrix = np.vstack([np.array([[fv.value(n) for n in m1.feature_names]
-                                     for fv, _ in doubled.rows])])
+    m2_matrix = straight_feature_matrix(doubled.table, m1.feature_names)
     m2 = train_matrix(m2_matrix, doubled.labels, m1.feature_names,
                       TrainConfig(tolerance=1e-10))
     assert np.allclose(m1.coefficients, m2.coefficients, atol=1e-8)
@@ -384,7 +385,7 @@ def test_row_replication_leaves_coefficients_unchanged():
 
 def test_single_class_training_is_degenerate():
     dataset = toy_dataset(10)
-    only_legit = LabeledDataset(rows=[r for r in dataset.rows if r[1] == 0])
+    only_legit = dataset[dataset.labels == 0]
     with pytest.raises(TrainingError):
         train(only_legit)
 
@@ -452,14 +453,15 @@ def test_probability_at_training_means_is_intercept_sigmoid():
         means=np.array([1.0, 2.0]), stds=np.array([1.0, 1.0]),
         config=TrainConfig(),
     )
-    probs = predict_proba(model, [_vector("0x" + "0" * 40, {"lifetime": 1, "amount": 2})])
+    probs = predict_proba(model, feature_table([_vector("0x" + "0" * 40,
+                                                        {"lifetime": 1, "amount": 2})]))
     assert probs[0] == pytest.approx(sigmoid(-0.4))
 
 
 def test_probabilities_are_in_unit_interval():
     dataset = toy_dataset(20)
     model = train(dataset)
-    probs = predict_proba(model, dataset.vectors)
+    probs = predict_proba(model, dataset.table)
     assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
 
 
@@ -478,13 +480,13 @@ def test_save_load_round_trip(tmp_path):
 
     rng = np.random.default_rng(1)
     for _ in range(100):
-        fv = _vector("0x" + "9" * 40, {
+        fv = feature_table([_vector("0x" + "9" * 40, {
             "lifetime": int(rng.uniform(0, 99_000)),
             "amount": int(rng.uniform(0, 1e22)),
             "transfer_std_dev": float(rng.uniform(0, 28_000)),
-        })
-        p1 = predict_proba(model, [fv])[0]
-        p2 = predict_proba(loaded, [fv])[0]
+        })])
+        p1 = predict_proba(model, fv)[0]
+        p2 = predict_proba(loaded, fv)[0]
         assert p1 == pytest.approx(p2, abs=1e-12)
 
 
@@ -545,6 +547,6 @@ def test_log_amount_flag_transforms_the_amount_column(tmp_path):
     save_model(logged, path)
     loaded = load_model(path)
     assert loaded.config.log_amount is True
-    probs1 = predict_proba(logged, dataset.vectors)
-    probs2 = predict_proba(loaded, dataset.vectors)
+    probs1 = predict_proba(logged, dataset.table)
+    probs2 = predict_proba(loaded, dataset.table)
     assert np.allclose(probs1, probs2, atol=1e-12)

@@ -1,6 +1,7 @@
 """Runtime dependencies stay numpy + requests: scipy, networkx and pytest may
 be used by tests and the benchmark, never imported by the package itself.  A
-CLI process runs BLAS on one thread, whatever its environment asks for."""
+CLI process runs BLAS on one thread, whatever its environment asks for, and
+compiles no module it starts with past the parser's token step."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tokenize
 
 import pytest
 
@@ -72,3 +74,27 @@ def test_a_cli_fit_is_bitwise_the_same_whatever_blas_threads_the_environment_ask
         print(np.concatenate([[model.intercept], model.coefficients]).tobytes().hex())
     """)
     assert _child(code, OPENBLAS_NUM_THREADS="1") == _child(code, OPENBLAS_NUM_THREADS="2")
+
+
+# CPython's parser takes a larger block of memory for a module of 4,096 tokens
+# or more: a CLI process compiling such a module from source peaks about 370 KB
+# higher.  synth.py is past the step already, and every CLI process imports it.
+TOKEN_STEP = 4_096
+PAST_THE_STEP = {"tokengraphs.synth"}
+
+
+def parser_tokens(path: str) -> int:
+    """The tokens the parser reads from a module: comments, blank-line NL
+    tokens and the encoding marker are not counted."""
+    with open(path, "rb") as handle:
+        return sum(token.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+                   for token in tokenize.tokenize(handle.readline))
+
+
+def test_no_module_a_cli_process_starts_with_reaches_the_parser_token_step():
+    modules = _child("import sys, tokengraphs.cli; print(' '.join(sorted(m for m in "
+                     "sys.modules if m.startswith('tokengraphs.'))))").split()
+    assert "tokengraphs.cli" in modules
+    tokens = {module: parser_tokens(os.path.join(SRC, module.split(".")[1] + ".py"))
+              for module in modules if module not in PAST_THE_STEP}
+    assert all(count < TOKEN_STEP for count in tokens.values()), tokens

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tokengraphs.dataset import join, load_labels
-from tokengraphs.features import extract_features
+from tokengraphs.features import extract_features, feature_table
 from tokengraphs.graphs import build_graphs, weak_components
 from tokengraphs.ingest import BlockWindow, iter_window_groups, read_fixture
 from tokengraphs.synth import (
@@ -26,7 +26,7 @@ from tokengraphs.synth import (
     generate,
 )
 
-from conftest import batch_of, batch_rows
+from conftest import batch_of, batch_rows, feature_row
 from oracles import degree_stats, summarize
 
 WINDOW = BlockWindow(18_000_000, 18_100_000)
@@ -35,7 +35,7 @@ WINDOW = BlockWindow(18_000_000, 18_100_000)
 def analyzed(batch):
     graphs = build_graphs(batch, WINDOW)
     (token, graph), = graphs.items()
-    return graph, weak_components(graph), extract_features(graph)
+    return graph, weak_components(graph), feature_row(graph)
 
 
 def legit_cfg(budget=200, lifetime=90_000, seed=0, **kw):
@@ -230,7 +230,7 @@ def test_corpus_files_round_trip_and_label_consistency(tmp_path):
     graphs = build_graphs(batch_of(events), WINDOW)
     assert set(graphs) == set(labels)
     for token, graph in graphs.items():
-        fv = extract_features(graph)
+        fv = feature_row(graph)
         if labels[token] == 1:
             assert fv.lifetime < 10_000
         else:
@@ -283,8 +283,8 @@ def test_recurring_legit_tokens_push_unique_fraction_up(tmp_path):
     labels = load_labels(tmp_path / "l.csv")
     datasets = []
     for window, batch in iter_window_groups(tmp_path / "f.tsv", 100_000):
-        vectors = [extract_features(g) for g in build_graphs(batch, window).values()]
-        datasets.append(join(vectors, labels, 500))
+        rows = [extract_features(g) for g in build_graphs(batch, window).values()]
+        datasets.append(join(feature_table(rows), labels, 500))
     summary = summarize(datasets)
     assert summary.unique_fraction > summary.pooled_fraction
 
@@ -297,7 +297,7 @@ def test_scan_corpus_is_small_graphs_only(tmp_path):
     assert len(graphs) == 30
     young = 0
     for graph in graphs.values():
-        fv = extract_features(graph)
+        fv = feature_row(graph)
         assert fv.num_nodes <= 500
         young += fv.lifetime < 1_000
     assert young >= 10  # the young-token slice is present

@@ -21,12 +21,11 @@ from hypothesis import strategies as st
 
 import tokengraphs.graphs as graphs_module
 from tokengraphs.cli import main as cli_main
-from tokengraphs.features import extract_features
 from tokengraphs.graphs import build_graphs, weak_components
 from tokengraphs.ingest import (UINT256_MAX, BlockWindow, WindowBatch, append_values,
                                 format_fixture_line, partition_windows)
 
-from conftest import batch_of, batch_rows, make_event
+from conftest import batch_of, batch_rows, feature_row, make_event
 from oracles import bfs_components, straight_line_features
 
 WIDTH = 1_000
@@ -107,13 +106,13 @@ def test_batches_graphs_and_features_match_the_oracles(events):
             assert sorted(nodes) == sorted({a for f, t, _v, _b in edges for a in (f, t)})
             assert graph.amount == sum(value for _f, _t, value, _b in edges)
 
-            fv = extract_features(graph)
+            fv = feature_row(graph)
             oracle = straight_line_features(edges)
             for name in ("num_nodes", "num_edges", "num_components", "lifetime",
                          "amount"):
                 assert getattr(fv, name) == oracle[name]
             for name in ("density", "avg_comp_size", "transfer_std_dev"):
-                assert fv.value(name) == pytest.approx(oracle[name], abs=1e-10,
+                assert getattr(fv, name) == pytest.approx(oracle[name], abs=1e-10,
                                                        rel=1e-10)
             count, sizes = bfs_components(graph.num_nodes, list(zip(
                 graph.edge_from.tolist(), graph.edge_to.tolist())))
