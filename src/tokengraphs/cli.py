@@ -11,6 +11,7 @@ operational failures (unreachable endpoints, a full disk, any other OS error).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -51,7 +52,10 @@ def _read_manifest(path: str) -> dict:
     """A manifest as written by ``_write_manifest``: an object with a config."""
     # a non-UTF-8 byte: a JSON error between tokens, the same byte in a string's path
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        manifest = json.load(handle)
+        try:
+            manifest = json.load(handle)
+        except RecursionError:  # nested past the interpreter's recursion limit
+            raise ValueError(f"manifest {path} nests too deep to read") from None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("config"), dict):
         raise ValueError(f"manifest {path} is not a JSON object with a 'config' object")
     return manifest
@@ -313,55 +317,6 @@ def cmd_synth(args: argparse.Namespace) -> dict:
     return {"corpus": corpus}
 
 
-_BOOL_WORDS = dict.fromkeys(("1", "true", "yes"), True) | dict.fromkeys(("0", "false", "no"), False)
-
-# what an option's parser makes, by nargs (store_true, --eval) or else by type
-_KINDS = {
-    0: ("a bool", lambda value: type(value) is bool),
-    2: ("a list of [FEATURES, LABELS] pairs", lambda value: type(value) is list and value != []
-        and all(type(pair) is list and list(map(type, pair)) == [str, str] for pair in value)),
-    int: ("an int", lambda value: type(value) is int),
-    float: ("a number", lambda value: type(value) is float
-            or type(value) is int and abs(value) <= sys.float_info.max),
-    None: ("a string", lambda value: type(value) is str),
-}
-
-
-def _replayed(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
-    manifest = _read_manifest(args.manifest)
-    command = manifest.get("command")
-    if command not in _DISPATCH:
-        raise ValueError(f"manifest does not name a replayable command: {command!r}")
-    config = dict(manifest["config"])
-    subcommands = next(a for a in parser._actions if a.dest == "command")
-    options = {action.dest: action for action in subcommands.choices[command]._actions
-               if action.dest != "help"}
-    missing = [dest for dest in options if dest not in config]
-    unknown = [key for key in config if key not in options]
-    if missing or unknown:  # a run records every option of its command, no other
-        raise ValueError(f"manifest config for {command} does not hold exactly its "
-                         f"options: missing {missing}, unknown {unknown}")
-    for override in args.set or []:
-        key, _, text = override.partition("=")
-        if key not in config:
-            raise ValueError(f"unknown config key in --set: {key!r}")
-        try:  # a word the option does not take stays a string, refused below
-            config[key] = (_BOOL_WORDS.get(text.lower(), text) if options[key].nargs == 0
-                           else (options[key].type or str)(text))
-        except ValueError:
-            config[key] = text
-    for key, value in config.items():
-        action = options[key]
-        kind, fits = _KINDS[action.nargs if action.nargs in (0, 2) else action.type]
-        # only an optional option without a default is ever left unset
-        unset = value is None and not action.required and action.default is None
-        if not (fits(value) or unset):
-            raise ValueError(f"{key} {value!r} is not {kind}")
-        if action.choices is not None and value not in action.choices:
-            raise ValueError(f"{key} {value!r} is not one of {list(action.choices)}")
-    return argparse.Namespace(command=command, **config)
-
-
 # ---------------------------------------------------------------------------
 # parser
 
@@ -478,7 +433,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "replay":
-            args = _replayed(parser, args)
+            from .replay import replayed  # its checks are compiled by replay alone
+            args = replayed(parser, _read_manifest(args.manifest), args.set or [])
         extra = _DISPATCH[args.command](args)
         _write_manifest(_manifest_path(args), args.command, _config_from_args(args), **extra)
         return 0
@@ -487,5 +443,17 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if isinstance(exc, _INPUT_ERRORS) else 3
 
 
+def run() -> int:
+    """``main`` as a process's last act: ``python -m tokengraphs.cli`` and the
+    ``tokengraphs`` script.  However it ends, every object is frozen, so the
+    interpreter's shutdown collections skip them; atexit handlers, stream flushes
+    and refcount deallocation still run, and ``main`` has closed or moved every
+    output into place before it returns."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

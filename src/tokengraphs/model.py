@@ -168,7 +168,15 @@ def train_matrix(
         raise TrainingError("training data must contain both classes")
     if matrix.ndim != 2 or matrix.shape[0] < 1:
         raise ValueError("z-scoring needs at least one row")
-    means, stds = matrix.mean(axis=0), matrix.std(axis=0)  # population (divide by n)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
+        means, stds = matrix.mean(axis=0), matrix.std(axis=0)  # population (divide by n)
+    # finite cells can still sum or square past float64; a nan or inf cell is
+    # left to the rising-loss check
+    for name, fits, cells in zip(feature_names, np.isfinite(means) & np.isfinite(stds),
+                                 np.isfinite(matrix).all(axis=0)):
+        if cells and not fits:
+            raise TrainingError(f"the {name} column's mean or standard deviation over "
+                                f"the training rows is beyond the float64 range")
     params = np.random.default_rng(config.seed).normal(0.0, 0.01, size=matrix.shape[1] + 1)
 
     scaled = _zscore(matrix, means, stds)
@@ -210,7 +218,12 @@ def predict_proba(model: Model, table: np.recarray) -> np.ndarray:
     """Scam probabilities for a feature table's rows, using the model's own scaling."""
     matrix = feature_matrix(table, model.feature_names,
                             log_amount=model.config.log_amount)
-    scaled = _zscore(matrix, model.means, model.stds)
+    with np.errstate(over="ignore"):  # refused below, not warned of
+        scaled = _zscore(matrix, model.means, model.stds)
+    for name, fits in zip(model.feature_names, np.isfinite(scaled).all(axis=0)):
+        if not fits:
+            raise ValueError(f"a {name} value z-scores beyond the float64 range "
+                             f"under the model's mean and standard deviation")
     return sigmoid(model.intercept + scaled @ model.coefficients)
 
 

@@ -533,6 +533,48 @@ def test_a_descent_setting_out_of_range_exits_2_before_reading(tables, tmp_path,
     assert list(tmp_path.iterdir()) == []
 
 
+_STATS_BEYOND_FLOAT64 = ("error: the density column's mean or standard deviation over "
+                         "the training rows is beyond the float64 range")
+_SCORE_BEYOND_FLOAT64 = ("error: a density value z-scores beyond the float64 range under "
+                         "the model's mean and standard deviation")
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+@pytest.mark.parametrize("argv, refused", [
+    (["train", "--variant", "reduced", "--features", "@bad", "--labels", "@labels",
+      "--model-out", "@out"], _STATS_BEYOND_FLOAT64),
+    (["cv", "--features", "@bad", "--labels", "@labels", "--out", "@out"],
+     _STATS_BEYOND_FLOAT64),  # a fold trains on the row
+    (["cv", "--seed", "8", "--features", "@bad", "--labels", "@labels", "--out", "@out"],
+     _SCORE_BEYOND_FLOAT64),  # the first fold holds the row out and scores it
+    (["crosseval", "--train-features", "@bad", "--train-labels", "@labels",
+      "--eval", "@features", "@labels", "--out", "@out"], _STATS_BEYOND_FLOAT64),
+    (["crosseval", "--train-features", "@features", "--train-labels", "@labels",
+      "--eval", "@bad", "@labels", "--out", "@out"], _SCORE_BEYOND_FLOAT64),
+    (["scan", "--model", "@model", "--features", "@bad", "--max-nodes", "100000",
+      "--out", "@out"], _SCORE_BEYOND_FLOAT64),
+])
+def test_a_real_too_large_to_z_score_exits_2_and_writes_nothing(tables, tmp_path, capsys,
+                                                                 argv, refused):
+    """One finite ``density`` of 1e+308: its column's spread squares past
+    float64, and its z-score under a model fitted without it overflows."""
+    lines = tables["features"].read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[5] = "1e+308"  # density
+    lines[3] = ",".join(fields)
+    out = tmp_path / "out"
+    out.mkdir()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    paths = {"@bad": bad, "@out": out / "result", "@features": tables["features"],
+             "@labels": tables["labels"], "@model": tables["model"]}
+    capsys.readouterr()
+    assert main([str(paths.get(arg, arg)) for arg in argv] + ["--min-nodes", "0"] * (
+        argv[0] != "scan")) == 2
+    assert one_error_line(capsys) == refused
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("key, bad", [
     ("format_version", "x"), ("coefficients", "a"), ("max_iters", "1.5"),
     ("log_amount", "2"), ("lambda", "nan"),
@@ -1056,6 +1098,21 @@ def test_fetch_resume_refuses_a_manifest_of_another_command(tmp_path, monkeypatc
     assert provider.calls == []
 
 
+def test_fetch_resume_of_a_manifest_nested_too_deep_exits_2(tmp_path, monkeypatch, capsys):
+    import tokengraphs.ingest as ingest_mod
+
+    provider = FakeProvider([rpc_entry(100, 0)])
+    monkeypatch.setattr(ingest_mod, "_requests_transport", provider)
+    out = tmp_path / "f.tsv"
+    manifest = pathlib.Path(str(out) + ".manifest.json")
+    manifest.write_text("[" * 100_000)
+    assert main(["fetch", "--start", "100", "--end", "110", "--out", str(out),
+                 "--endpoint", "http://fake", "--resume"]) == 2
+    assert one_error_line(capsys) == f"error: manifest {manifest} nests too deep to read"
+    assert manifest.read_text() == "[" * 100_000 and not out.exists()
+    assert provider.calls == []
+
+
 @pytest.mark.parametrize("state", [
     [1],
     {"completed_through": None},
@@ -1380,10 +1437,15 @@ _TRAIN = ["train", "--features", "@tmp/f", "--labels", "@tmp/l", "--model-out", 
     (_manifest(_CROSSEVAL, eval=[]), "eval [] is not"),
     (_manifest(_CROSSEVAL, eval=[["@tmp/f"]]), "eval [["),
     ({"command": "replay", "config": {}}, "'replay'"),
+    ({"format": 1, "command": ["features"], "config": {}}, "['features']"),
+    ({"format": 1, "command": {"features": 1}, "config": {}}, "{'features': 1}"),
+    pytest.param("[" * 100_000, "nests too deep to read",  # past json's recursion limit
+                 id="manifest-nested-too-deep"),
 ])
 def test_replay_of_a_malformed_manifest_exits_2(tmp_path, capsys, manifest, named):
     path = tmp_path / "bad.manifest.json"
-    path.write_text(json.dumps(manifest).replace("@tmp", str(tmp_path)))
+    text = manifest if isinstance(manifest, str) else json.dumps(manifest)
+    path.write_text(text.replace("@tmp", str(tmp_path)))
     assert main(["replay", str(path)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
@@ -1516,6 +1578,111 @@ def test_replay_rewrites_every_output_and_manifest_byte_identically(tables, tmp_
             path.write_bytes(b"")
     assert main(["replay", str(recorded)]) == 0
     assert _files(out) == first
+
+
+# --- manifest fuzz ------------------------------------------------------------------
+
+_FETCH_LOGS = [rpc_entry(100, 0), rpc_entry(103, 1), rpc_entry(106, 0), rpc_entry(108, 2)]
+_REMOVED = object()
+# no "/" and no ".": a path drawn here stays inside the run's working directory
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+    | st.text("ab-é\x00", max_size=3),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text("ab", max_size=2), inner, max_size=2),
+    max_leaves=3)
+
+
+@st.composite
+def manifest_edits(draw, manifest: dict) -> dict:
+    """``manifest`` with one field, at the top or inside an object, removed
+    or given another JSON value, or one unknown field added."""
+    paths = [(key,) for key in manifest] + [
+        (key, inner) for key, value in manifest.items() if isinstance(value, dict)
+        for inner in value] + [("bogus",), ("config", "bogus")]
+    *parents, key = draw(st.sampled_from(paths))
+    value = draw(st.just(_REMOVED) | _JSON_VALUES)
+    edited = json.loads(json.dumps(manifest))
+    target = edited
+    for parent in parents:
+        target = target[parent]
+    if value is _REMOVED:
+        target.pop(key, None)
+    else:
+        target[key] = value
+    return edited
+
+
+def _ends_cleanly(argv, workdir) -> int:
+    """``main(argv)``'s exit code, run in ``workdir``, after checking that it
+    is 0, 2 or 3 and that stderr holds at most one ``error:`` line."""
+    import tokengraphs.ingest as ingest_mod
+
+    err, cwd = io.StringIO(), os.getcwd()
+    os.chdir(workdir)  # a relative path drawn for an output lands here
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                mock.patch.object(ingest_mod, "_requests_transport", FakeProvider(_FETCH_LOGS)):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+    assert len(errors) == (code != 0), err.getvalue()
+    return code
+
+
+@pytest.fixture(scope="module")
+def recorded_runs(tables):
+    """A manifest for each command as ``main`` records it (outputs under
+    "@out", descent cut to 200 steps), and a fetch's finished manifest, its
+    fixture and its state after the first of two chunks."""
+    manifests = {}
+    for command in _RUNS:
+        argv = _run_argv(command, tables, "@out")
+        if command in ("train", "cv", "crosseval"):
+            argv += ["--max-iters", "200"]
+        manifests[command] = _manifest(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp, "fetched.tsv")
+        assert _ends_cleanly(_run_argv("fetch", tables, tmp), tmp) == 0
+        fixture, fetched = out.read_bytes(), json.loads(
+            pathlib.Path(str(out) + ".manifest.json").read_text())
+    first_chunk = sum(len(line) for line in fixture.splitlines(keepends=True)
+                      if int(line.split(b"\t")[4]) < 105)
+    halfway = {**fetched, "state": {"completed_through": 105, "committed_bytes": first_chunk,
+                                    "finished": False}}
+    return {"replay": manifests, "fetch": (fixture, fetched, halfway)}
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), command=st.sampled_from(sorted(_RUNS)))
+def test_replay_of_a_manifest_with_one_field_edited_ends_cleanly(recorded_runs, data, command):
+    """One field of a recorded manifest is removed, retyped or added; replay
+    runs it, or refuses it with one ``error:`` line."""
+    manifest = data.draw(manifest_edits(recorded_runs["replay"][command]))
+    with tempfile.TemporaryDirectory() as tmp:
+        os.mkdir(os.path.join(tmp, "out"))
+        path = pathlib.Path(tmp, "recorded.json")
+        path.write_text(json.dumps(manifest).replace("@out", os.path.join(tmp, "out")))
+        _ends_cleanly(["replay", str(path)], tmp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), halfway=st.booleans())
+def test_fetch_resume_of_a_manifest_with_one_field_edited_ends_cleanly(recorded_runs, tables,
+                                                                        data, halfway):
+    """One field of a fetch's manifest, finished or recorded after its first
+    chunk, is removed, retyped or added; ``fetch --resume`` resumes from it,
+    or refuses it with one ``error:`` line."""
+    fixture, finished, after_one_chunk = recorded_runs["fetch"]
+    manifest = data.draw(manifest_edits(after_one_chunk if halfway else finished))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = pathlib.Path(tmp, "fetched.tsv")
+        out.write_bytes(fixture)
+        pathlib.Path(str(out) + ".manifest.json").write_text(json.dumps(manifest))
+        _ends_cleanly(_run_argv("fetch", tables, tmp) + ["--resume"], tmp)
 
 
 @pytest.mark.parametrize("command", _RUNS)

@@ -1,11 +1,13 @@
 """Runtime dependencies stay numpy + requests: scipy, networkx and pytest may
 be used by tests and the benchmark, never imported by the package itself.  A
-CLI process runs BLAS on one thread, whatever its environment asks for, and
-compiles no module it starts with past the parser's token step."""
+CLI process runs BLAS on one thread, whatever its environment asks for,
+compiles no module it starts with past the parser's token step, and ends with
+its objects frozen out of the interpreter's shutdown collections."""
 
 from __future__ import annotations
 
 import ast
+import gc
 import glob
 import os
 import subprocess
@@ -38,14 +40,20 @@ def test_package_imports_no_test_only_dependency():
     assert not found
 
 
-def _child(code: str, **env: str) -> str:
-    """The stdout of a fresh interpreter that runs ``code`` with the package
-    importable and ``env`` added to the environment."""
+def _run(code: str, *argv: str, **env: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that runs ``code`` with ``argv`` and with the
+    package importable and ``env`` added to the environment."""
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, (os.path.dirname(os.path.abspath(SRC)),
                       os.environ.get("PYTHONPATH")))))
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True)
+
+
+def _child(code: str, **env: str) -> str:
+    """The stdout of ``_run(code, **env)``, which must exit 0."""
+    result = _run(code, **env)
+    result.check_returncode()
     return result.stdout.strip()
 
 
@@ -98,3 +106,57 @@ def test_no_module_a_cli_process_starts_with_reaches_the_parser_token_step():
     tokens = {module: parser_tokens(os.path.join(SRC, module.split(".")[1] + ".py"))
               for module in modules if module not in PAST_THE_STEP}
     assert all(count < TOKEN_STEP for count in tokens.values()), tokens
+
+
+# a CLI process ends through ``cli.run``, which freezes every object so that the
+# interpreter's shutdown collections skip them; ``main`` itself never freezes
+_FROZEN_AT_EXIT = textwrap.dedent("""
+    import atexit, gc, runpy
+    atexit.register(lambda: print(f"frozen at exit: {gc.get_freeze_count()}"))
+    runpy.run_module("tokengraphs.cli", run_name="__main__", alter_sys=True)
+""")
+
+
+def _in_process(argv: list[str], capsys) -> tuple[int, str, str]:
+    """``main(argv)``'s exit code, stdout and stderr, an argparse exit included."""
+    from tokengraphs.cli import main
+
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["synth", "--out-dir", "@tmp/corpus", "--n-tokens", "3"], 0),
+    (["train", "--features", "@tmp/missing.csv", "--labels", "@tmp/missing.csv",
+      "--model-out", "@tmp/model.txt"], 2),
+    (["train", "--features"], 2),  # an argparse usage error
+    (["--version"], 0),
+])
+def test_a_cli_process_ends_with_its_objects_frozen(tmp_path, capsys, argv, code):
+    argv = [arg.replace("@tmp", str(tmp_path)) for arg in argv]
+    child = _run(_FROZEN_AT_EXIT, *argv)
+    out, _, frozen = child.stdout.rpartition("frozen at exit: ")
+    assert int(frozen) > 0
+    # the exit code, stdout and stderr of the same run in this process
+    assert (child.returncode, out, child.stderr) == _in_process(argv, capsys)
+    assert child.returncode == code
+
+
+def test_main_freezes_nothing_and_run_freezes_on_its_way_out(tmp_path, monkeypatch):
+    from tokengraphs import cli
+
+    before = gc.get_freeze_count()
+    argv = ["synth", "--out-dir", str(tmp_path / "corpus"), "--n-tokens", "3"]
+    assert cli.main(argv) == 0
+    assert gc.get_freeze_count() == before
+    monkeypatch.setattr(sys, "argv", ["tokengraphs", *argv])
+    try:
+        assert cli.run() == 0
+        assert gc.get_freeze_count() > before
+    finally:
+        gc.unfreeze()
