@@ -101,6 +101,16 @@ def _warn_unless_converged(converged: bool, max_iters: int) -> None:
               f"{max_iters} without converging", file=sys.stderr)
 
 
+def _ends_a_line(path: str, size) -> bool:
+    """Whether ``size`` is an int at which the file ends a line: 0, or a
+    length whose last byte is a newline."""
+    if type(size) is not int or not 0 <= size <= os.path.getsize(path):
+        return False
+    with open(path, "rb") as handle:
+        handle.seek(max(size - 1, 0))
+        return size == 0 or handle.read(1) == b"\n"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -136,12 +146,11 @@ def cmd_fetch(args: argparse.Namespace) -> dict:
                 f"{manifest_path} records the state {state!r}, which names no block "
                 f"of {window.start}..{window.end} as done; fetch again without --resume")
         if completed_through > window.start:
-            on_disk = os.path.getsize(args.out)
-            committed = state.get("committed_bytes", on_disk)
-            if type(committed) is not int or not 0 <= committed <= on_disk:
+            committed = state.get("committed_bytes")
+            if not _ends_a_line(args.out, committed):
                 raise ValueError(
-                    f"{args.out} has {on_disk} bytes but its manifest committed "
-                    f"{committed!r}; fetch again without --resume")
+                    f"{manifest_path} commits {committed!r} bytes of --out {args.out}, "
+                    f"which is not the end of one of its lines; fetch again without --resume")
     chunks = fetch_logs(endpoint, BlockWindow(completed_through, window.end),
                         chunk=args.chunk, timeout=args.rpc_timeout,
                         retries=args.rpc_retries, backoff_base=args.rpc_backoff)
@@ -297,6 +306,7 @@ def cmd_synth(args: argparse.Namespace) -> dict:
     if windows[-1].end > INT64_MAX:
         raise ValueError(f"--window-start {args.window_start} puts the last window's "
                          f"end at block {windows[-1].end}, past {INT64_MAX}")
+    _settle_outputs(args)
     os.makedirs(args.out_dir, exist_ok=True)
     fixture = os.path.join(args.out_dir, "fixture.tsv")
     labels = os.path.join(args.out_dir, "labels.csv")

@@ -30,9 +30,9 @@ from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
-from .ingest import (_ADDRESS_RE, _TXHASH_RE, INT64_MAX, UINT256_MAX, BlockWindow,
-                     FixtureParseError, FixtureValueError, WindowBatch, _intern_window,
-                     _window_runs, _windows)
+from .ingest import (_ADDRESS_RE, _TXHASH_RE, ADDRESS_BYTES, ADDRESS_DTYPE, INT64_MAX,
+                     UINT256_MAX, BlockWindow, FixtureParseError, FixtureValueError,
+                     WindowBatch, _intern_window, _window_runs, _windows)
 
 _FORKS = hasattr(os, "fork")
 
@@ -243,7 +243,7 @@ def _send_windows(path: str | os.PathLike, width: int, blocks: int, offset: int,
                   send: Callable) -> None:
     """The worker: each window of the fixture from block ``blocks``, at
     ``offset``, is sent as its index when it starts, then once interned as
-    its token names, one node-address blob per token, its row count and
+    its token names, its node-address blobs, its row count and
     ``wide``, then its columns ``_CHUNK`` rows at a time."""
     with open(path, "rb") as handle:
         handle.seek(offset)
@@ -251,7 +251,7 @@ def _send_windows(path: str | os.PathLike, width: int, blocks: int, offset: int,
         for index, group in groupby(runs, key=itemgetter(0)):
             send(index)
             batch = _intern_window(group)
-            send((batch.tokens, list(map(b"".join, batch.nodes)), len(batch), batch.wide))
+            send((batch.tokens, batch.nodes, len(batch), batch.wide))
             columns = (batch.token, batch.src, batch.dst, batch.block, batch.log_index,
                        batch.value_lo, batch.value_hi)
             for start in range(0, len(batch), _CHUNK):
@@ -270,22 +270,23 @@ def _merge(received: Iterator, token_ids: dict, node_ids: list, columns: list,
     """Intern the worker's next window through these tables as one process
     would have interned its blocks: its tokens, and each token's addresses,
     in the worker's id order, which is their order of first appearance.  A
-    token new to the window keeps the worker's address list and ids as they
+    token new to the window keeps the worker's address blob and ids as they
     are, with no table: the worker's window is the last run of its window,
     so nothing is interned into it afterwards."""
     tokens, blobs, rows, more_wide = next(received)
     ids = list(map(token_ids.__getitem__, map(str.encode, tokens)))
     known = len(node_ids)
-    starts, nodes = [], array("i")  # node ids held as C ints, each blob freed once read
+    starts, nodes = [], array("i")  # node ids held as C ints
     blobs.reverse()
     for token_id in ids:
-        addresses = np.frombuffer(blobs.pop(), "S42").tolist()
+        blob = blobs.pop()
         starts.append(len(nodes))
         if token_id < known:
+            addresses = np.frombuffer(blob, ADDRESS_DTYPE).tolist()
             nodes.extend(map(node_ids[token_id].__getitem__, addresses))
         else:
-            node_ids.append(addresses)
-            nodes.extend(range(len(addresses)))
+            node_ids.append(blob)
+            nodes.extend(range(len(blob) // ADDRESS_BYTES))
     ids, starts, nodes = np.array(ids, np.int32), np.array(starts), np.frombuffer(nodes, np.int32)
     wide.update((len(columns[0]) + row, value) for row, value in more_wide.items())
     for _ in range(0, rows, _CHUNK):

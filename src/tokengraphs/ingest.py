@@ -14,7 +14,6 @@ import os
 import re
 import time
 from array import array
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import count, groupby
 from operator import itemgetter
@@ -347,14 +346,14 @@ class WindowBatch(LimbValues):
 
     Tokens are interned per window and addresses per token, each numbered in
     order of first appearance: ``tokens[t]`` is the address of token id
-    ``t`` and ``nodes[t][i]`` the address, in ASCII bytes, of node ``i`` of
-    that token's graph.
+    ``t``, and ``nodes[t]`` packs the ASCII addresses of that token's graph
+    nodes, 42 bytes each, node ``i``'s at ``nodes[t][42 * i:42 * i + 42]``.
     An address that moved two tokens is a node of each, never one shared node.
     No column holds a Python object: values are limbs (see ``LimbValues``).
     """
 
     tokens: list[str]
-    nodes: list[list[bytes]]
+    nodes: list[bytes]
     token: np.ndarray      # int32 token id of each transfer
     src: np.ndarray        # int32 node id of the sender, within its token
     dst: np.ndarray        # int32 node id of the recipient, within its token
@@ -368,15 +367,37 @@ class WindowBatch(LimbValues):
         return len(self.token)
 
 
+ADDRESS_BYTES = 42  # "0x" and 40 hex digits
+ADDRESS_DTYPE = f"S{ADDRESS_BYTES}"  # a numpy view of an address blob
 # the dtypes of a WindowBatch's columns, token to value_hi, grown in place
 _DTYPES = (np.int32,) * 3 + (np.int64,) * 2 + (np.uint64,) * 2
+_SHARED_IDS = 4_096  # ids made once per window and shared by its tables
 
 
-def _interner() -> defaultdict[bytes, int]:
-    """A dict that gives each new key the next id, in order of first lookup."""
-    index: defaultdict[bytes, int] = defaultdict()
-    index.default_factory = index.__len__
-    return index
+class _Interner(dict):
+    """A dict that gives each new key the next id, in order of first lookup:
+    the ints of ``ids`` (0, 1, 2, ...) while they last, then new ones.  No
+    id factory object is made per table."""
+
+    __slots__ = ("ids",)
+
+    def __init__(self, ids: list[int]):
+        self.ids = ids
+
+    def __missing__(self, key: bytes) -> int:
+        size = len(self)
+        self[key] = new = self.ids[size] if size < len(self.ids) else size
+        return new
+
+
+def _packed(table: _Interner | bytes) -> bytes:
+    """A token's address table as its node addresses in id order, one blob."""
+    if isinstance(table, bytes):  # a blob already, as a worker sent it
+        return table
+    blob = b"".join(table)
+    if len(blob) != ADDRESS_BYTES * len(table):
+        raise ValueError(f"a node address is not {ADDRESS_BYTES} bytes long")
+    return blob
 
 
 def _intern_window(runs: Iterable[tuple[int, list | Callable]]) -> WindowBatch:
@@ -385,11 +406,14 @@ def _intern_window(runs: Iterable[tuple[int, list | Callable]]) -> WindowBatch:
     by another process through this window's tables and columns.
 
     Addresses are bytes keys.  Each token has its own small address table,
-    which stays in cache however many addresses the window holds; the tables
-    go when the batch is made, and token names are decoded then.
+    which stays in cache however many addresses the window holds; every
+    table's ids below ``_SHARED_IDS`` are the same int objects, made once per
+    window.  When the window closes, each table is packed into its token's
+    blob and freed before the next is packed, and token names are decoded.
     """
-    token_ids = _interner()
-    node_ids: list[defaultdict[bytes, int]] = []  # by token id
+    shared = list(range(_SHARED_IDS))
+    token_ids = _Interner(shared)
+    node_ids: list[_Interner | bytes] = []  # by token id
     columns = [array(np.dtype(dtype).char) for dtype in _DTYPES]
     token, src, dst, block, log_index, lo, hi = columns
     wide: dict[int, int] = {}
@@ -399,7 +423,7 @@ def _intern_window(runs: Iterable[tuple[int, list | Callable]]) -> WindowBatch:
             continue
         tokens, froms, tos, values, blocks, log_indexes, _tx_hashes = run
         ids = list(map(token_ids.__getitem__, tokens))
-        node_ids += (_interner() for _ in range(len(token_ids) - len(node_ids)))
+        node_ids += (_Interner(shared) for _ in range(len(token_ids) - len(node_ids)))
         tables = list(map(node_ids.__getitem__, ids))
         token.fromlist(ids)
         src.fromlist(list(map(dict.__getitem__, tables, froms)))
@@ -407,7 +431,10 @@ def _intern_window(runs: Iterable[tuple[int, list | Callable]]) -> WindowBatch:
         block.fromlist(blocks)
         log_index.fromlist(log_indexes)
         append_values(lo, hi, wide, values)
-    return WindowBatch(list(map(bytes.decode, token_ids)), list(map(list, node_ids)),
+    tables = None  # the last run's hold on its tables
+    for t, table in enumerate(node_ids):
+        node_ids[t] = _packed(table)
+    return WindowBatch(list(map(bytes.decode, token_ids)), node_ids,
                        *map(np.frombuffer, columns, _DTYPES), wide)
 
 

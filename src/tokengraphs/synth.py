@@ -24,7 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import write_labels
-from .ingest import FIXTURE_LINE, BlockWindow, WindowBatch, append_values
+from .ingest import (ADDRESS_BYTES, ADDRESS_DTYPE, FIXTURE_LINE, BlockWindow, WindowBatch,
+                     append_values)
 
 NULL_ADDRESS = b"0x" + b"0" * 40
 
@@ -80,16 +81,16 @@ class ArchetypeConfig:
         return int(self.kind != LEGITIMATE)
 
 
-def _addresses(namespace: int, first: int, count: int = 1) -> list[bytes]:
+def _addresses(namespace: int, first: int, count: int = 1) -> bytes:
     """The ASCII addresses of ``namespace`` at ``count`` indexes from ``first``
-    (below 2**80)."""
-    return list(map((b"0x%020x%%020x" % (namespace % (1 << 80))).__mod__,
-                    range(first, first + count)))
+    (below 2**80), packed in one blob."""
+    return (b"0x%020x%%020x" % (namespace % (1 << 80)) * count) % tuple(
+        range(first, first + count))
 
 
 def token_address(seed: int, window_tag: int, token_idx: int) -> str:
     namespace = (seed % (1 << 40)) << 39 | (window_tag << 26) | token_idx | 1 << 79
-    return _addresses(namespace, _TOKEN_INDEX)[0].decode()
+    return _addresses(namespace, _TOKEN_INDEX).decode()
 
 
 def _blocks(rng: np.random.Generator, n: int, cfg: ArchetypeConfig) -> np.ndarray:
@@ -125,13 +126,12 @@ def _fixture_lines(batch: WindowBatch) -> bytes:
     ``FIXTURE_LINE`` with the token and the tx-hash prefix written in.  A tx
     hash is the token address (unique per corpus), then the log index."""
     token, = batch.tokens
-    addresses, = batch.nodes
+    addresses = np.frombuffer(batch.nodes[0], ADDRESS_DTYPE)
     line = (FIXTURE_LINE.replace("%s", token, 1).removesuffix("%s").encode()
             + b"0x%032x%%032x\n" % (int(token[2:], 16) % (1 << 128)))
     log_index = batch.log_index.tolist()
     cells = [0] * (6 * len(log_index))
-    cells[0::6], cells[1::6] = (map(addresses.__getitem__, ends.tolist())
-                                for ends in (batch.src, batch.dst))
+    cells[0::6], cells[1::6] = addresses[batch.src].tolist(), addresses[batch.dst].tolist()
     cells[2::6], cells[3::6] = batch.values, batch.block.tolist()
     cells[4::6] = cells[5::6] = log_index
     return line * len(log_index) % tuple(cells)
@@ -324,7 +324,7 @@ def generate(cfg: ArchetypeConfig) -> WindowBatch:
     namespace = (cfg.seed % (1 << 48)) << 30 | (cfg.node_budget % (1 << 20)) | 1 << 78
     addresses = _addresses(namespace, 1, cfg.node_budget)
     if cfg.kind == HONEYPOT_STAR:
-        addresses = [NULL_ADDRESS, *addresses[:-1]]
+        addresses = NULL_ADDRESS + addresses[:-ADDRESS_BYTES]
     n = len(edges)
     blocks = _blocks(rng, n, cfg)
     values = _values(rng, n, cfg)
@@ -332,7 +332,7 @@ def generate(cfg: ArchetypeConfig) -> WindowBatch:
     ends = np.fromiter(chain.from_iterable(edges), np.int32, 2 * n).reshape(n, 2)[order]
     lo, hi, wide = array("Q"), array("Q"), {}
     append_values(lo, hi, wide, list(map(values.__getitem__, order.tolist())))
-    return WindowBatch([cfg.token or _addresses(namespace, _TOKEN_INDEX)[0].decode()], [addresses],
+    return WindowBatch([cfg.token or _addresses(namespace, _TOKEN_INDEX).decode()], [addresses],
                        np.zeros(n, np.int32), ends[:, 0], ends[:, 1], blocks[order],
                        np.arange(n, dtype=np.int64), np.frombuffer(lo, np.uint64),
                        np.frombuffer(hi, np.uint64), wide)

@@ -62,11 +62,13 @@ def feature_rows(draw) -> tuple:
 
 def batch_rows(batch: WindowBatch) -> list[tuple[str, str, str, int, int, int]]:
     """A batch's transfers as (token, from, to, value, block, logIndex) rows,
-    in batch order, with its bytes node addresses decoded as an event's are."""
+    in batch order, with each node address cut from its token's blob and
+    decoded as an event's is."""
     token = batch.token.tolist()
+    address = lambda t, i: batch.nodes[t][42 * i:42 * i + 42].decode()
     return list(zip(map(batch.tokens.__getitem__, token),
-                    map(lambda t, i: batch.nodes[t][i].decode(), token, batch.src.tolist()),
-                    map(lambda t, i: batch.nodes[t][i].decode(), token, batch.dst.tolist()),
+                    map(address, token, batch.src.tolist()),
+                    map(address, token, batch.dst.tolist()),
                     batch.values, batch.block.tolist(),
                     batch.log_index.tolist()))
 

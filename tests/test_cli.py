@@ -1124,6 +1124,8 @@ def test_fetch_resume_of_a_manifest_nested_too_deep_exits_2(tmp_path, monkeypatc
     {"completed_through": 105, "committed_bytes": "10"},
     {"completed_through": 105, "committed_bytes": 1.5},
     {"completed_through": 105, "committed_bytes": True},
+    {"completed_through": 105},  # a resume would keep and repeat the second chunk
+    {"completed_through": 105, "committed_bytes": 5},  # inside the first line
 ])
 def test_fetch_resume_refuses_a_state_of_the_wrong_shape(tmp_path, monkeypatch, capsys,
                                                          state):
@@ -1143,6 +1145,8 @@ def test_fetch_resume_refuses_a_state_of_the_wrong_shape(tmp_path, monkeypatch, 
     assert main(args + ["--resume"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    if isinstance(state, dict) and state["completed_through"] == 105:
+        assert str(manifest) in err[0] and f"--out {out}" in err[0]
     assert (out.read_bytes(), manifest.read_bytes()) == before
     assert len(provider.calls) == calls
 
@@ -1683,6 +1687,70 @@ def test_fetch_resume_of_a_manifest_with_one_field_edited_ends_cleanly(recorded_
         out.write_bytes(fixture)
         pathlib.Path(str(out) + ".manifest.json").write_text(json.dumps(manifest))
         _ends_cleanly(_run_argv("fetch", tables, tmp) + ["--resume"], tmp)
+
+
+# every output option of each command in _RUNS
+_OUTPUTS = {
+    "synth": ("--out-dir", "--manifest"),
+    "features": ("--out", "--export-graphs", "--histogram-out", "--manifest"),
+    "train": ("--model-out", "--manifest"),
+    "cv": ("--out", "--roc-out", "--manifest"),
+    "crosseval": ("--out", "--roc-out", "--manifest"),
+    "scan": ("--out", "--manifest"),
+    "fetch": ("--out", "--manifest"),
+}
+
+
+def _output_elsewhere(tables, workdir: pathlib.Path, command: str, option: str,
+                      below_a_file: bool, depth: int) -> list[str]:
+    """The argv of ``command`` with ``option`` pointed ``depth`` levels below
+    a regular file, or at an existing directory, under ``workdir``."""
+    argv = _run_argv(command, tables, workdir)
+    if command in ("train", "cv", "crosseval"):
+        argv += ["--max-iters", "200"]
+    if below_a_file:
+        (workdir / "file").write_text("kept\n")
+        path = workdir.joinpath("file", *["x"] * depth)
+    else:
+        path = workdir.joinpath(*["d"] * depth)
+        path.mkdir(parents=True)
+    if option in argv:
+        argv[argv.index(option) + 1] = str(path)
+    else:
+        argv += [option, str(path)]
+    return argv
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), below_a_file=st.booleans(), depth=st.integers(1, 2))
+def test_an_output_below_a_file_or_at_a_directory_ends_cleanly(tables, data, below_a_file,
+                                                                 depth):
+    """One output of one command names a path below a regular file, or an
+    existing directory: the command exits 0, 2 or 3, with one ``error:`` line
+    if it fails, no traceback, and the file left as it was.  A failed run
+    writes no file, though it may have made a directory."""
+    command = data.draw(st.sampled_from(sorted(_OUTPUTS)))
+    option = data.draw(st.sampled_from(_OUTPUTS[command]))
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = pathlib.Path(tmp)
+        argv = _output_elsewhere(tables, workdir, command, option, below_a_file, depth)
+        before = _files(workdir)
+        if _ends_cleanly(argv, tmp):
+            assert _files(workdir) == before
+        if below_a_file:
+            assert (workdir / "file").read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("manifest", ["file/x", "dir"])
+def test_synth_refuses_its_manifest_path_before_writing_the_corpus(tmp_path, monkeypatch,
+                                                                   capsys, manifest):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("kept\n")
+    (tmp_path / "dir").mkdir()
+    assert main(["synth", "--out-dir", "corpus", "--n-tokens", "3",
+                 "--manifest", manifest]) == 2
+    assert one_error_line(capsys).startswith(f"error: --manifest {manifest}")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["dir", "file"]
 
 
 @pytest.mark.parametrize("command", _RUNS)

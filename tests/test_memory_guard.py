@@ -14,7 +14,10 @@ from tokengraphs.synth import CorpusProfile, gen_corpus
 from conftest import WINDOW
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-BYTES_PER_TRANSFER = 200
+# 112-117 B measured with addresses packed per token (159-162 B before), plus
+# 13 B (1.4 MB) for the peak's moves with the run's layout, which reached
+# 1.1 MB with the --out name alone
+BYTES_PER_TRANSFER = 130
 
 # A child's ru_maxrss starts from the high-water mark of the process that
 # spawned it, and pytest's may be far above a features run's; so a fresh

@@ -1,9 +1,9 @@
 """Window batches against the straight-line oracles.
 
 Events go through ``partition_windows`` (interning into one
-``WindowBatch`` per window), ``build_graphs`` (one lexsort per window) and
-``extract_features``; every per-token result must equal the oracles run on
-that token's transfers alone.  Values are uint64 limbs plus a side dict for
+``WindowBatch`` per window), ``build_graphs`` (one lexsort per window, none
+for a window already in order) and ``extract_features``; every per-token
+result must equal the oracles run on that token's transfers alone.  Values are uint64 limbs plus a side dict for
 values of 2**128 and more, so values at and around each limb edge are drawn
 on purpose.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import fields
+from itertools import accumulate
 from unittest import mock
 
 import numpy as np
@@ -80,9 +81,10 @@ def _expected_edges(events, window):
     return edges
 
 
-@settings(max_examples=200, deadline=None)
-@given(windows())
-def test_batches_graphs_and_features_match_the_oracles(events):
+def _assert_matches_the_oracles(events):
+    """Every window's batch rows, graphs and features equal the oracles'.
+    Before the graphs are built, ``build_graphs``' order check must say
+    whether the rows are in (token, block, logIndex) order as ``sorted`` does."""
     groups = list(partition_windows(events, WIDTH).items())
     assert [w.start for w, _ in groups] == sorted({e.block // WIDTH * WIDTH
                                                     for e in events})
@@ -90,6 +92,9 @@ def test_batches_graphs_and_features_match_the_oracles(events):
         inside = [e for e in events if window.start <= e.block < window.end]
         assert batch_rows(batch) == [tuple(e[:6]) for e in inside]
         assert _columns_hold_no_objects(batch)
+        keys = list(zip(batch.token.tolist(), batch.block.tolist(), batch.log_index.tolist()))
+        assert graphs_module._in_order(batch.token, batch.block,
+                                       batch.log_index) == (keys == sorted(keys))
         expected = _expected_edges(events, window)
 
         graphs = build_graphs(batch, window)
@@ -97,7 +102,8 @@ def test_batches_graphs_and_features_match_the_oracles(events):
         for token, graph in graphs.items():
             assert _columns_hold_no_objects(graph)
             edges = expected[token]
-            nodes = list(map(bytes.decode, graph.nodes))
+            assert graph.nodes.dtype == "S42"
+            nodes = list(map(bytes.decode, graph.nodes.tolist()))
             assert [(nodes[s], nodes[d], v, b) for s, d, v, b in zip(
                 graph.edge_from.tolist(), graph.edge_to.tolist(),
                 graph.values, graph.blocks.tolist())] == edges
@@ -120,17 +126,52 @@ def test_batches_graphs_and_features_match_the_oracles(events):
             assert (components.count, sorted(components.sizes)) == (count, sizes)
 
 
+@settings(max_examples=200, deadline=None)
+@given(windows(), st.integers(1, 8))
+def test_batches_graphs_and_features_match_the_oracles(events, check_rows):
+    """Each drawn window twice: shuffled, and grouped by token in
+    (block, logIndex) order, as a fixture written token by token is, which
+    ``build_graphs`` takes without a sort.  The order check steps through
+    the rows a few at a time, so its step boundaries fall inside windows."""
+    grouped = sorted(events, key=lambda e: (e.block // WIDTH, e.token, e.block, e.log_index))
+    with mock.patch.object(graphs_module, "_CHECK_ROWS", check_rows):
+        _assert_matches_the_oracles(events)
+        _assert_matches_the_oracles(grouped)
+    for _window, batch in partition_windows(grouped, WIDTH).items():
+        assert graphs_module._in_order(batch.token, batch.block, batch.log_index)
+
+
+@pytest.mark.parametrize("rows", [
+    [(1, 0, 1), (1, 0, 0)],             # a logIndex inversion inside one block
+    [(1, 0, 0), (2, 0, 0), (1, 0, 0)],  # equal (block, logIndex) pairs across tokens
+    [(1, 0, 0), (2, 1, 0), (1, 2, 0)],  # a token that comes back after another
+], ids=["log-index-inversion", "equal-pairs-across-tokens", "token-comes-back"])
+def test_a_window_out_of_token_block_log_index_order_is_sorted(rows):
+    """(token, block, logIndex) rows in input order that ``build_graphs`` must sort."""
+    events = [make_event(f"0x{i + 1:x}", f"0x{i + 2:x}", value=i + 1, block=FIRST + block,
+                         log_index=log_index, token=f"0x{token:x}", tx=i + 1)
+              for i, (token, block, log_index) in enumerate(rows)]
+    (_window, batch), = partition_windows(events, WIDTH).items()
+    assert not graphs_module._in_order(batch.token, batch.block, batch.log_index)
+    _assert_matches_the_oracles(events)
+
+
 def test_a_shared_address_is_one_node_in_each_of_its_tokens():
     events = [make_event("0xa", "0xb", token="0x01", tx=1),
               make_event("0xb", "0xa", token="0x02", tx=2),
               make_event("0xb", "0xc", token="0x01", tx=3)]
     batch = batch_of(events)
     b, a, c = (b"0x" + s.rjust(40, b"0") for s in (b"b", b"a", b"c"))
-    assert batch.nodes == [[a, b, c], [b, a]]
+    assert batch.nodes == [a + b + c, b + a]
     graphs = build_graphs(batch, BlockWindow(FIRST, FIRST + WIDTH))
     assert [g.num_nodes for g in graphs.values()] == [3, 2]
     assert sum(g.num_nodes for g in graphs.values()) == len(
         {(e.token, a) for e in events for a in (e.from_addr, e.to_addr)})
+
+
+def test_a_node_address_that_is_not_42_bytes_long_is_refused():
+    with pytest.raises(ValueError, match="not 42 bytes long"):
+        partition_windows([make_event()._replace(from_addr="0xab")], WIDTH)
 
 
 def test_no_events_make_no_windows():
@@ -173,7 +214,7 @@ def test_limb_sums_equal_python_sums(runs_and_rows, chunk):
     n = len(rows)
     # row r of token t is transfer r of the window, at block r: input order is
     # (block, logIndex) order
-    batch = WindowBatch([f"0x{t:040x}" for t in range(len(runs))], [[b"0x0"]] * len(runs),
+    batch = WindowBatch([f"0x{t:040x}" for t in range(len(runs))], [b"0x" + b"0" * 40] * len(runs),
                         np.array([t for t, _v in rows], np.int32), np.zeros(n, np.int32),
                         np.zeros(n, np.int32), np.arange(n, dtype=np.int64),
                         np.zeros(n, np.int64), np.frombuffer(lo, np.uint64),
@@ -184,6 +225,18 @@ def test_limb_sums_equal_python_sums(runs_and_rows, chunk):
         graph = graphs[f"0x{t:040x}"]
         assert graph.values == [value for token, value in rows if token == t]
         assert graph.amount == sum(run)
+
+
+@settings(max_examples=100, deadline=None)
+@given(value_runs(), st.sampled_from("<>"))
+def test_limb_sums_are_exact_in_either_byte_order(runs_and_rows, byteorder):
+    runs, _rows = runs_and_rows
+    lo, hi, wide = array("Q"), array("Q"), {}
+    append_values(lo, hi, wide, [value for run in runs for value in run])
+    starts = list(accumulate(len(run) for run in runs[:-1]))
+    column = lambda limbs: np.frombuffer(limbs, np.uint64).astype(byteorder + "u8")
+    assert graphs_module._limb_sums(column(lo), column(hi), [0, *starts]) == [
+        sum(value for value in run if value < 2**128) for run in runs]
 
 
 def test_a_window_past_the_exact_sum_limit_exits_2(tmp_path, capsys):
