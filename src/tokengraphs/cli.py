@@ -95,6 +95,14 @@ def _settle_outputs(args: argparse.Namespace) -> None:
             raise ValueError(f"{option} {path} is a directory")
 
 
+def _make_directory(option: str, path: str) -> None:
+    """Make a directory output, refusing a path at or below a regular file."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ValueError(f"{option} {path}: {exc.strerror}") from None
+
+
 def _warn_unless_converged(converged: bool, max_iters: int) -> None:
     if not converged:
         print(f"warning: gradient descent stopped at --max-iters "
@@ -195,7 +203,7 @@ def cmd_features(args: argparse.Namespace) -> dict:
     # the fixture is read; --export-graphs first, as the directories it makes may hold --out
     windows = iter_window_groups(args.fixture, args.window_width)
     if args.export_graphs:
-        os.makedirs(args.export_graphs, exist_ok=True)
+        _make_directory("--export-graphs", args.export_graphs)
     _settle_outputs(args)
     table, exported = _feature_rows(windows, args.export_graphs)
     count = write_feature_table(table, args.out)
@@ -307,7 +315,7 @@ def cmd_synth(args: argparse.Namespace) -> dict:
         raise ValueError(f"--window-start {args.window_start} puts the last window's "
                          f"end at block {windows[-1].end}, past {INT64_MAX}")
     _settle_outputs(args)
-    os.makedirs(args.out_dir, exist_ok=True)
+    _make_directory("--out-dir", args.out_dir)
     fixture = os.path.join(args.out_dir, "fixture.tsv")
     labels = os.path.join(args.out_dir, "labels.csv")
     try:  # each file is written whole or not at all: a failure leaves the old one

@@ -32,7 +32,7 @@ import numpy as np
 
 from .ingest import (_ADDRESS_RE, _TXHASH_RE, ADDRESS_BYTES, ADDRESS_DTYPE, INT64_MAX,
                      UINT256_MAX, BlockWindow, FixtureParseError, FixtureValueError,
-                     WindowBatch, _intern_window, _window_runs, _windows)
+                     WindowBatch, _intern_window, _unpacked, _window_runs, _windows)
 
 _FORKS = hasattr(os, "fork")
 
@@ -270,9 +270,10 @@ def _merge(received: Iterator, token_ids: dict, node_ids: list, columns: list,
     """Intern the worker's next window through these tables as one process
     would have interned its blocks: its tokens, and each token's addresses,
     in the worker's id order, which is their order of first appearance.  A
-    token new to the window keeps the worker's address blob and ids as they
-    are, with no table: the worker's window is the last run of its window,
-    so nothing is interned into it afterwards."""
+    token this process has packed is unpacked first.  A token new to the
+    window keeps the worker's address blob and ids as they are, with no
+    table: the worker's window is the last run of its window, so nothing is
+    interned into it afterwards."""
     tokens, blobs, rows, more_wide = next(received)
     ids = list(map(token_ids.__getitem__, map(str.encode, tokens)))
     known = len(node_ids)
@@ -282,8 +283,8 @@ def _merge(received: Iterator, token_ids: dict, node_ids: list, columns: list,
         blob = blobs.pop()
         starts.append(len(nodes))
         if token_id < known:
-            addresses = np.frombuffer(blob, ADDRESS_DTYPE).tolist()
-            nodes.extend(map(node_ids[token_id].__getitem__, addresses))
+            node_ids[token_id] = table = _unpacked(node_ids[token_id], token_ids.ids)
+            nodes.extend(map(table.__getitem__, np.frombuffer(blob, ADDRESS_DTYPE).tolist()))
         else:
             node_ids.append(blob)
             nodes.extend(range(len(blob) // ADDRESS_BYTES))

@@ -15,7 +15,7 @@ import re
 import time
 from array import array
 from dataclasses import dataclass
-from itertools import count, groupby
+from itertools import chain, count, groupby
 from operator import itemgetter
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple
 
@@ -392,12 +392,23 @@ class _Interner(dict):
 
 def _packed(table: _Interner | bytes) -> bytes:
     """A token's address table as its node addresses in id order, one blob."""
-    if isinstance(table, bytes):  # a blob already, as a worker sent it
+    if isinstance(table, bytes):  # a blob already: packed early, or sent by a worker
         return table
     blob = b"".join(table)
     if len(blob) != ADDRESS_BYTES * len(table):
         raise ValueError(f"a node address is not {ADDRESS_BYTES} bytes long")
     return blob
+
+
+def _unpacked(table: _Interner | bytes, shared: list[int]) -> _Interner:
+    """A token's address table that may be packed, as a table again, each
+    address under the id it had."""
+    if not isinstance(table, bytes):
+        return table
+    addresses = np.frombuffer(table, ADDRESS_DTYPE).tolist()
+    unpacked = _Interner(shared)
+    unpacked.update(zip(addresses, chain(shared, count(len(shared)))))
+    return unpacked
 
 
 def _intern_window(runs: Iterable[tuple[int, list | Callable]]) -> WindowBatch:
@@ -408,8 +419,12 @@ def _intern_window(runs: Iterable[tuple[int, list | Callable]]) -> WindowBatch:
     Addresses are bytes keys.  Each token has its own small address table,
     which stays in cache however many addresses the window holds; every
     table's ids below ``_SHARED_IDS`` are the same int objects, made once per
-    window.  When the window closes, each table is packed into its token's
-    blob and freed before the next is packed, and token names are decoded.
+    window.  While the rows come grouped by token (no row's token id below
+    the id of the row before it), each block's tokens but its last are
+    finished, and their tables are packed into their blobs at once; once a
+    row goes back to an earlier token, no more are packed, and a packed
+    table that is needed again is unpacked.  When the window closes, each table left is
+    packed and freed before the next is packed, and token names are decoded.
     """
     shared = list(range(_SHARED_IDS))
     token_ids = _Interner(shared)
@@ -417,6 +432,7 @@ def _intern_window(runs: Iterable[tuple[int, list | Callable]]) -> WindowBatch:
     columns = [array(np.dtype(dtype).char) for dtype in _DTYPES]
     token, src, dst, block, log_index, lo, hi = columns
     wide: dict[int, int] = {}
+    grouped, packed = True, 0  # tokens below id packed are blobs, packed while rows are grouped
     for _index, run in runs:
         if callable(run):
             run(token_ids, node_ids, columns, wide)
@@ -424,14 +440,22 @@ def _intern_window(runs: Iterable[tuple[int, list | Callable]]) -> WindowBatch:
         tokens, froms, tos, values, blocks, log_indexes, _tx_hashes = run
         ids = list(map(token_ids.__getitem__, tokens))
         node_ids += (_Interner(shared) for _ in range(len(token_ids) - len(node_ids)))
+        grouped = grouped and ids[0] >= packed and ids == sorted(ids)
+        if not grouped and packed:  # a packed token may come back
+            for t in {t for t in ids if t < packed}:
+                node_ids[t] = _unpacked(node_ids[t], shared)
         tables = list(map(node_ids.__getitem__, ids))
         token.fromlist(ids)
         src.fromlist(list(map(dict.__getitem__, tables, froms)))
         dst.fromlist(list(map(dict.__getitem__, tables, tos)))
+        tables = None  # this run's hold on its tables, which may be packed now
         block.fromlist(blocks)
         log_index.fromlist(log_indexes)
         append_values(lo, hi, wide, values)
-    tables = None  # the last run's hold on its tables
+        if grouped:
+            for t in range(packed, ids[-1]):
+                node_ids[t] = _packed(node_ids[t])
+            packed = ids[-1]
     for t, table in enumerate(node_ids):
         node_ids[t] = _packed(table)
     return WindowBatch(list(map(bytes.decode, token_ids)), node_ids,

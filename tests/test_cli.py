@@ -267,6 +267,25 @@ def test_features_export_dir_below_a_file_exits_2_before_the_fixture_is_read(tmp
     assert sorted(path.name for path in tmp_path.iterdir()) == ["F", "bad2.tsv"]
 
 
+@pytest.mark.parametrize("option", ["--export-graphs", "--out-dir"])
+@pytest.mark.parametrize("below", [False, True], ids=["at-a-file", "below-a-file"])
+def test_a_directory_output_at_or_below_a_file_exits_2_naming_its_option(tmp_path, capsys,
+                                                                         option, below):
+    """``features --export-graphs`` and ``synth --out-dir`` refuse a regular
+    file, or a path below one, in one line that names the option; features
+    does so before its (spoiled) fixture is read."""
+    fixture = tmp_path / "bad2.tsv"
+    fixture.write_text(format_fixture_line(make_event()) + "\nnot a fixture line\n")
+    (tmp_path / "F").write_text("kept\n")
+    path = tmp_path / "F" / "x" if below else tmp_path / "F"
+    argv = (["features", "--fixture", str(fixture), "--out", str(tmp_path / "f.csv")]
+            if option == "--export-graphs" else ["synth", "--n-tokens", "3"])
+    assert main([*argv, option, str(path)]) == 2
+    assert one_error_line(capsys).startswith(f"error: {option} {path}: ")
+    assert (tmp_path / "F").read_text() == "kept\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["F", "bad2.tsv"]
+
+
 def test_features_input_error_makes_no_export_dir(tmp_path, capsys):
     fixture = tmp_path / "one.tsv"
     fixture.write_text(format_fixture_line(make_event()) + "\n")

@@ -20,16 +20,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tokengraphs.cli as cli_mod
 import tokengraphs.halves as halves
+import tokengraphs.ingest as ingest
 import tokengraphs.synth as synth
 from tokengraphs.cli import main
 from tokengraphs.ingest import format_fixture_line, iter_window_groups
 
-from conftest import make_event
+from conftest import batch_rows, make_event
 from oracles import one_process_windows
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -132,7 +133,8 @@ def test_a_spoiled_line_or_a_restarted_window_anywhere_fails_as_in_one_process(
         assert not (tmp / "two.csv").exists()
 
 
-def _assert_same_batches(path, width: int) -> None:
+def _assert_same_batches(path, width: int) -> list:
+    """The two halves' (window, batch) pairs, once checked against one process's."""
     ours = list(iter_window_groups(path, width))
     theirs = list(one_process_windows(path, width))
     assert [window for window, _ in ours] == [window for window, _ in theirs]
@@ -141,6 +143,7 @@ def _assert_same_batches(path, width: int) -> None:
         for name in ("token", "src", "dst", "block", "log_index", "value_lo", "value_hi"):
             column, expected = getattr(a, name), getattr(b, name)
             assert column.dtype == expected.dtype and np.array_equal(column, expected), name
+    return ours
 
 
 @needs_fork
@@ -158,6 +161,94 @@ def test_the_halves_give_the_batches_of_one_process(tmp_path, argv):
 def test_the_base_fixture_gives_the_batches_of_one_process(tmp_path):
     _write(tmp_path / "fixture.tsv", _BASE)
     _assert_same_batches(tmp_path / "fixture.tsv", WIDTH)
+
+
+# ---------------------------------------------------------------------------
+# address tables packed while a window's rows come grouped by token
+
+_SMALL_BLOCK = 1_024  # about five lines a block: a window spans many blocks
+
+
+def _tokens_and_nodes(events) -> tuple[list[str], list[list[str]]]:
+    """One window's tokens in order of first appearance, and each token's
+    node addresses, sorted: a batch numbers them in order of first
+    appearance too, but in each column block all senders come first."""
+    nodes: dict[str, set[str]] = {}
+    for e in events:
+        nodes.setdefault(e.token, set()).update((e.from_addr, e.to_addr))
+    return list(nodes), list(map(sorted, nodes.values()))
+
+
+@needs_fork
+@settings(max_examples=100, deadline=None)
+@given(shape=st.sampled_from(("grouped", "broken", "returns-at-split")),
+       first_rows=st.integers(1, 3),
+       rows=st.lists(st.integers(1, 25), min_size=3, max_size=9).filter(lambda r: sum(r) >= 12),
+       pool=st.integers(1, 30), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_tables_packed_while_rows_are_grouped_give_the_batches_of_one_process(
+        tmp_path_factory, shape, first_rows, rows, pool, seed, data):
+    """One window written token by token, as a synth corpus is: left so, with
+    a row in the parent's half moved back to the first token once that
+    token's table is packed, or with the worker's first row moved back to
+    it.  Both readers must give the oracle's rows, tokens and node tables,
+    and a packed table that is needed again must be unpacked where the
+    token comes back: in the parent's interning, or in the merge of the
+    worker's half."""
+    rng = random.Random(seed)
+    events = []
+    for t, count in enumerate([first_rows, *rows]):
+        for _ in range(count):
+            value = rng.choice((rng.randrange(10**6), rng.randrange(2**64, 2**128), 2**200))
+            events.append(make_event(
+                f"0x{rng.randrange(pool) + 1:x}", f"0x{rng.randrange(pool) + 1:x}",
+                value=value, block=FIRST + len(events), log_index=rng.randrange(3),
+                token=f"0x{t + 0xf1:x}", tx=len(events) + 1))
+    fixture = tmp_path_factory.mktemp("grouped") / "fixture.tsv"
+    with mock.patch.object(halves, "_BLOCK", _SMALL_BLOCK):
+        _write(fixture, list(map(format_fixture_line, events)))
+        split = _split_line(fixture)
+        # by the end of the block after its last row's, the first token's table is packed
+        packed_by = first_rows + 2 * (_SMALL_BLOCK // 200 + 1)
+        if shape != "grouped":
+            assume(packed_by < split)
+            index = split if shape == "returns-at-split" else data.draw(
+                st.integers(packed_by, split - 1))
+            events[index] = events[index]._replace(token=events[0].token)
+            _write(fixture, list(map(format_fixture_line, events)))  # the same line lengths
+            assert _split_line(fixture) == split
+        unpacked = {"ingest": 0, "halves": 0}
+
+        def counted(module, unpack):
+            def call(table, shared):
+                unpacked[module] += isinstance(table, bytes)
+                return unpack(table, shared)
+            return call
+
+        with mock.patch.object(ingest, "_unpacked", counted("ingest", ingest._unpacked)), \
+                mock.patch.object(halves, "_unpacked", counted("halves", halves._unpacked)):
+            (_window, batch), = _assert_same_batches(fixture, WIDTH)
+            assert unpacked == {"grouped": {"ingest": 0, "halves": 0},
+                                "broken": {"ingest": 2, "halves": 0},
+                                "returns-at-split": {"ingest": 1, "halves": 1}}[shape]
+    assert batch_rows(batch) == [tuple(e[:6]) for e in events]
+    nodes = [sorted(np.frombuffer(blob, "S42").astype(str).tolist()) for blob in batch.nodes]
+    assert (batch.tokens, nodes) == _tokens_and_nodes(events)
+
+
+def test_a_packed_table_past_the_shared_ids_comes_back_with_its_ids(tmp_path):
+    """A token with more addresses than a window has shared ids is packed
+    while another token's rows come, then comes back with its first address,
+    its last and a new one: every address keeps its id."""
+    rows = [("0xa1", f"0x{2 * i + 1:x}", f"0x{2 * i + 2:x}") for i in range(2_100)]
+    rows += [("0xb2", "0x1", "0x2")] * 200
+    rows += [("0xa1", "0x1", "0x1068"), ("0xa1", "0x1069", "0x2")]
+    events = [make_event(a, b, block=FIRST, token=token, tx=i + 1)
+              for i, (token, a, b) in enumerate(rows)]
+    assert 2 * 2_100 > ingest._SHARED_IDS
+    _write(tmp_path / "fixture.tsv", list(map(format_fixture_line, events)))
+    (_window, batch), = _assert_same_batches(tmp_path / "fixture.tsv", WIDTH)
+    assert batch_rows(batch) == [tuple(e[:6]) for e in events]
+    assert len(batch.nodes[0]) == 42 * (2 * 2_100 + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ from tokengraphs.synth import CorpusProfile, gen_corpus
 from conftest import WINDOW
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-# 112-117 B measured with addresses packed per token (159-162 B before), plus
-# 13 B (1.4 MB) for the peak's moves with the run's layout, which reached
+# 95-97 B measured with each token's addresses packed as soon as its rows end
+# (112-117 B when packed at the window's close, 159-162 B before packing),
+# plus 9 B (1.0 MB) for the peak's moves with the run's layout, which reached
 # 1.1 MB with the --out name alone
-BYTES_PER_TRANSFER = 130
+BYTES_PER_TRANSFER = 106
 
 # A child's ru_maxrss starts from the high-water mark of the process that
 # spawned it, and pytest's may be far above a features run's; so a fresh
